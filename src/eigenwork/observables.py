@@ -179,15 +179,6 @@ def dpos_from_per_state_csv(text: str, epsilon: float) -> dict[float, int]:
     return counts
 
 
-def fig2_csv(trajectories: dict[str, Trajectory], shell_size: int) -> str:
-    """D_pos vs time per labeled protocol, with the shell-size reference."""
-    lines = ["label,t,d_pos,shell_size"]
-    for label, traj in trajectories.items():
-        for t, dp in zip(traj.times, traj.dpos):
-            lines.append(f"{label},{t:.17g},{dp},{shell_size}")
-    return "\n".join(lines) + "\n"
-
-
 def fig3_csv(rows) -> str:
     """Rows of (L, k, preset, d_pos at t=1, shell_size)."""
     lines = ["L,k,preset,d_pos_t1,shell_size"]

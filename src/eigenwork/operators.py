@@ -17,7 +17,6 @@ optimizer relies on.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import scipy.sparse
 
 from . import pauli
 from .pauli import PauliString, canonical_hermitian, window_span
-from .sector import SectorBasis, manifest_checksum, project_operator
+from .sector import SectorBasis, manifest_checksum, project_operator, sector_triplets
 
 
 def _combine_terms(raw_terms, L, tol=1e-14):
@@ -62,7 +61,6 @@ class SymmetrizedOperator:
         self.terms = _combine_terms(self.terms, self.L)
         d = float(1 << self.L)
         self.norm_sq = d * sum(c * c for c, _ in self.terms)
-        self._sector_cache = weakref.WeakKeyDictionary()
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         ref = {(p.x_mask, p.z_mask): c for c, p in self.terms}
@@ -81,12 +79,7 @@ class SymmetrizedOperator:
     def sector_matrix(self, basis: SectorBasis) -> np.ndarray:
         if basis.L != self.L:
             raise ValueError("sector basis chain length mismatch")
-        mat = self._sector_cache.get(basis)
-        if mat is None:
-            mat = project_operator(self, basis)
-            mat.setflags(write=False)
-            self._sector_cache[basis] = mat
-        return mat
+        return project_operator(self, basis)
 
     def dense_matrix(self) -> np.ndarray:
         """Full 2^L matrix; test-scale only."""
@@ -256,25 +249,34 @@ def operator_manifest(ops, L: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def symbolic_gram(ops, L: int) -> np.ndarray:
-    """Gram matrix Tr[Q_a^dag Q_b] from string-level trace orthogonality."""
+def string_coefficients(ops) -> scipy.sparse.csr_matrix:
+    """(ops x distinct string masks) table of string coefficients, masks sorted."""
     keys = sorted({(p.x_mask, p.z_mask) for op in ops for _, p in op.terms})
     index = {k: i for i, k in enumerate(keys)}
-    coef = np.zeros((len(ops), len(keys)))
-    for a, op in enumerate(ops):
+    data, si, sj = [], [], []
+    for i, op in enumerate(ops):
         for c, p in op.terms:
-            coef[a, index[(p.x_mask, p.z_mask)]] = c
-    return float(1 << L) * (coef @ coef.T)
+            si.append(i)
+            sj.append(index[(p.x_mask, p.z_mask)])
+            data.append(c)
+    return scipy.sparse.csr_matrix((data, (si, sj)), shape=(len(ops), len(keys)))
+
+
+def symbolic_gram(ops, L: int) -> np.ndarray:
+    """Gram matrix Tr[Q_a^dag Q_b] from string-level trace orthogonality."""
+    coef = string_coefficients(ops)
+    return float(1 << L) * (coef @ coef.T).toarray()
 
 
 class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
-    Holds the sparse triplets of every operator's sector matrix plus a
-    string-coefficient table, giving three O(nnz) primitives per time step:
-    Hamiltonian assembly from a coefficient vector, weighted quadratic-form
-    gathers for the gradient, and the exact full-space Frobenius norm of any
-    coefficient combination.
+    Holds one CSR matrix whose column i is the flattened sector matrix of
+    Q_i, summed from :func:`sector_triplets`, plus the string-coefficient
+    table. Per time step it gives Hamiltonian assembly (the CSR times the
+    coefficient vector), the weighted quadratic-form gather for the gradient
+    (the transposed CSR times the flattened weight matrix), and the exact
+    full-space Frobenius norm of any coefficient combination.
     """
 
     def __init__(self, ops, basis: SectorBasis):
@@ -286,38 +288,16 @@ class OperatorStack:
         self.manifest = operator_manifest(self.ops, basis.L)
         self.checksum = manifest_checksum(self.manifest)
 
-        op_idx, rows, cols, vals = [], [], [], []
-        reps = basis.orbit_reps
-        sizes = basis.orbit_sizes.astype(float)
-        all_cols = np.arange(self.dim, dtype=np.int64)
-        for i, op in enumerate(self.ops):
-            for coeff, p in op.terms:
-                targets = reps ^ np.int64(p.x_mask)
-                parity = np.bitwise_count(reps & np.int64(p.z_mask)) & 1
-                signs = np.where(parity, -1.0, 1.0)
-                r = basis.state_to_orbit[targets]
-                v = (coeff * pauli.PHASES[p.phase_pow]) * signs * np.sqrt(sizes / sizes[r])
-                op_idx.append(np.full(self.dim, i, dtype=np.int64))
-                rows.append(r)
-                cols.append(all_cols)
-                vals.append(v.astype(complex))
-        self._op_idx = np.concatenate(op_idx)
-        self._flat = np.concatenate(rows) * self.dim + np.concatenate(cols)
-        self._vals = np.concatenate(vals)
+        flat, vals = [], []
+        for op in self.ops:
+            rows, cols, v = sector_triplets(op.terms, basis)
+            flat.append(rows * self.dim + cols)
+            vals.append(v)
+        op_idx = np.repeat(np.arange(self.n_ops), [len(v) for v in vals])
         self._assembler = scipy.sparse.csr_matrix(
-            (self._vals, (self._flat, self._op_idx)),
+            (np.concatenate(vals), (np.concatenate(flat), op_idx)),
             shape=(self.dim * self.dim, self.n_ops))
-
-        keys = sorted({(p.x_mask, p.z_mask) for op in self.ops for _, p in op.terms})
-        index = {k: i for i, k in enumerate(keys)}
-        data, si, sj = [], [], []
-        for i, op in enumerate(self.ops):
-            for c, p in op.terms:
-                si.append(i)
-                sj.append(index[(p.x_mask, p.z_mask)])
-                data.append(c)
-        self._string_coef = scipy.sparse.csr_matrix(
-            (data, (si, sj)), shape=(self.n_ops, len(keys)))
+        self._string_coef = string_coefficients(self.ops)
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i."""
@@ -328,17 +308,7 @@ class OperatorStack:
 
     def gather_quadratic(self, K: np.ndarray) -> np.ndarray:
         """Vector q with q_i = sum_{r,c} Q_i[r,c] * K[r,c]."""
-        picked = self._vals * K.ravel()[self._flat]
-        q = np.bincount(self._op_idx, weights=picked.real, minlength=self.n_ops)
-        qi = np.bincount(self._op_idx, weights=picked.imag, minlength=self.n_ops)
-        return q + 1j * qi
-
-    def apply_all(self, psi: np.ndarray) -> np.ndarray:
-        """(n_ops, dim, M) array of Q_i @ psi; test-scale helper."""
-        out = np.zeros((self.n_ops, self.dim) + psi.shape[1:], dtype=complex)
-        np.add.at(out, (self._op_idx, self._flat // self.dim),
-                  self._vals[:, None] * psi[self._flat % self.dim])
-        return out
+        return self._assembler.T @ K.ravel()
 
     def frobenius_norm_sq(self, gamma: np.ndarray) -> float:
         """Exact full-space ||sum_i gamma_i Q_i||_2^2 via string coefficients."""

@@ -88,8 +88,7 @@ class ControlProtocol:
             fh.write(f"kick_duration {self.kick_duration:.17g}\n")
             fh.write(f"kick_generator {KICK_GENERATOR}\n")
             fh.write("gamma\n")
-            for row in self.gamma:
-                fh.write(" ".join(f"{g:.17g}" for g in row) + "\n")
+            np.savetxt(fh, self.gamma, fmt="%.17g")
 
     @classmethod
     def load(cls, path) -> "ControlProtocol":

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pauli import apply_to_basis_indices
+
 L_MIN = 2
 L_MAX = 20
 
@@ -120,30 +122,39 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarr
     return mat
 
 
-def project_operator(op, basis: SectorBasis, check_symmetric: bool = True) -> np.ndarray:
+def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsummed (rows, cols, vals) of the sector matrix of sum_j c_j P_j.
+
+    ``terms`` are (coefficient, PauliString) pairs. Each string is applied to
+    the orbit representative of every column; the image lands in the row of
+    its orbit, rescaled by sqrt(|orbit_col| / |orbit_row|). Triplets come in
+    term order, columns ascending within a term; a (row, col) pair can repeat
+    and the caller sums the repeats.
+    """
+    sizes = basis.orbit_sizes.astype(float)
+    rows, vals = [], []
+    for coeff, p in terms:
+        targets, phases = apply_to_basis_indices(p, basis.orbit_reps)
+        r = basis.state_to_orbit[targets]
+        rows.append(r)
+        vals.append(coeff * phases * np.sqrt(sizes / sizes[r]))
+    cols = np.tile(np.arange(basis.dim, dtype=np.int64), len(rows))
+    return np.concatenate(rows), cols, np.concatenate(vals)
+
+
+def project_operator(op, basis: SectorBasis) -> np.ndarray:
     """Sector matrix <s|op|s'> of a translation+inversion symmetric operator.
 
-    ``op`` supplies ``terms`` as (coefficient, PauliString) pairs. Matrix
-    elements follow from applying each string to the orbit representative of
-    the column and rescaling by sqrt(|orbit_col| / |orbit_row|).
+    ``op`` supplies ``terms`` as (coefficient, PauliString) pairs; the matrix
+    sums their :func:`sector_triplets`.
     """
-    if check_symmetric and not op.is_symmetric():
+    if not op.is_symmetric():
         raise ValueError(f"operator {getattr(op, 'label', op)!r} is not "
                          "translation+inversion symmetric")
-    reps = basis.orbit_reps
-    sizes = basis.orbit_sizes.astype(float)
+    rows, cols, vals = sector_triplets(op.terms, basis)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for coeff, p in op.terms:
-        targets = reps ^ np.int64(p.x_mask)
-        parity = np.bitwise_count(reps & np.int64(p.z_mask)) & 1
-        signs = np.where(parity, -1.0, 1.0)
-        rows = basis.state_to_orbit[targets]
-        vals = (coeff * _PHASES[p.phase_pow]) * signs * np.sqrt(sizes / sizes[rows])
-        np.add.at(mat, (rows, np.arange(basis.dim)), vals)
+    np.add.at(mat, (rows, cols), vals)
     return require_hermitian(mat)
-
-
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def sector_manifest(basis: SectorBasis) -> str:

@@ -184,20 +184,25 @@ def test_identity_absent():
             assert not p.is_identity()
 
 
-def test_stack_assemble_matches_sector_matrices(rng):
-    L = 6
+# Strings of one operator can send a column to the same row, so the CSR sums
+# repeated (row, col) entries; k=4 > L/2 adds rescaled short-orbit operators.
+STACK_CASES = pytest.mark.parametrize("L,k", [(6, 2), (6, 4)])
+
+
+@STACK_CASES
+def test_stack_assemble_matches_sector_matrices(rng, L, k):
     basis = build_sector_basis(L)
-    ops = build_basis(L, 2)
+    ops = build_basis(L, k)
     stack = OperatorStack(ops, basis)
     gamma = rng.normal(size=len(ops))
     direct = sum(g * op.sector_matrix(basis) for g, op in zip(gamma, ops))
     assert_allclose(stack.assemble(gamma), direct, atol=1e-12)
 
 
-def test_stack_gather_quadratic(rng):
-    L = 6
+@STACK_CASES
+def test_stack_gather_quadratic(rng, L, k):
     basis = build_sector_basis(L)
-    ops = build_basis(L, 2)
+    ops = build_basis(L, k)
     stack = OperatorStack(ops, basis)
     K = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
     expected = [np.sum(op.sector_matrix(basis) * K) for op in ops]

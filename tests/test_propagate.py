@@ -158,12 +158,22 @@ def test_kick_requires_generator(setup_L6):
 def test_protocol_file_roundtrip_exact(tmp_path, rng):
     gamma = rng.normal(size=(7, 5)) * np.pi
     gamma[0, 0] = 1.0 / 3.0
-    protocol = ControlProtocol(dt=0.002, gamma=gamma, kick_duration=0.001,
-                               basis_checksum="abc123")
-    path = tmp_path / "protocol.txt"
-    protocol.save(path)
-    loaded = ControlProtocol.load(path)
-    assert loaded.dt == protocol.dt
-    assert loaded.kick_duration == protocol.kick_duration
-    assert loaded.basis_checksum == "abc123"
-    assert np.array_equal(loaded.gamma, protocol.gamma)
+    awkward = np.array([[-0.0, 5e-324, 1e300, -1e300],
+                        [1e-300, -1e-300, 0.1 + 0.2, -5e-324]])
+    for values in (gamma, awkward):
+        protocol = ControlProtocol(dt=0.002, gamma=values, kick_duration=0.001,
+                                   basis_checksum="abc123")
+        path = tmp_path / "protocol.txt"
+        protocol.save(path)
+        n_steps, n_ops = values.shape
+        rows = "".join(" ".join(f"{g:.17g}" for g in row) + "\n" for row in values)
+        assert path.read_text() == (
+            "# eigenwork protocol v1\nbasis_checksum abc123\ndt 0.002\n"
+            f"n_steps {n_steps}\nn_ops {n_ops}\nkick_duration 0.001\n"
+            "kick_generator sum_sigma_x\ngamma\n" + rows)
+        loaded = ControlProtocol.load(path)
+        assert loaded.dt == protocol.dt
+        assert loaded.kick_duration == protocol.kick_duration
+        assert loaded.basis_checksum == "abc123"
+        assert np.array_equal(loaded.gamma, protocol.gamma)
+        assert np.array_equal(np.signbit(loaded.gamma), np.signbit(protocol.gamma))
