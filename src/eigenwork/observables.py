@@ -26,7 +26,7 @@ def work_density(states: np.ndarray, origin_energies: np.ndarray,
         raise ValueError("state and Hamiltonian dimensions differ")
     expect = np.einsum("ia,ia->a", states.conj(), H_target @ states)
     residue = float(np.abs(expect.imag).max()) if expect.size else 0.0
-    if residue > residue_tol:
+    if not residue <= residue_tol:
         raise NumericalConsistencyError(
             f"energy expectation has imaginary part {residue:.3e}")
     return (origin_energies - expect.real) / L

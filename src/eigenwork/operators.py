@@ -272,11 +272,11 @@ class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
     Holds one CSR matrix whose column i is the flattened sector matrix of
-    Q_i, summed from :func:`sector_triplets`, plus the string-coefficient
-    table. Per time step it gives Hamiltonian assembly (the CSR times the
-    coefficient vector), the weighted quadratic-form gather for the gradient
-    (the transposed CSR times the flattened weight matrix), and the exact
-    full-space Frobenius norm of any coefficient combination.
+    Q_i, summed from :func:`sector_triplets`. Per time step it gives
+    Hamiltonian assembly (the CSR times the coefficient vector) and the
+    weighted quadratic-form gather for the gradient (the transposed CSR times
+    the flattened weight matrix). The exact full-space Frobenius norm of any
+    coefficient combination is kept as a test oracle.
     """
 
     def __init__(self, ops, basis: SectorBasis):
@@ -297,7 +297,6 @@ class OperatorStack:
         self._assembler = scipy.sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(flat), op_idx)),
             shape=(self.dim * self.dim, self.n_ops))
-        self._string_coef = string_coefficients(self.ops)
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i."""
@@ -312,5 +311,5 @@ class OperatorStack:
 
     def frobenius_norm_sq(self, gamma: np.ndarray) -> float:
         """Exact full-space ||sum_i gamma_i Q_i||_2^2 via string coefficients."""
-        combined = self._string_coef.T @ np.asarray(gamma, dtype=float)
+        combined = string_coefficients(self.ops).T @ np.asarray(gamma, dtype=float)
         return float((1 << self.L) * np.dot(combined, combined))

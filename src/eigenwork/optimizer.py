@@ -14,7 +14,7 @@ preceded by a brief kick generated by sum_l sigma^x_l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def optimize(config: OptimizerConfig, reward_params: RewardParams,
     traj = Trajectory(np.asarray(alphas), batch.origin_energies.copy())
     out = batch.copy()
     if config.kick_duration > 0.0:
-        out.states = kick_unitary(kick_matrix, config.kick_duration) @ out.states
+        out.states = kick_unitary(kick_matrix, config.kick_duration, out.states)
 
     gamma_rows = np.zeros((n_steps, stack.n_ops))
     sample = {0, n_steps} | set(range(0, n_steps + 1, max(1, config.sample_every)))
@@ -155,8 +155,7 @@ def optimize(config: OptimizerConfig, reward_params: RewardParams,
             record(step, w, float(np.linalg.norm(Y)), vanished)
         gamma_rows[step] = gamma
         if not vanished:
-            U = expm_step(stack.assemble(gamma), config.dt)
-            out.states = U @ out.states
+            out.states = expm_step(stack.assemble(gamma), config.dt, out.states)
         out.t = (step + 1) * config.dt
         out.check_norms()
 

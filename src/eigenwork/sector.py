@@ -115,8 +115,10 @@ def restrict_state(full: np.ndarray, basis: SectorBasis) -> np.ndarray:
 
 
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    dev = np.abs(mat - mat.conj().T).max()
-    if dev > tol:
+    diff = np.conjugate(mat).T  # a fresh array, so the subtraction can reuse it
+    np.subtract(mat, diff, out=diff)
+    dev = np.abs(diff).max()
+    if not dev <= tol:
         raise NumericalConsistencyError(
             f"matrix fails hermiticity check: max |M - M^dag| = {dev:.3e} > {tol:.0e}")
     return mat

@@ -162,7 +162,7 @@ def test_criterion_5_kkt_gradient_suite(kkt_setup):
     ok &= np.abs(reward_grad(w_grid, params) - fd).max() < 1e-6
 
     # (i) + (v): drive 100 steps manually, checking the closed form each step
-    states = kick_unitary(kick, 0.001) @ batch.states
+    states = kick_unitary(kick, 0.001, batch.states)
     dt = 0.002
     for _ in range(100):
         w = work_density(states, batch.origin_energies, H, L)
@@ -175,7 +175,7 @@ def test_criterion_5_kkt_gradient_suite(kkt_setup):
         rate_closed = C * np.linalg.norm(Y) / np.sqrt(L * d)
         ok &= abs(np.dot(gamma, Y) - rate_closed) < 1e-9 * max(1.0, rate_closed)
         ok &= rate_closed >= 0
-        states = expm_step(stack.assemble(gamma), dt) @ states
+        states = expm_step(stack.assemble(gamma), dt, states)
 
     # (iii) chain-rule dw/dt converges first order in dt
     gamma = np.zeros(stack.n_ops)
@@ -188,7 +188,7 @@ def test_criterion_5_kkt_gradient_suite(kkt_setup):
     dts = [4e-3, 2e-3, 1e-3]
     errs = []
     for step in dts:
-        w_next = work_density(expm_step(H_t, step) @ states,
+        w_next = work_density(expm_step(H_t, step, states),
                               batch.origin_energies, H, L)
         errs.append(np.abs((w_next - w_now) / step - predicted).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]

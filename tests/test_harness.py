@@ -253,3 +253,19 @@ def test_cli_replay_detects_tampering(tmp_path):
     lines[-1] = f"{alpha},{E},{t},{float(w) + 0.5},{S}"
     per_state.write_text("\n".join(lines) + "\n")
     assert main(["replay", "--run", str(outdir)]) == 3
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_replay_rejects_non_finite_protocol(tmp_path, bad):
+    """A non-finite coefficient in an archived protocol is a numerical failure."""
+    cfg_path = tmp_path / "cfg.json"
+    outdir = tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir), duration=0.02)))
+    assert main(["optimize", "-c", str(cfg_path)]) == 0
+    protocol = outdir / "protocol.txt"
+    lines = protocol.read_text().splitlines()
+    row = lines[-3].split()
+    row[0] = bad
+    lines[-3] = " ".join(row)
+    protocol.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--run", str(outdir)]) == 3

@@ -87,8 +87,8 @@ def test_work_density_zero_at_start(shell_setup_L8):
 
 def test_work_density_conserved_under_target(shell_setup_L8):
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    U = expm_step(H, 0.7)
-    w = work_density(U @ batch.states, batch.origin_energies, H, L)
+    states = expm_step(H, 0.7, batch.states)
+    w = work_density(states, batch.origin_energies, H, L)
     assert np.abs(w).max() < 1e-10
 
 
@@ -103,7 +103,7 @@ def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
     """[H, Q] = 0 when Q is proportional to the measured Hamiltonian."""
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
     aligned = OperatorStack([H_op.scaled(1 / np.sqrt(H_op.norm_sq), "aligned")], basis)
-    states = kick_unitary(kick, 0.05) @ batch.states
+    states = kick_unitary(kick, 0.05, batch.states)
     w = work_density(states, batch.origin_energies, H, L)
     Y = compute_Y(states, H @ states, aligned, reward_grad(w, P), L)
     assert np.abs(Y).max() < 1e-10
@@ -112,7 +112,7 @@ def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
 def test_Y_matches_dense_commutator_oracle(shell_setup_L8):
     """Brute-force trace evaluation in the full 2^L space."""
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    states = kick_unitary(kick, 0.05) @ batch.states
+    states = kick_unitary(kick, 0.05, batch.states)
     w = work_density(states, batch.origin_energies, H, L)
     grad = reward_grad(w, P)
     Y = compute_Y(states, H @ states, stack, grad, L)
@@ -137,12 +137,16 @@ def test_work_density_residue_guard(shell_setup_L8):
     broken = H + 1e-6j * np.eye(basis.dim)
     with pytest.raises(NumericalConsistencyError):
         work_density(batch.states, batch.origin_energies, broken, L)
+    states = batch.states.copy()
+    states[0, 0] = np.nan
+    with pytest.raises(NumericalConsistencyError):
+        work_density(states, batch.origin_energies, H, L)
 
 
 def test_dw_dt_chain_rule_first_order_convergence(shell_setup_L8):
     """|finite difference - chain rule| must shrink linearly in dt."""
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    states = kick_unitary(kick, 0.05) @ batch.states
+    states = kick_unitary(kick, 0.05, batch.states)
     gamma = np.zeros(stack.n_ops)
     gamma[1] = 1.1
     gamma[4] = -0.7
@@ -157,7 +161,7 @@ def test_dw_dt_chain_rule_first_order_convergence(shell_setup_L8):
     errs = []
     dts = [4e-3, 2e-3, 1e-3]
     for dt in dts:
-        stepped = expm_step(H_t, dt) @ states
+        stepped = expm_step(H_t, dt, states)
         w1 = work_density(stepped, batch.origin_energies, H, L)
         fd = (w1 - w0) / dt
         errs.append(np.abs(fd - predicted).max())

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from eigenwork import pauli
 from eigenwork.model import IsingParams, build_ising
 from eigenwork.operators import SymmetrizedOperator
-from eigenwork.sector import (build_sector_basis, embed_batch, embed_state,
-                              manifest_checksum, project_operator,
+from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
+                              embed_batch, embed_state, manifest_checksum,
+                              project_operator, require_hermitian,
                               restrict_state, sector_manifest)
 
 
@@ -182,3 +183,13 @@ def test_manifest_contents_and_checksum():
     assert "L 4" in lines and "dim 6" in lines
     assert len(lines) == 3 + basis.dim
     assert manifest_checksum(text) == manifest_checksum(sector_manifest(build_sector_basis(4)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_require_hermitian_rejects_non_finite(bad):
+    mat = np.eye(3, dtype=complex)
+    require_hermitian(mat)
+    mat[1, 1] = bad
+    with pytest.raises(NumericalConsistencyError):
+        require_hermitian(mat)
