@@ -47,9 +47,9 @@ def main():
                     "k": args.k_fixed, "dt": dt, "long_run": args.long_run,
                     "outdir": str(outdir / f"dtcheck_{dt:g}")}
             run_dir = runner.run(ExperimentConfig.from_dict(data))
-            text = (run_dir / "per_state.csv").read_text()
-            w_final[dt] = np.array(runner._final_w_from_per_state(text))
-            dpos[dt] = json.loads((run_dir / "run.json").read_text())["dpos_final"]
+            summary, traj = runner.load_run(run_dir)
+            w_final[dt] = traj.final_w()
+            dpos[dt] = summary["dpos_final"]
         # greedy protocols are not smooth in dt, so per-state w can move while
         # the headline count stays put; report both.
         report = {"L": L, "k": args.k_fixed,

@@ -18,6 +18,10 @@ from .sector import NumericalConsistencyError, SectorBasis, embed_state
 
 SCHMIDT_FLOOR = 1e-14
 
+TIMESERIES_HEADER = "step,t,r,y_norm,d_pos"
+PER_STATE_HEADER = "alpha,E,t,w,S"
+FIG4_HEADER = "alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_dpos"
+
 
 def work_density(states: np.ndarray, origin_energies: np.ndarray,
                  H_target: np.ndarray, L: int, residue_tol: float = 1e-10) -> np.ndarray:
@@ -56,39 +60,10 @@ def half_chain_ee(state: np.ndarray, L: int) -> float:
 
 
 @dataclass(frozen=True)
-class WorkRecord:
-    """Extracted work of one eigenstate at one sample time; W = L * w exactly."""
-
-    alpha: int
-    E: float
-    t: float
-    w: float
-    W: float
-
-    @classmethod
-    def from_density(cls, alpha: int, E: float, t: float, w: float, L: int):
-        return cls(alpha, E, t, w, L * w)
-
-
-def d_pos_from_records(records, epsilon: float, L: int, shell_indices) -> int:
-    """D_pos from WorkRecords; every shell member must be covered."""
-    by_alpha = {r.alpha for r in records}
-    missing = set(shell_indices) - by_alpha
-    if missing:
-        raise ValueError(f"work records missing shell members {sorted(missing)}")
-    return sum(r.W >= epsilon * L for r in records if r.alpha in set(shell_indices))
-
-
-@dataclass(frozen=True)
 class EERecord:
     alpha: int
     S0: float
     St: float
-
-    @property
-    def dS(self) -> float:
-        """Stored convention: initial minus final."""
-        return self.S0 - self.St
 
 
 def ee_records(states0: np.ndarray, states_t: np.ndarray, basis: SectorBasis,
@@ -136,11 +111,51 @@ class Trajectory:
         self.vanished.append(bool(vanished))
         self.w_samples.append(np.asarray(w, dtype=float).copy())
 
+    @classmethod
+    def from_csv(cls, timeseries_text: str, per_state_text: str) -> "Trajectory":
+        """Inverse of timeseries_csv/per_state_csv; `vanished` is not archived.
+
+        Raises ConfigError unless the per-state rows tile the sample grid,
+        one block per sample holding the same states in the same order, with
+        S for every state at the first and the last sample.
+        """
+        from .config import ConfigError  # config imports this module via optimizer
+
+        tables = []
+        for text, header in ((timeseries_text, TIMESERIES_HEADER),
+                             (per_state_text, PER_STATE_HEADER)):
+            lines = text.splitlines()
+            rows = [ln.split(",") for ln in lines[1:] if ln]
+            if lines[:1] != [header] or any(len(r) != 5 for r in rows):
+                raise ConfigError(f"expected a CSV table with header {header!r}")
+            tables.append(rows)
+        ts, ps = tables
+        n_states = len(ps) // len(ts) if ts else 0
+        blocks = [ps[i * n_states:(i + 1) * n_states] for i in range(len(ts))]
+        alphas = [r[0] for r in ps[:n_states]]
+        if not ts or n_states * len(ts) != len(ps) or any(
+                [r[0] for r in block] != alphas or any(r[2] != row[1] for r in block)
+                for row, block in zip(ts, blocks)):
+            raise ConfigError("per_state.csv rows do not tile the timeseries.csv samples")
+        S0, St = [r[4] for r in blocks[0]], [r[4] for r in blocks[-1]]
+        if not all(S0 + St):
+            raise ConfigError("per_state.csv lacks S at the first or the last sample")
+        w = np.array([float(r[3]) for r in ps]).reshape(len(ts), n_states)
+        traj = cls(np.array([int(a) for a in alphas]),
+                   np.array([float(r[1]) for r in blocks[0]]),
+                   steps=[int(r[0]) for r in ts], times=[float(r[1]) for r in ts],
+                   reward=[float(r[2]) for r in ts], y_norm=[float(r[3]) for r in ts],
+                   dpos=[int(r[4]) for r in ts], w_samples=list(w),
+                   ee=[EERecord(int(a), float(s0), float(st))
+                       for a, s0, st in zip(alphas, S0, St)])
+        traj.shell_mean_s0 = shell_mean_initial_ee(traj.ee)
+        return traj
+
     def final_w(self) -> np.ndarray:
         return self.w_samples[-1]
 
     def timeseries_csv(self) -> str:
-        lines = ["step,t,r,y_norm,d_pos"]
+        lines = [TIMESERIES_HEADER]
         for s, t, r, y, dp in zip(self.steps, self.times, self.reward,
                                   self.y_norm, self.dpos):
             lines.append(f"{s},{t:.17g},{r:.17g},{y:.17g},{dp}")
@@ -150,7 +165,7 @@ class Trajectory:
         """Long-format per-state series; S only at the entropy sample times."""
         ee_by_alpha = {r.alpha: r for r in self.ee}
         t_final = self.times[-1] if self.times else 0.0
-        lines = ["alpha,E,t,w,S"]
+        lines = [PER_STATE_HEADER]
         for s_idx, t in enumerate(self.times):
             for j, alpha in enumerate(self.alphas):
                 w = self.w_samples[s_idx][j]
@@ -165,20 +180,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def dpos_from_per_state_csv(text: str, epsilon: float) -> dict[float, int]:
-    """Recompute D_pos(t) from an archived per_state.csv, no re-simulation."""
-    counts: dict[float, int] = {}
-    for line in text.splitlines()[1:]:
-        if not line:
-            continue
-        _, _, t, w, _ = line.split(",")
-        t = float(t)
-        counts.setdefault(t, 0)
-        if float(w) >= epsilon:
-            counts[t] += 1
-    return counts
-
-
 def fig3_csv(rows) -> str:
     """Rows of (L, k, preset, d_pos at t=1, shell_size)."""
     lines = ["L,k,preset,d_pos_t1,shell_size"]
@@ -190,7 +191,7 @@ def fig3_csv(rows) -> str:
 def fig4_csv(traj: Trajectory, dpos_epsilon: float) -> str:
     """Per-state work density against both entropy-change conventions."""
     w_final = traj.final_w()
-    lines = ["alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_dpos"]
+    lines = [FIG4_HEADER]
     by_alpha = {r.alpha: r for r in traj.ee}
     for j, alpha in enumerate(traj.alphas):
         rec = by_alpha[int(alpha)]

@@ -91,10 +91,10 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
     return traj, final
 
 
-def run(config: ExperimentConfig, compute_ee: bool = True) -> Path:
+def run(config: ExperimentConfig) -> Path:
     """Execute one experiment and archive it; returns the run directory."""
     ctx = prepare(config)
-    if ctx.shell.size == 0 and config.mode == "optimize":
+    if ctx.shell.size == 0:
         raise ConfigError("empty energy shell for the requested model and bounds")
 
     if config.mode == "optimize":
@@ -109,10 +109,9 @@ def run(config: ExperimentConfig, compute_ee: bool = True) -> Path:
         protocol = _constant_gamma_protocol(ctx)
         traj, final = _replay_trajectory(ctx, protocol)
 
-    if compute_ee and ctx.shell.size:
-        traj.ee = observables.ee_records(ctx.batch.states, final.states,
-                                         ctx.basis, ctx.shell.indices)
-        traj.shell_mean_s0 = observables.shell_mean_initial_ee(traj.ee)
+    traj.ee = observables.ee_records(ctx.batch.states, final.states,
+                                     ctx.basis, ctx.shell.indices)
+    traj.shell_mean_s0 = observables.shell_mean_initial_ee(traj.ee)
 
     return _archive(ctx, protocol, traj, final)
 
@@ -142,10 +141,10 @@ def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
                   "size": ctx.shell.size,
                   "indices": list(ctx.shell.indices)},
         "dpos_epsilon": cfg.dpos_epsilon,
-        "dpos_final": traj.dpos[-1] if traj.dpos else 0,
-        "t_final": traj.times[-1] if traj.times else 0.0,
+        "dpos_final": traj.dpos[-1],
+        "t_final": traj.times[-1],
         "shell_mean_initial_ee": traj.shell_mean_s0,
-        "initial_ee_std": float(np.std([r.S0 for r in traj.ee])) if traj.ee else None,
+        "initial_ee_std": float(np.std([r.S0 for r in traj.ee])),
         "basis_checksum": ctx.stack.checksum,
         "sector_checksum": manifest_checksum(sect),
         "eigenvector_checksum": ctx.eig.checksum(),
@@ -165,20 +164,25 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
     protocol = ControlProtocol.load(run_dir / "protocol.txt")
     traj, _ = _replay_trajectory(ctx, protocol)
 
-    archived = _final_w_from_per_state(
-        (run_dir / "per_state.csv").read_text())
+    archived = load_run(run_dir)[1].final_w()
     replayed = traj.final_w()
     if len(archived) != len(replayed):
         raise ConfigError("archived per_state.csv does not match the shell size")
-    max_dev = float(np.abs(np.asarray(archived) - replayed).max()) if len(archived) else 0.0
+    max_dev = float(np.max(np.abs(archived - replayed), initial=0.0))
     return {"max_w_deviation": max_dev, "within_tolerance": bool(max_dev <= tol),
             "tolerance": tol, "n_states": len(archived)}
 
 
-def _final_w_from_per_state(text: str) -> list[float]:
-    rows = [ln.split(",") for ln in text.splitlines()[1:] if ln]
-    t_final = max(float(r[2]) for r in rows)
-    return [float(r[3]) for r in rows if float(r[2]) == t_final]
+def load_run(run_dir) -> tuple[dict, Trajectory]:
+    """Read an archived run's summary and trajectory; the one reader of its CSVs."""
+    run_dir = Path(run_dir)
+    try:
+        summary = json.loads((run_dir / "run.json").read_text())
+        traj = Trajectory.from_csv((run_dir / "timeseries.csv").read_text(),
+                                   (run_dir / "per_state.csv").read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{run_dir} is not a readable run archive: {exc}") from exc
+    return summary, traj
 
 
 def run_scaling_sweep(template: dict, L_list, k_rule: str,
@@ -228,16 +232,13 @@ def run_threshold_sweep(run_dirs, eps_list, out_path=None) -> list[dict]:
     """
     rows = []
     for run_dir in map(Path, run_dirs):
-        summary = json.loads((run_dir / "run.json").read_text())
+        summary, traj = load_run(run_dir)
         shell_width = summary["shell"]["hi"] - summary["shell"]["lo"]
-        text = (run_dir / "per_state.csv").read_text()
-        t_final = summary["t_final"]
         for eps in eps_list:
-            counts = observables.dpos_from_per_state_csv(text, eps)
             rows.append({
                 "run": str(run_dir), "preset": summary["preset"],
                 "L": summary["L"], "k": summary["k"], "epsilon": eps,
-                "d_pos_final": counts.get(t_final, 0),
+                "d_pos_final": d_pos(traj.final_w(), eps),
                 "exceeds_shell_width": eps > shell_width + 1e-12,
             })
             if eps > shell_width + 1e-12:
@@ -254,13 +255,6 @@ def run_threshold_sweep(run_dirs, eps_list, out_path=None) -> list[dict]:
     return rows
 
 
-def load_trajectory(run_dir) -> tuple[dict, str, str]:
-    run_dir = Path(run_dir)
-    summary = json.loads((run_dir / "run.json").read_text())
-    return (summary, (run_dir / "timeseries.csv").read_text(),
-            (run_dir / "per_state.csv").read_text())
-
-
 def write_report(run_dirs, outdir) -> Path:
     """Collect archived runs into the figure-data CSV exports."""
     outdir = Path(outdir)
@@ -268,10 +262,10 @@ def write_report(run_dirs, outdir) -> Path:
 
     fig2_lines = ["label,t,d_pos,shell_size"]
     fig3_rows = []
-    fig4_chunks = []
+    fig4_lines = [f"label,{observables.FIG4_HEADER}"]
     seen_labels = set()
     for run_dir in map(Path, run_dirs):
-        summary, timeseries, per_state = load_trajectory(run_dir)
+        summary, traj = load_run(run_dir)
         label = summary["mode"] if summary["mode"] != "optimize" \
             else f"optimize_k{summary['k']}"
         label = f"{summary['preset']}_{label}_L{summary['L']}"
@@ -279,49 +273,15 @@ def write_report(run_dirs, outdir) -> Path:
             label = f"{label}_{run_dir.name}"
         seen_labels.add(label)
         size = summary["shell"]["size"]
-        for line in timeseries.splitlines()[1:]:
-            _, t, _, _, dp = line.split(",")
-            fig2_lines.append(f"{label},{t},{dp},{size}")
+        fig2_lines.extend(f"{label},{t:.17g},{dp},{size}"
+                          for t, dp in zip(traj.times, traj.dpos))
         if summary["mode"] == "optimize":
             fig3_rows.append((summary["L"], summary["k"], summary["preset"],
                               summary["dpos_final"], size))
-            fig4_chunks.append((label, run_dir, summary))
+            body = observables.fig4_csv(traj, summary["dpos_epsilon"]).splitlines()[1:]
+            fig4_lines.extend(f"{label},{row}" for row in body)
 
     (outdir / "fig2_dpos_vs_t.csv").write_text("\n".join(fig2_lines) + "\n")
     (outdir / "fig3_scaling.csv").write_text(observables.fig3_csv(fig3_rows))
-
-    fig4_lines = ["label,alpha,E,w,S0,St,dS_final_minus_initial,"
-                  "dS_initial_minus_final,in_dpos"]
-    for label, run_dir, summary in fig4_chunks:
-        body = _fig4_rows_from_archive(run_dir, summary)
-        fig4_lines.extend(f"{label},{row}" for row in body)
     (outdir / "fig4_deltaS_vs_w.csv").write_text("\n".join(fig4_lines) + "\n")
     return outdir
-
-
-def _fig4_rows_from_archive(run_dir: Path, summary: dict) -> list[str]:
-    eps = summary["dpos_epsilon"]
-    t_final = summary["t_final"]
-    per_alpha: dict[int, dict] = {}
-    text = (run_dir / "per_state.csv").read_text()
-    for line in text.splitlines()[1:]:
-        if not line:
-            continue
-        alpha, E, t, w, S = line.split(",")
-        entry = per_alpha.setdefault(int(alpha), {"E": E})
-        t = float(t)
-        if t == 0.0 and S:
-            entry["S0"] = float(S)
-        if t == t_final:
-            entry["w"] = float(w)
-            if S:
-                entry["St"] = float(S)
-    rows = []
-    for alpha in sorted(per_alpha):
-        e = per_alpha[alpha]
-        if "S0" not in e or "St" not in e:
-            continue
-        rows.append(f"{alpha},{e['E']},{e['w']:.17g},{e['S0']:.17g},{e['St']:.17g},"
-                    f"{e['St'] - e['S0']:.17g},{e['S0'] - e['St']:.17g},"
-                    f"{int(e['w'] >= eps)}")
-    return rows

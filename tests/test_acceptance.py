@@ -17,7 +17,7 @@ import pytest
 from eigenwork import runner
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
-from eigenwork.observables import work_density
+from eigenwork.observables import fig4_csv, work_density
 from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
 from eigenwork.optimizer import (OptimizerConfig, RewardParams, compute_Y,
@@ -68,9 +68,8 @@ def _dpos_final(run_dir):
 
 def test_criterion_1_quench_null_result(run_cache):
     """Nonintegrable quench to (0, 1.5) extracts no work at any sample."""
-    run_dir = run_cache("nonintegrable", 12, mode="quench")
-    dpos = [int(line.split(",")[4]) for line in
-            (run_dir / "timeseries.csv").read_text().splitlines()[1:]]
+    _, traj = runner.load_run(run_cache("nonintegrable", 12, mode="quench"))
+    dpos = traj.dpos
     assert len(dpos) >= 50
     _report("1 quench-null (nonintegrable L=12, eps=0.15, t<=10)",
             all(d == 0 for d in dpos))
@@ -107,9 +106,8 @@ def test_criterion_3_global_control_growth(run_cache):
 
 def test_criterion_4_ee_mechanism(run_cache):
     """Work-extractable states under local control gain entanglement."""
-    run_dir = run_cache("integrable", 12, 4)
-    summary = json.loads((run_dir / "run.json").read_text())
-    rows = runner._fig4_rows_from_archive(run_dir, summary)
+    summary, traj = runner.load_run(run_cache("integrable", 12, 4))
+    rows = fig4_csv(traj, summary["dpos_epsilon"]).splitlines()[1:]
     counted = [row.split(",") for row in rows if row.endswith(",1")]
     assert counted, "no D_pos states to examine"
     increased = sum(float(row[5]) > 0 for row in counted)  # St - S0

@@ -1,6 +1,7 @@
 """Config schema, run archiving, replay, sweeps, and the CLI surface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from eigenwork import runner
 from eigenwork.cli import main
 from eigenwork.config import ConfigError, ExperimentConfig
+from eigenwork.observables import d_pos
 
 
 def cfg_dict(**overrides):
@@ -95,14 +97,41 @@ def test_run_archive_layout(small_run):
 
 def test_archived_dpos_recomputable_exactly(small_run):
     """per_state.csv reproduces every timeseries D_pos after the text roundtrip."""
-    from eigenwork.observables import dpos_from_per_state_csv
+    summary, traj = runner.load_run(small_run)
+    assert len(traj.dpos) == len(traj.w_samples) > 1
+    for w, dp in zip(traj.w_samples, traj.dpos):
+        assert d_pos(w, summary["dpos_epsilon"]) == dp
 
-    summary = json.loads((small_run / "run.json").read_text())
-    counts = dpos_from_per_state_csv((small_run / "per_state.csv").read_text(),
-                                     summary["dpos_epsilon"])
-    for line in (small_run / "timeseries.csv").read_text().splitlines()[1:]:
-        _, t, _, _, dp = line.split(",")
-        assert counts[float(t)] == int(dp)
+
+ROUNDTRIP_CONFIGS = {
+    "optimize": cfg_dict(),
+    "quench": {"preset": "nonintegrable", "L": 8, "mode": "quench", "duration": 2.0},
+    "discrete": {"preset": "integrable", "L": 8, "mode": "discrete",
+                 "actions": [2, 4, 2, 0, 6, 1]},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ROUNDTRIP_CONFIGS))
+def test_load_run_reserializes_archive_bytes(tmp_path, mode):
+    """The one archive reader loses nothing the writers put in the CSVs."""
+    data = dict(ROUNDTRIP_CONFIGS[mode], outdir=str(tmp_path / mode))
+    run_dir = runner.run(ExperimentConfig.from_dict(data))
+    summary, traj = runner.load_run(run_dir)
+    assert traj.timeseries_csv().encode() == (run_dir / "timeseries.csv").read_bytes()
+    assert traj.per_state_csv().encode() == (run_dir / "per_state.csv").read_bytes()
+    assert len(traj.ee) == summary["shell"]["size"] > 0
+    assert traj.shell_mean_s0 == summary["shell_mean_initial_ee"]
+
+
+def test_load_run_rejects_non_archives(tmp_path, small_run):
+    not_a_dir = tmp_path / "fig3_scaling.csv"
+    not_a_dir.write_text("L,k,preset,d_pos_t1,shell_size\n")
+    no_csv = tmp_path / "partial"
+    no_csv.mkdir()
+    (no_csv / "run.json").write_bytes((small_run / "run.json").read_bytes())
+    for path in (not_a_dir, tmp_path / "missing", no_csv):
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            runner.load_run(path)
 
 
 def test_replay_matches_archive(small_run):
@@ -126,10 +155,8 @@ def test_quench_under_own_hamiltonian_extracts_nothing(tmp_path):
         "preset": "integrable", "L": 8, "mode": "quench",
         "quench_h": 0.0, "quench_g": 0.5, "duration": 2.0,
         "outdir": str(tmp_path / "self_quench")})
-    run_dir = runner.run(cfg)
-    per_state = (run_dir / "per_state.csv").read_text()
-    w_values = [float(ln.split(",")[3]) for ln in per_state.splitlines()[1:]]
-    assert max(abs(w) for w in w_values) < 1e-10
+    _, traj = runner.load_run(runner.run(cfg))
+    assert np.abs(traj.w_samples).max() < 1e-10
 
 
 def test_discrete_matching_action_zero_work(tmp_path):
@@ -138,10 +165,8 @@ def test_discrete_matching_action_zero_work(tmp_path):
         "h": 0.0, "g": 0.0, "L": 8, "mode": "discrete",
         "actions": [0] * 25, "shell_lo": -2.0, "shell_hi": 2.0,
         "outdir": str(tmp_path / "disc_zero")})
-    run_dir = runner.run(cfg)
-    per_state = (run_dir / "per_state.csv").read_text()
-    w_values = [float(ln.split(",")[3]) for ln in per_state.splitlines()[1:]]
-    assert max(abs(w) for w in w_values) < 1e-10
+    _, traj = runner.load_run(runner.run(cfg))
+    assert np.abs(traj.w_samples).max() < 1e-10
 
 
 def test_discrete_replay_determinism(tmp_path, rng):
@@ -242,16 +267,34 @@ def test_cli_exit_codes(tmp_path):
     assert main(["quench", "-c", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["optimize", "quench", "discrete"])
+def test_cli_empty_shell_is_config_error(tmp_path, mode):
+    """The nonintegrable L=6 spectrum has no state in the default shell."""
+    data = {"preset": "nonintegrable", "L": 6, "mode": mode,
+            "outdir": str(tmp_path / "run")}
+    data.update({"optimize": {"k": 2}, "discrete": {"actions": [0, 1]}}.get(mode, {}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([mode, "-c", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_sweep_threshold_rejects_non_run_paths(tmp_path, small_run):
+    """A glob that also matches a sweep's fig3_scaling.csv is a config error."""
+    table = tmp_path / "fig3_scaling.csv"
+    table.write_text("L,k,preset,d_pos_t1,shell_size\n")
+    assert main(["sweep-threshold", "--runs", str(small_run), str(table),
+                 "--eps", "0.15"]) == 2
+
+
 def test_cli_replay_detects_tampering(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     outdir = tmp_path / "run"
     cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir))))
     assert main(["optimize", "-c", str(cfg_path)]) == 0
-    per_state = outdir / "per_state.csv"
-    lines = per_state.read_text().splitlines()
-    alpha, E, t, w, S = lines[-1].split(",")
-    lines[-1] = f"{alpha},{E},{t},{float(w) + 0.5},{S}"
-    per_state.write_text("\n".join(lines) + "\n")
+    _, traj = runner.load_run(outdir)
+    traj.final_w()[-1] += 0.5
+    (outdir / "per_state.csv").write_text(traj.per_state_csv())
     assert main(["replay", "--run", str(outdir)]) == 3
 
 

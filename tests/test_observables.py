@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenwork.model import IsingParams, build_ising, diagonalize
-from eigenwork.observables import (EERecord, Trajectory, WorkRecord, d_pos,
-                                   d_pos_from_records,
-                                   dpos_from_per_state_csv, ee_records,
+from eigenwork.config import ConfigError
+from eigenwork.observables import (EERecord, Trajectory, d_pos, ee_records,
                                    fig4_csv, half_chain_ee,
                                    shell_mean_initial_ee)
 from eigenwork.operators import OperatorStack, build_basis, sum_x
@@ -26,16 +25,6 @@ def test_d_pos_monotone_in_threshold(rng):
     eps_grid = [0.10, 0.125, 0.15, 0.175]
     counts = [d_pos(w, e) for e in eps_grid]
     assert counts == sorted(counts, reverse=True)
-
-
-def test_d_pos_from_records_requires_shell_coverage():
-    L = 8
-    records = [WorkRecord.from_density(a, -1.0, 1.0, w, L)
-               for a, w in [(3, 0.2), (5, 0.15), (7, 0.1)]]
-    assert records[0].W == L * 0.2  # total work stored in energy units
-    assert d_pos_from_records(records, 0.15, L, [3, 5, 7]) == 2
-    with pytest.raises(ValueError):
-        d_pos_from_records(records, 0.15, L, [3, 5, 7, 9])
 
 
 def test_ee_product_state():
@@ -97,7 +86,7 @@ def test_identity_protocol_gives_zero_deltaS():
     eig = diagonalize(build_ising(IsingParams.preset("integrable", L)).sector_matrix(basis))
     states = eig.states[:, 3:6]
     records = ee_records(states, states, basis, [3, 4, 5])
-    assert all(abs(r.dS) < 1e-12 for r in records)
+    assert all(abs(r.S0 - r.St) < 1e-12 for r in records)
     assert np.isfinite(shell_mean_initial_ee(records))
 
 
@@ -125,7 +114,7 @@ def test_deltaS_sign_convention_toy():
     St = half_chain_ee(embed_state(out.states[:, 0] / nrm, basis), L)
     rec = EERecord(0, S0=0.0, St=St)
     assert St > 0.05
-    assert rec.dS < 0
+    assert rec.S0 - rec.St < 0
 
 
 def _toy_trajectory():
@@ -140,11 +129,31 @@ def _toy_trajectory():
 def test_dpos_recompute_matches_timeseries():
     traj = _toy_trajectory()
     eps = 0.15
-    recomputed = dpos_from_per_state_csv(traj.per_state_csv(), eps)
-    ts = traj.timeseries_csv().splitlines()[1:]
-    for line in ts:
-        _, t, _, _, dp = line.split(",")
-        assert recomputed[float(t)] == int(dp)
+    loaded = Trajectory.from_csv(traj.timeseries_csv(), traj.per_state_csv())
+    assert loaded.times == traj.times
+    for w, dp in zip(loaded.w_samples, loaded.dpos, strict=True):
+        assert d_pos(w, eps) == dp
+
+
+def test_from_csv_rejects_rows_off_the_sample_grid():
+    traj = _toy_trajectory()
+    ts, ps = traj.timeseries_csv(), traj.per_state_csv()
+    lines = ps.splitlines()
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]  # states reordered at t=0.5
+    retimed = lines[:3] + [lines[3].replace(",0.5,", ",0.25,")] + lines[4:]
+    bad = {
+        "row dropped": (ts, "\n".join(lines[:-1]) + "\n"),
+        "states reordered": (ts, "\n".join(swapped) + "\n"),
+        "time off the grid": (ts, "\n".join(retimed) + "\n"),
+        "sample dropped": ("\n".join(ts.splitlines()[:-1]) + "\n", ps),
+        "no samples": ("step,t,r,y_norm,d_pos\n", "alpha,E,t,w,S\n"),
+        "final S missing": (ts, ps.replace(",0.90000000000000002\n", ",\n")),
+        "wrong header": (ts, ps.replace("alpha,E,t,w,S", "alpha,E,t,w")),
+    }
+    for name, (ts_text, ps_text) in bad.items():
+        with pytest.raises(ConfigError):
+            Trajectory.from_csv(ts_text, ps_text)
+            pytest.fail(name)  # reached only if the case was accepted
 
 
 def test_per_state_csv_carries_ee_at_endpoints():
