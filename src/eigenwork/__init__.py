@@ -7,9 +7,8 @@ norm-constrained controller (optimizer), work and entanglement diagnostics
 (observables), and the experiment harness (config, runner, cli).
 """
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, RewardParams
 from .model import IsingParams, PRESETS
-from .optimizer import RewardParams
 from .pauli import PauliString, make_pauli
 from .sector import SectorBasis, build_sector_basis
 

@@ -8,10 +8,10 @@ changing an archive's meaning.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .model import PRESETS, SHELL_DEFAULT
-from .optimizer import RewardParams
 
 FORMAT_TAG = "eigenwork-run-v1"
 
@@ -25,6 +25,22 @@ DEFAULT_DURATION = {"optimize": 1.0, "quench": 10.0}
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (CLI exit code 2)."""
+
+
+@dataclass(frozen=True)
+class RewardParams:
+    a: float = 30.0
+    c: float = 0.1
+    epsilon: float = 0.15
+    delta: float = 0.3
+
+    def __post_init__(self):
+        if self.a <= 0:
+            raise ConfigError("sigmoid sharpness must be positive")
+        if self.c < 0:
+            raise ConfigError("penalty slope must be nonnegative")
+        if not self.epsilon < self.delta:
+            raise ConfigError("threshold epsilon must sit below the penalty knee delta")
 
 
 _REWARD_KEYS = {"a", "c", "epsilon", "delta"}
@@ -73,6 +89,8 @@ class ExperimentConfig:
             self.dpos_epsilon = self.reward.epsilon
         if self.dt is None:
             self.dt = DEFAULT_DT[self.mode]
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if self.mode == "discrete":
             if not self.actions:
                 raise ConfigError("discrete mode needs an action sequence")
@@ -81,8 +99,15 @@ class ExperimentConfig:
             self.duration = len(self.actions) * self.dt
         elif self.duration is None:
             self.duration = DEFAULT_DURATION[self.mode]
+        if not (math.isfinite(self.duration / self.dt) and self.n_steps >= 1
+                and abs(self.n_steps * self.dt - self.duration) <= 1e-9):
+            raise ConfigError(f"duration {self.duration!r} must be a whole number "
+                              f"of at least one dt={self.dt!r} steps")
         if self.kick_duration is None:
             self.kick_duration = 0.001 if self.mode == "optimize" else 0.0
+        if not 0 <= self.kick_duration < math.inf:
+            raise ConfigError(f"kick_duration must be nonnegative and finite, "
+                              f"got {self.kick_duration!r}")
         if self.mode == "optimize":
             if self.k is None:
                 raise ConfigError("optimize mode needs the control locality k")
@@ -93,6 +118,17 @@ class ExperimentConfig:
                 self.quench_h, self.quench_g = PRESETS["quench-target"]
         if self.sample_every < 1:
             raise ConfigError("sample_every must be a positive step count")
+
+    @property
+    def n_steps(self) -> int:
+        """Protocol steps of size dt covering the duration."""
+        return round(self.duration / self.dt)
+
+    @property
+    def sample_steps(self) -> list[int]:
+        """Ascending steps at which observables are recorded: every
+        sample_every-th step from 0, and always the last one."""
+        return [*range(0, self.n_steps, self.sample_every), self.n_steps]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -117,10 +153,7 @@ class ExperimentConfig:
             unknown = set(reward_data) - _REWARD_KEYS
             if unknown:
                 raise ConfigError(f"unknown reward keys: {sorted(unknown)}")
-            try:
-                reward = RewardParams(**reward_data)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            reward = RewardParams(**reward_data)
         try:
             return cls(reward=reward, **data)
         except TypeError as exc:

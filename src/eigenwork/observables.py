@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .sector import NumericalConsistencyError, SectorBasis, embed_state
 
 SCHMIDT_FLOOR = 1e-14
@@ -24,13 +25,13 @@ FIG4_HEADER = "alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_
 
 
 def work_density(states: np.ndarray, origin_energies: np.ndarray,
-                 H_target: np.ndarray, L: int, residue_tol: float = 1e-10) -> np.ndarray:
+                 H_target: np.ndarray, L: int) -> np.ndarray:
     """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column."""
     if states.shape[0] != H_target.shape[0]:
         raise ValueError("state and Hamiltonian dimensions differ")
     expect = np.einsum("ia,ia->a", states.conj(), H_target @ states)
     residue = float(np.abs(expect.imag).max()) if expect.size else 0.0
-    if not residue <= residue_tol:
+    if not residue <= 1e-10:
         raise NumericalConsistencyError(
             f"energy expectation has imaginary part {residue:.3e}")
     return (origin_energies - expect.real) / L
@@ -119,8 +120,6 @@ class Trajectory:
         one block per sample holding the same states in the same order, with
         S for every state at the first and the last sample.
         """
-        from .config import ConfigError  # config imports this module via optimizer
-
         tables = []
         for text, header in ((timeseries_text, TIMESERIES_HEADER),
                              (per_state_text, PER_STATE_HEADER)):

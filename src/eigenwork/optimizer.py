@@ -14,61 +14,13 @@ preceded by a brief kick generated by sum_l sigma^x_l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ExperimentConfig, RewardParams
 from .observables import Trajectory, d_pos, work_density
 from .operators import OperatorStack
 from .propagate import ControlProtocol, StateBatch, expm_step, kick_unitary
 from .sector import NumericalConsistencyError
-
-
-@dataclass(frozen=True)
-class RewardParams:
-    a: float = 30.0
-    c: float = 0.1
-    epsilon: float = 0.15
-    delta: float = 0.3
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("sigmoid sharpness must be positive")
-        if self.c < 0:
-            raise ValueError("penalty slope must be nonnegative")
-        if not self.epsilon < self.delta:
-            raise ValueError("threshold epsilon must sit below the penalty knee delta")
-
-
-@dataclass
-class OptimizerConfig:
-    L: int
-    dt: float = 0.002
-    duration: float = 1.0
-    C: float | None = None
-    kick_duration: float = 0.001
-    grad_tol: float | None = None
-    sample_every: int = 10
-
-    def __post_init__(self):
-        if self.C is None:
-            self.C = float(np.sqrt(2.0 * self.L * (1 << self.L)))
-        if self.C <= 0:
-            raise ValueError("norm bound must be positive")
-        if self.kick_duration < 0:
-            raise ValueError("kick duration must be nonnegative")
-
-    @property
-    def n_steps(self) -> int:
-        n = round(self.duration / self.dt)
-        if abs(n * self.dt - self.duration) > 1e-12:
-            raise ValueError("duration must be an integer number of steps")
-        return int(n)
-
-    def gradient_tolerance(self, n_ops: int) -> float:
-        if self.grad_tol is not None:
-            return self.grad_tol
-        return 1e-12 * np.sqrt(n_ops)
 
 
 def reward(w: np.ndarray, p: RewardParams) -> float:
@@ -108,10 +60,9 @@ def solve_gamma(Y: np.ndarray, C: float, L: int, d: int,
     return (C / (np.sqrt(L * d) * norm)) * Y, False
 
 
-def optimize(config: OptimizerConfig, reward_params: RewardParams,
-             H_target: np.ndarray, batch: StateBatch, stack: OperatorStack,
-             kick_matrix: np.ndarray, dpos_epsilon: float | None = None,
-             alphas=None) -> tuple[ControlProtocol, Trajectory, StateBatch]:
+def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
+             stack: OperatorStack, kick_matrix: np.ndarray,
+             alphas) -> tuple[ControlProtocol, Trajectory, StateBatch]:
     """Run the greedy controller and emit a replayable protocol.
 
     The kick is recorded as a protocol prelude so replays are self-contained;
@@ -121,10 +72,8 @@ def optimize(config: OptimizerConfig, reward_params: RewardParams,
     if batch.n_states == 0:
         raise ValueError("empty shell: nothing to optimize")
     L, d = config.L, 1 << config.L
-    eps = reward_params.epsilon if dpos_epsilon is None else dpos_epsilon
-    if alphas is None:
-        alphas = np.arange(batch.n_states)
-    tol = config.gradient_tolerance(stack.n_ops)
+    C = float(np.sqrt(2.0 * L * (1 << L)))
+    tol = 1e-12 * np.sqrt(stack.n_ops)
     n_steps = config.n_steps
 
     traj = Trajectory(np.asarray(alphas), batch.origin_energies.copy())
@@ -133,30 +82,28 @@ def optimize(config: OptimizerConfig, reward_params: RewardParams,
         out.states = kick_unitary(kick_matrix, config.kick_duration, out.states)
 
     gamma_rows = np.zeros((n_steps, stack.n_ops))
-    sample = {0, n_steps} | set(range(0, n_steps + 1, max(1, config.sample_every)))
+    sample = set(config.sample_steps)
     any_active = False
 
     def record(step, w, y_norm, vanished):
-        traj.add_sample(step, step * config.dt, reward(w, reward_params),
-                        y_norm, d_pos(w, eps), w, vanished)
+        traj.add_sample(step, step * config.dt, reward(w, config.reward),
+                        y_norm, d_pos(w, config.dpos_epsilon), w, vanished)
 
     for step in range(n_steps + 1):
         w = work_density(out.states, out.origin_energies, H_target, L)
         if step == n_steps:
-            if step in sample:
-                record(step, w, 0.0, False)
+            record(step, w, 0.0, False)
             break
-        grad = reward_grad(w, reward_params)
+        grad = reward_grad(w, config.reward)
         H_psi = H_target @ out.states
         Y = compute_Y(out.states, H_psi, stack, grad, L)
-        gamma, vanished = solve_gamma(Y, config.C, L, d, tol)
+        gamma, vanished = solve_gamma(Y, C, L, d, tol)
         any_active |= not vanished
         if step in sample:
             record(step, w, float(np.linalg.norm(Y)), vanished)
         gamma_rows[step] = gamma
         if not vanished:
             out.states = expm_step(stack.assemble(gamma), config.dt, out.states)
-        out.t = (step + 1) * config.dt
         out.check_norms()
 
     if not any_active:

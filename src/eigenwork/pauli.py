@@ -137,15 +137,6 @@ def invert(p: PauliString) -> PauliString:
                        p.phase_pow, L)
 
 
-def equal_up_to_phase(p: PauliString, q: PauliString) -> complex | None:
-    """Return the phase c with p = c * q if the masks match, else None."""
-    if p.n_sites != q.n_sites:
-        raise ValueError("strings live on chains of different length")
-    if p.x_mask != q.x_mask or p.z_mask != q.z_mask:
-        return None
-    return PHASES[(p.phase_pow - q.phase_pow) % 4]
-
-
 def apply_to_basis_state(p: PauliString, n: int) -> tuple[int, complex]:
     """Apply p to |n>, returning (m, c) with p|n> = c|m> and |c| = 1."""
     if not 0 <= n < (1 << p.n_sites):

@@ -35,7 +35,6 @@ class StateBatch:
     """Columns are evolved shell eigenstates in sector coordinates."""
 
     states: np.ndarray
-    t: float
     origin_energies: np.ndarray
 
     def __post_init__(self):
@@ -51,16 +50,16 @@ class StateBatch:
         return self.states.shape[1]
 
     def copy(self) -> "StateBatch":
-        return StateBatch(self.states.copy(), self.t, self.origin_energies.copy())
+        return StateBatch(self.states.copy(), self.origin_energies.copy())
 
     def norm_drift(self) -> float:
         return float(np.abs(np.linalg.norm(self.states, axis=0) - 1.0).max())
 
-    def check_norms(self, tol: float = NORM_DRIFT_TOL):
+    def check_norms(self):
         drift = self.norm_drift()
-        if not drift <= tol:
+        if not drift <= NORM_DRIFT_TOL:
             raise NumericalConsistencyError(
-                f"column norm drift {drift:.3e} exceeds {tol:.0e}")
+                f"column norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
 
 
 @dataclass
@@ -83,10 +82,6 @@ class ControlProtocol:
     @property
     def n_steps(self) -> int:
         return self.gamma.shape[0] if self.gamma.size else 0
-
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -241,9 +236,7 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
         else:
             out.states = expm_step(H, protocol.dt, out.states)
         if (n + 1) in samples:
-            out.t = batch.t + (n + 1) * protocol.dt
             out.check_norms()
             notify(n + 1)
-    out.t = batch.t + protocol.duration
     out.check_norms()
     return out

@@ -45,7 +45,7 @@ def prepare(config: ExperimentConfig) -> RunContext:
     eig = diagonalize(H_target)
     shell = select_shell(eig, config.shell_lo, config.shell_hi, config.L)
     idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], 0.0, eig.energies[idx])
+    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
 
     if config.mode == "optimize":
         ops = build_basis(config.L, config.k)
@@ -60,11 +60,8 @@ def prepare(config: ExperimentConfig) -> RunContext:
 
 def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
     cfg = ctx.config
-    n_steps = round(cfg.duration / cfg.dt)
-    if abs(n_steps * cfg.dt - cfg.duration) > 1e-9:
-        raise ConfigError("duration must be an integer number of steps")
     if cfg.mode == "quench":
-        gamma = np.ones((n_steps, 1))
+        gamma = np.ones((cfg.n_steps, 1))
     else:
         gamma = np.zeros((len(cfg.actions), ctx.stack.n_ops))
         gamma[np.arange(len(cfg.actions)), cfg.actions] = 1.0
@@ -84,10 +81,8 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
         traj.add_sample(step, t, optimizer.reward(w, cfg.reward), 0.0,
                         d_pos(w, cfg.dpos_epsilon), w)
 
-    samples = sorted({0, protocol.n_steps}
-                     | set(range(0, protocol.n_steps + 1, cfg.sample_every)))
     final = evolve(ctx.batch, protocol, ctx.stack, observers=[observer],
-                   sample_steps=samples, kick_matrix=ctx.kick_matrix)
+                   sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
     return traj, final
 
 
@@ -98,13 +93,9 @@ def run(config: ExperimentConfig) -> Path:
         raise ConfigError("empty energy shell for the requested model and bounds")
 
     if config.mode == "optimize":
-        opt_cfg = optimizer.OptimizerConfig(
-            L=config.L, dt=config.dt, duration=config.duration,
-            kick_duration=config.kick_duration, sample_every=config.sample_every)
         protocol, traj, final = optimizer.optimize(
-            opt_cfg, config.reward, ctx.H_target, ctx.batch, ctx.stack,
-            ctx.kick_matrix, dpos_epsilon=config.dpos_epsilon,
-            alphas=np.asarray(ctx.shell.indices))
+            config, ctx.H_target, ctx.batch, ctx.stack, ctx.kick_matrix,
+            np.asarray(ctx.shell.indices))
     else:
         protocol = _constant_gamma_protocol(ctx)
         traj, final = _replay_trajectory(ctx, protocol)
@@ -161,7 +152,14 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_file(run_dir / "config.json")
     ctx = prepare(config)
-    protocol = ControlProtocol.load(run_dir / "protocol.txt")
+    path = run_dir / "protocol.txt"
+    try:
+        protocol = ControlProtocol.load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{path} is not a readable protocol: {exc!r}") from exc
+    if (protocol.n_steps, protocol.dt) != (config.n_steps, config.dt):
+        raise ConfigError(f"{path} does not hold the {config.n_steps} steps of "
+                          f"dt={config.dt!r} that config.json sets")
     traj, _ = _replay_trajectory(ctx, protocol)
 
     archived = load_run(run_dir)[1].final_w()

@@ -105,15 +105,6 @@ def embed_batch(mat: np.ndarray, basis: SectorBasis) -> np.ndarray:
     return mat[basis.state_to_orbit, :] * weights[:, None]
 
 
-def restrict_state(full: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Adjoint of embed_state: project a full-space vector onto the sector."""
-    full = np.asarray(full)
-    amp = basis.norms
-    acc = np.zeros(basis.dim, dtype=full.dtype)
-    np.add.at(acc, basis.state_to_orbit, full)
-    return acc * amp
-
-
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     diff = np.conjugate(mat).T  # a fresh array, so the subtraction can reuse it
     np.subtract(mat, diff, out=diff)

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from eigenwork import runner
-from eigenwork.config import ExperimentConfig
+from eigenwork.config import ExperimentConfig, RewardParams
 from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
 from eigenwork.observables import fig4_csv, work_density
 from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
-from eigenwork.optimizer import (OptimizerConfig, RewardParams, compute_Y,
-                                 optimize, reward, reward_grad, solve_gamma)
+from eigenwork.optimizer import compute_Y, reward, reward_grad, solve_gamma
 from eigenwork.propagate import StateBatch, expm_step, kick_unitary
 from eigenwork.sector import build_sector_basis, embed_batch
 
@@ -131,7 +130,7 @@ def kkt_setup():
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
     idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], 0.0, eig.energies[idx])
+    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
     return L, H, batch, stack, kick

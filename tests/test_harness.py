@@ -48,17 +48,26 @@ def test_defaults_follow_mode():
     opt = ExperimentConfig.from_dict(cfg_dict())
     assert (opt.dt, opt.duration, opt.kick_duration) == (0.002, 1.0, 0.001)
     assert opt.dpos_epsilon == opt.reward.epsilon == 0.15
+    assert opt.n_steps == 500
 
     quench = ExperimentConfig.from_dict(
         {"preset": "nonintegrable", "L": 8, "mode": "quench"})
     assert (quench.dt, quench.duration, quench.kick_duration) == (0.02, 10.0, 0.0)
     assert (quench.quench_h, quench.quench_g) == (0.0, 1.5)
+    assert quench.n_steps == 500
 
     disc = ExperimentConfig.from_dict(
         {"preset": "integrable", "L": 8, "mode": "discrete",
          "actions": [0] * 600})
     assert disc.dt == 0.04
     assert disc.duration == pytest.approx(24.0)  # 600 steps of 0.04
+    assert disc.n_steps == 600
+
+    for cfg in (opt, quench, disc):
+        grid = cfg.sample_steps
+        assert grid[0] == 0 and grid[-1] == cfg.n_steps
+        assert np.all(np.diff(grid[:-1]) == cfg.sample_every)
+        assert 0 < grid[-1] - grid[-2] <= cfg.sample_every
 
 
 def test_preset_and_explicit_fields():
@@ -267,6 +276,30 @@ def test_cli_exit_codes(tmp_path):
     assert main(["quench", "-c", str(cfg_path)]) == 2
 
 
+BAD_TIME_GRIDS = {
+    "optimize_dt_off_grid": {"mode": "optimize", "k": 2, "dt": 0.003},
+    "optimize_dt_zero": {"mode": "optimize", "k": 2, "dt": 0.0},
+    "quench_dt_zero": {"mode": "quench", "dt": 0.0},
+    "optimize_backwards": {"mode": "optimize", "k": 2, "dt": -0.002, "duration": -0.01},
+    "quench_backwards": {"mode": "quench", "dt": -0.02, "duration": -1.0},
+    "discrete_backwards": {"mode": "discrete", "actions": [0, 1], "dt": -0.04},
+    "optimize_negative_kick": {"mode": "optimize", "k": 2, "kick_duration": -1.0},
+    "optimize_no_steps": {"mode": "optimize", "k": 2, "duration": 0.0},
+    "quench_no_steps": {"mode": "quench", "duration": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TIME_GRIDS))
+def test_cli_bad_time_grid_is_config_error(tmp_path, case):
+    """dt > 0, a whole number >= 1 of steps and a kick >= 0, else exit 2 and no run."""
+    data = dict(BAD_TIME_GRIDS[case], preset="integrable", L=8,
+                outdir=str(tmp_path / "run"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([data["mode"], "-c", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mode", ["optimize", "quench", "discrete"])
 def test_cli_empty_shell_is_config_error(tmp_path, mode):
     """The nonintegrable L=6 spectrum has no state in the default shell."""
@@ -296,6 +329,28 @@ def test_cli_replay_detects_tampering(tmp_path):
     traj.final_w()[-1] += 0.5
     (outdir / "per_state.csv").write_text(traj.per_state_csv())
     assert main(["replay", "--run", str(outdir)]) == 3
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_n_steps", "deleted", "shortened"])
+def test_cli_replay_rejects_damaged_protocol(tmp_path, damage):
+    """A protocol.txt that cannot be read, or that is off the config's grid, is a config error."""
+    cfg_path = tmp_path / "cfg.json"
+    outdir = tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir), duration=0.02)))
+    assert main(["optimize", "-c", str(cfg_path)]) == 0
+    protocol = outdir / "protocol.txt"
+    lines = protocol.read_text().splitlines()
+    if damage == "truncated":
+        protocol.write_text("\n".join(lines[:-3]) + "\n")
+    elif damage == "no_n_steps":
+        protocol.write_text("\n".join(ln for ln in lines
+                                      if not ln.startswith("n_steps")) + "\n")
+    elif damage == "shortened":
+        lines = ["n_steps 7" if ln.startswith("n_steps") else ln for ln in lines]
+        protocol.write_text("\n".join(lines[:-3]) + "\n")
+    else:
+        protocol.unlink()
+    assert main(["replay", "--run", str(outdir)]) == 2
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

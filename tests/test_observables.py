@@ -99,7 +99,7 @@ def test_deltaS_sign_convention_toy():
     s0 = int(np.searchsorted(basis.orbit_reps, 0))
     v = np.zeros((basis.dim, 1), dtype=complex)
     v[s0, 0] = 1.0
-    batch = StateBatch(v, 0.0, np.array([4.0]))
+    batch = StateBatch(v, np.array([4.0]))
 
     xx = next(i for i, op in enumerate(ops)
               if {(p.x_mask, p.z_mask) for _, p in op.terms}

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigenwork.config import ExperimentConfig, RewardParams
 from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
-from eigenwork.optimizer import (OptimizerConfig, RewardParams, compute_Y,
-                                 optimize, reward, reward_grad, solve_gamma)
+from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
+                                 solve_gamma)
 from eigenwork.propagate import StateBatch, expm_step, kick_unitary
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_batch
 from eigenwork.observables import work_density
 
 P = RewardParams()
+
+
+def optimize_config(L, k, **fields):
+    """An integrable-chain optimize config in the default shell."""
+    return ExperimentConfig.from_dict(
+        {"preset": "integrable", "L": L, "mode": "optimize", "k": k, **fields})
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +31,7 @@ def shell_setup_L8():
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
     idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], 0.0, eig.energies[idx])
+    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
     return L, basis, H_op, H, batch, stack, kick
@@ -174,8 +181,9 @@ def test_optimize_properties_short_run(shell_setup_L8):
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
     d = 1 << L
     C = np.sqrt(2 * L * d)
-    cfg = OptimizerConfig(L=L, dt=0.002, duration=0.1, sample_every=5)
-    protocol, traj, final = optimize(cfg, P, H, batch, stack, kick)
+    cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
+    protocol, traj, final = optimize(cfg, H, batch, stack, kick,
+                                     np.arange(batch.n_states))
 
     assert protocol.n_steps == 50
     assert protocol.kick_duration == 0.001
@@ -194,17 +202,17 @@ def test_optimize_properties_short_run(shell_setup_L8):
 
 def test_optimize_requires_kick(shell_setup_L8):
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    cfg = OptimizerConfig(L=L, dt=0.002, duration=0.01, kick_duration=0.0)
+    cfg = optimize_config(L, 2, dt=0.002, duration=0.01, kick_duration=0.0)
     with pytest.raises(NumericalConsistencyError):
-        optimize(cfg, P, H, batch, stack, kick)
+        optimize(cfg, H, batch, stack, kick, np.arange(batch.n_states))
 
 
 def test_optimize_rejects_empty_shell(shell_setup_L8):
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    empty = StateBatch(np.zeros((basis.dim, 0)), 0.0, np.zeros(0))
-    cfg = OptimizerConfig(L=L, dt=0.002, duration=0.01)
+    empty = StateBatch(np.zeros((basis.dim, 0)), np.zeros(0))
+    cfg = optimize_config(L, 2, dt=0.002, duration=0.01)
     with pytest.raises(ValueError):
-        optimize(cfg, P, H, empty, stack, kick)
+        optimize(cfg, H, empty, stack, kick, np.arange(0))
 
 
 def test_reward_approximately_monotone_L10():
@@ -222,14 +230,15 @@ def test_reward_approximately_monotone_L10():
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
     idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], 0.0, eig.energies[idx])
+    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 4), basis)
     kick = sum_x(L).sector_matrix(basis)
 
     dents = {}
     for dt in (0.002, 0.001):
-        cfg = OptimizerConfig(L=L, dt=dt, duration=1.0, sample_every=1)
-        protocol, traj, final = optimize(cfg, RewardParams(), H, batch, stack, kick)
+        cfg = optimize_config(L, 4, dt=dt, duration=1.0, sample_every=1)
+        protocol, traj, final = optimize(cfg, H, batch, stack, kick,
+                                         np.arange(batch.n_states))
         diffs = np.diff(traj.reward)
         dents[dt] = max(0.0, -float(diffs.min()))
         assert traj.reward[-1] > traj.reward[0] + 1.0

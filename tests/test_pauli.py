@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from eigenwork import pauli
 from eigenwork.pauli import (PauliString, apply_to_basis_state, dense_matrix,
-                             equal_up_to_phase, from_text, invert, make_pauli,
-                             to_text, translate, window_span)
+                             from_text, invert, make_pauli, to_text, translate,
+                             window_span)
 
 SIGMA = {
     "I": np.eye(2),
@@ -97,16 +97,6 @@ def test_invert_matches_permutation_oracle(p):
     R = np.zeros((1 << L, 1 << L))
     R[perm, np.arange(1 << L)] = 1.0
     assert_allclose(dense_matrix(invert(p)), R @ dense_matrix(p) @ R.T, atol=1e-14)
-
-
-def test_equal_up_to_phase():
-    p = make_pauli([(0, "X")], 4)
-    assert equal_up_to_phase(p, p) == 1
-    flipped = PauliString(p.x_mask, p.z_mask, (p.phase_pow + 2) % 4, 4)
-    assert equal_up_to_phase(flipped, p) == -1
-    assert equal_up_to_phase(p, make_pauli([(0, "Z")], 4)) is None
-    with pytest.raises(ValueError):
-        equal_up_to_phase(p, make_pauli([(0, "X")], 6))
 
 
 def test_apply_sign_conventions():

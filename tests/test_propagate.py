@@ -112,21 +112,21 @@ def test_taylor_step_term_cap():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_check_norms_rejects_non_finite_states():
     for bad in (np.nan, np.inf):
-        batch = StateBatch(np.array([[1.0], [bad]]), 0.0, np.zeros(1))
+        batch = StateBatch(np.array([[1.0], [bad]]), np.zeros(1))
         with pytest.raises(NumericalConsistencyError):
             batch.check_norms()
 
 
 def test_batch_validation():
     with pytest.raises(ValueError):
-        StateBatch(np.zeros((4, 2)), 0.0, np.zeros(3))
+        StateBatch(np.zeros((4, 2)), np.zeros(3))
     with pytest.raises(ValueError):
-        StateBatch(np.zeros(4), 0.0, np.zeros(1))
+        StateBatch(np.zeros(4), np.zeros(1))
 
 
 def test_empty_protocol_is_identity(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :3], 0.0, eig.energies[:3])
+    batch = StateBatch(eig.states[:, :3], eig.energies[:3])
     protocol = ControlProtocol(dt=0.01, gamma=np.zeros((0, stack.n_ops)))
     out = evolve(batch, protocol, stack)
     assert_allclose(out.states, batch.states, atol=0)
@@ -146,7 +146,7 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
             gamma0[i] = coeffs[next(iter(keys))]
     assert abs(stack.frobenius_norm_sq(gamma0) - H_op.norm_sq) < 1e-9
 
-    batch = StateBatch(eig.states[:, 2:6], 0.0, eig.energies[2:6])
+    batch = StateBatch(eig.states[:, 2:6], eig.energies[2:6])
     protocol = ControlProtocol(dt=0.02, gamma=np.tile(gamma0, (100, 1)))
     out = evolve(batch, protocol, stack)
     energy = np.einsum("ia,ia->a", out.states.conj(), H_sec @ out.states).real
@@ -155,7 +155,7 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
 
 def test_unitarity_accumulation(setup_L6, rng):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :2], 0.0, eig.energies[:2])
+    batch = StateBatch(eig.states[:, :2], eig.energies[:2])
     gamma = rng.normal(size=(1000, stack.n_ops)) * 0.3
     protocol = ControlProtocol(dt=0.002, gamma=gamma)
     out = evolve(batch, protocol, stack, sample_steps=[1000])
@@ -164,7 +164,7 @@ def test_unitarity_accumulation(setup_L6, rng):
 
 def test_time_reversal(setup_L6, rng):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :3], 0.0, eig.energies[:3])
+    batch = StateBatch(eig.states[:, :3], eig.energies[:3])
     gamma = rng.normal(size=(500, stack.n_ops)) * 0.5
     forward = evolve(batch, ControlProtocol(dt=0.002, gamma=gamma), stack)
     back = evolve(forward, ControlProtocol(dt=-0.002, gamma=gamma[::-1]), stack)
@@ -189,7 +189,7 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
     a, b, c, d = (rng.normal(size=stack.n_ops) * 0.4 for _ in range(4))
     gamma = np.array([a, a, a, b, c, c, d, a])
     dt = 0.01
-    batch = StateBatch(eig.states[:, :4], 0.0, eig.energies[:4])
+    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
     built = []
     monkeypatch.setattr(propagate, "step_unitary",
                         lambda H, dt: built.append(dt) or step_unitary(H, dt))
@@ -207,7 +207,7 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
 
 def test_evolve_rejects_non_finite_protocol(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], 0.0, eig.energies[:1])
+    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
     for n_bad in (1, 3):
         gamma = np.zeros((4, stack.n_ops))
         gamma[1:1 + n_bad, 0] = np.nan
@@ -217,7 +217,7 @@ def test_evolve_rejects_non_finite_protocol(setup_L6):
 
 def test_observer_sampling_and_snapshots(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], 0.0, eig.energies[:1])
+    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
     gamma = np.zeros((10, stack.n_ops))
     gamma[:, 0] = 1.0
     seen = []
@@ -233,7 +233,7 @@ def test_observer_sampling_and_snapshots(setup_L6):
 
 def test_manifest_mismatch_rejected(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], 0.0, eig.energies[:1])
+    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
     protocol = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops)),
                                basis_checksum="deadbeef")
     with pytest.raises(ValueError):
@@ -245,7 +245,7 @@ def test_manifest_mismatch_rejected(setup_L6):
 
 def test_kick_requires_generator(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], 0.0, eig.energies[:1])
+    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
     protocol = ControlProtocol(dt=0.1, gamma=np.zeros((1, stack.n_ops)),
                                kick_duration=0.001)
     with pytest.raises(ValueError):

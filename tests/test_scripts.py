@@ -1,4 +1,4 @@
-"""The archive-reading experiment scripts run end to end at L=8."""
+"""The experiment and figure scripts run end to end at L=8."""
 
 import csv
 import glob
@@ -7,6 +7,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from eigenwork.observables import FIG4_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +47,17 @@ def test_fig3_dt_check_then_threshold_sweep(tmp_path):
     recounted = {r["run"].rstrip("/"): int(r["d_pos_final"])
                  for r in rows if float(r["epsilon"]) == 0.15}
     assert recounted == sweep  # the sweep itself counted at eps = 0.15
+
+
+@pytest.mark.parametrize("script, args, table, header", [
+    ("run_fig2_dpos_vs_time.py", ["--L", "8", "--k", "2"],
+     "fig2_dpos_vs_t.csv", "label,t,d_pos,shell_size"),
+    ("run_fig4_ee_vs_work.py", ["--L", "8", "--k-local", "2"],
+     "fig4_deltaS_vs_w.csv", f"label,{FIG4_HEADER}"),
+])
+def test_figure_script_writes_its_table(tmp_path, script, args, table, header):
+    run_script(script, *args, "--outdir", str(tmp_path))
+    lines = (tmp_path / table).read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1
+    assert all(len(ln.split(",")) == len(header.split(",")) for ln in lines[1:])

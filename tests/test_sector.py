@@ -11,7 +11,7 @@ from eigenwork.operators import SymmetrizedOperator
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_batch, embed_state, manifest_checksum,
                               project_operator, require_hermitian,
-                              restrict_state, sector_manifest)
+                              sector_manifest)
 
 
 def translation_matrix(L):
@@ -83,13 +83,6 @@ def test_embed_examples():
     v0[int(np.searchsorted(basis.orbit_reps, 0))] = 1.0
     full0 = embed_state(v0, basis)
     assert full0[0] == 1.0 and np.count_nonzero(full0) == 1
-
-
-def test_embed_restrict_roundtrip(rng):
-    basis = build_sector_basis(6)
-    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    v /= np.linalg.norm(v)
-    assert_allclose(restrict_state(embed_state(v, basis), basis), v, atol=1e-12)
 
 
 def test_embed_preserves_inner_products(rng):
