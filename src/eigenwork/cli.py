@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_config
 from .model import IsingParams, build_ising, diagonalize, select_shell, spectrum_csv
 from .operators import build_basis, operator_manifest
 from .sector import NumericalConsistencyError, build_sector_basis, sector_manifest
@@ -26,10 +26,8 @@ def _float_list(text: str) -> list[float]:
 
 
 def _load_config(path, overrides=None) -> ExperimentConfig:
-    data = json.loads(Path(path).read_text())
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            data[key] = value
+    data = read_config(path)
+    data.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -72,7 +70,7 @@ def _run_mode(args, mode):
 
 
 def _cmd_sweep_size(args):
-    template = json.loads(Path(args.config).read_text())
+    template = read_config(args.config)
     template.pop("L", None)
     template.pop("preset", None)
     rows = runner.run_scaling_sweep(

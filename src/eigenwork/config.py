@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from .model import PRESETS, SHELL_DEFAULT
@@ -27,6 +28,18 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (CLI exit code 2)."""
 
 
+def read_config(path) -> dict:
+    """The JSON object a config file holds; ConfigError if there is none."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} holds {type(data).__name__}, not a JSON object")
+    return data
+
+
 @dataclass(frozen=True)
 class RewardParams:
     a: float = 30.0
@@ -35,9 +48,12 @@ class RewardParams:
     delta: float = 0.3
 
     def __post_init__(self):
-        if self.a <= 0:
+        for name, value in asdict(self).items():
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"reward {name} must be a finite number, got {value!r}")
+        if not self.a > 0:
             raise ConfigError("sigmoid sharpness must be positive")
-        if self.c < 0:
+        if not self.c >= 0:
             raise ConfigError("penalty slope must be nonnegative")
         if not self.epsilon < self.delta:
             raise ConfigError("threshold epsilon must sit below the penalty knee delta")
@@ -146,27 +162,18 @@ class ExperimentConfig:
             data.setdefault("g", g)
         if "h" not in data or "g" not in data or "L" not in data or "mode" not in data:
             raise ConfigError("config requires L, mode, and (h, g) or a preset")
-        reward_data = data.pop("reward", {})
-        if isinstance(reward_data, RewardParams):
-            reward = reward_data
-        else:
-            unknown = set(reward_data) - _REWARD_KEYS
-            if unknown:
-                raise ConfigError(f"unknown reward keys: {sorted(unknown)}")
-            reward = RewardParams(**reward_data)
+        reward = data.pop("reward", {})
+        if not isinstance(reward, dict) or set(reward) - _REWARD_KEYS:
+            raise ConfigError(f"reward must be an object with keys among "
+                              f"{sorted(_REWARD_KEYS)}, got {reward!r}")
         try:
-            return cls(reward=reward, **data)
+            return cls(reward=RewardParams(**reward), **data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -98,23 +98,21 @@ class Trajectory:
     reward: list = field(default_factory=list)
     y_norm: list = field(default_factory=list)
     dpos: list = field(default_factory=list)
-    vanished: list = field(default_factory=list)
     w_samples: list = field(default_factory=list)
     ee: list = field(default_factory=list)
     shell_mean_s0: float = float("nan")
 
-    def add_sample(self, step, t, r, y_norm, dpos_count, w, vanished=False):
+    def add_sample(self, step, t, r, y_norm, dpos_count, w):
         self.steps.append(int(step))
         self.times.append(float(t))
         self.reward.append(float(r))
         self.y_norm.append(float(y_norm))
         self.dpos.append(int(dpos_count))
-        self.vanished.append(bool(vanished))
         self.w_samples.append(np.asarray(w, dtype=float).copy())
 
     @classmethod
     def from_csv(cls, timeseries_text: str, per_state_text: str) -> "Trajectory":
-        """Inverse of timeseries_csv/per_state_csv; `vanished` is not archived.
+        """Inverse of timeseries_csv/per_state_csv.
 
         Raises ConfigError unless the per-state rows tile the sample grid,
         one block per sample holding the same states in the same order, with

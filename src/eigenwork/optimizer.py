@@ -19,7 +19,8 @@ import numpy as np
 from .config import ExperimentConfig, RewardParams
 from .observables import Trajectory, d_pos, work_density
 from .operators import OperatorStack
-from .propagate import ControlProtocol, StateBatch, expm_step, kick_unitary
+from .propagate import ControlProtocol, StateBatch, evolve
+from .propagate import expm_step, kick_unitary  # noqa: F401  wrapped by bench/worker.py
 from .sector import NumericalConsistencyError
 
 
@@ -60,10 +61,17 @@ def solve_gamma(Y: np.ndarray, C: float, L: int, d: int,
     return (C / (np.sqrt(L * d) * norm)) * Y, False
 
 
+def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
+           w: np.ndarray, y_norm: float = 0.0):
+    """Append one sample of a run: shell reward, |Y|, D_pos and w."""
+    traj.add_sample(step, t, reward(w, config.reward), y_norm,
+                    d_pos(w, config.dpos_epsilon), w)
+
+
 def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
              stack: OperatorStack, kick_matrix: np.ndarray,
              alphas) -> tuple[ControlProtocol, Trajectory, StateBatch]:
-    """Run the greedy controller and emit a replayable protocol.
+    """Run the greedy controller through :func:`evolve`; emit a replayable protocol.
 
     The kick is recorded as a protocol prelude so replays are self-contained;
     the protocol clock (t = 0) starts after it. Raises if every step saw a
@@ -74,43 +82,30 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
     L, d = config.L, 1 << config.L
     C = float(np.sqrt(2.0 * L * (1 << L)))
     tol = 1e-12 * np.sqrt(stack.n_ops)
-    n_steps = config.n_steps
 
     traj = Trajectory(np.asarray(alphas), batch.origin_energies.copy())
-    out = batch.copy()
-    if config.kick_duration > 0.0:
-        out.states = kick_unitary(kick_matrix, config.kick_duration, out.states)
+    protocol = ControlProtocol(dt=config.dt, gamma=np.zeros((config.n_steps, stack.n_ops)),
+                               kick_duration=config.kick_duration,
+                               basis_checksum=stack.checksum)
+    seen = {}  # the controller's w and Y, for the observer at the same step
 
-    gamma_rows = np.zeros((n_steps, stack.n_ops))
-    sample = set(config.sample_steps)
-    any_active = False
+    def controller(step, states):
+        w = work_density(states, batch.origin_energies, H_target, L)
+        Y = compute_Y(states, H_target @ states, stack, reward_grad(w, config.reward), L)
+        seen.update(step=step, w=w, Y=Y)
+        return solve_gamma(Y, C, L, d, tol)[0]
 
-    def record(step, w, y_norm, vanished):
-        traj.add_sample(step, step * config.dt, reward(w, config.reward),
-                        y_norm, d_pos(w, config.dpos_epsilon), w, vanished)
+    def observer(step, t, states):
+        if seen.get("step") == step:
+            record(traj, config, step, t, seen["w"], float(np.linalg.norm(seen["Y"])))
+        else:  # the final state, which no step follows
+            record(traj, config, step, t, work_density(states, batch.origin_energies, H_target, L))
 
-    for step in range(n_steps + 1):
-        w = work_density(out.states, out.origin_energies, H_target, L)
-        if step == n_steps:
-            record(step, w, 0.0, False)
-            break
-        grad = reward_grad(w, config.reward)
-        H_psi = H_target @ out.states
-        Y = compute_Y(out.states, H_psi, stack, grad, L)
-        gamma, vanished = solve_gamma(Y, C, L, d, tol)
-        any_active |= not vanished
-        if step in sample:
-            record(step, w, float(np.linalg.norm(Y)), vanished)
-        gamma_rows[step] = gamma
-        if not vanished:
-            out.states = expm_step(stack.assemble(gamma), config.dt, out.states)
-        out.check_norms()
-
-    if not any_active:
+    final = evolve(batch, protocol, stack, observer=observer,
+                   sample_steps=config.sample_steps, kick_matrix=kick_matrix,
+                   controller=controller)
+    if not protocol.gamma.any():  # every vanished gradient gave a zero row
         raise NumericalConsistencyError(
             "gradient vanished at every step; the run is degenerate "
             "(did the kick get disabled on eigenstate initial conditions?)")
-    protocol = ControlProtocol(dt=config.dt, gamma=gamma_rows,
-                               kick_duration=config.kick_duration,
-                               basis_checksum=stack.checksum)
-    return protocol, traj, out
+    return protocol, traj, final

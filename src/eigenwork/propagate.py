@@ -192,15 +192,17 @@ def kick_unitary(kick_op_matrix: np.ndarray, duration: float,
 
 
 def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
-           observers=(), sample_steps=None, kick_matrix: np.ndarray | None = None) -> StateBatch:
-    """Replay a protocol on a batch, notifying observers at sample steps.
+           observer=None, sample_steps=None, kick_matrix: np.ndarray | None = None,
+           controller=None) -> StateBatch:
+    """Step a batch through a protocol: the one stepping loop of every run.
 
-    Observers are callables (step, t, states) receiving read-only snapshots;
-    step 0 fires after the kick, which is where the protocol clock starts.
-    A row that differs from the next one is one :func:`expm_step`, the same
-    kernel the optimizer steps with. A run of identical consecutive rows
-    builds one :func:`step_unitary` and reuses it, so constant-Hamiltonian
-    protocols cost a single eigendecomposition.
+    A ``controller(step, states) -> gamma`` computes each row from the states
+    before its step, into the preallocated ``protocol.gamma``. The
+    ``observer(step, t, states)`` then sees the same read-only states at each
+    sample step; step 0 follows the kick, where the protocol clock starts.
+    Norms are checked after every step. A row is one :func:`expm_step`, but a
+    run of identical consecutive rows of a fixed protocol builds one
+    :func:`step_unitary` and reuses it; controller rows are never cached.
     """
     if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
@@ -213,30 +215,28 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     if protocol.kick_duration > 0.0:
         out.states = kick_unitary(kick_matrix, protocol.kick_duration, out.states)
 
-    samples = set(range(protocol.n_steps + 1)) if sample_steps is None else set(sample_steps)
-
-    def notify(step):
-        snap = out.states.copy()
-        snap.setflags(write=False)
-        for obs in observers:
-            obs(step, step * protocol.dt, snap)
-
-    if 0 in samples:
-        notify(0)
-    keys = [row.tobytes() for row in protocol.gamma] + [None]
+    n_steps, gamma = protocol.n_steps, protocol.gamma
+    samples = set(range(n_steps + 1)) if sample_steps is None else set(sample_steps)
+    # Distinct keys for controller rows, whose successors are not known yet.
+    keys = [*range(n_steps)] if controller else [row.tobytes() for row in gamma]
+    keys.append(None)
     cached_key = U = None
-    for n in range(protocol.n_steps):
+    for n in range(n_steps + 1):
+        states = out.states.view()  # steps replace out.states, never write it
+        states.setflags(write=False)
+        if controller and n < n_steps:
+            gamma[n] = controller(n, states)
+        if observer and n in samples:
+            observer(n, n * protocol.dt, states)
+        if n == n_steps:
+            return out
         key = keys[n]
         if key != cached_key:
-            H = stack.assemble(protocol.gamma[n])
+            H = stack.assemble(gamma[n])
             if key == keys[n + 1]:
                 U, cached_key = step_unitary(H, protocol.dt), key
         if key == cached_key:
             out.states = U @ out.states
         else:
             out.states = expm_step(H, protocol.dt, out.states)
-        if (n + 1) in samples:
-            out.check_norms()
-            notify(n + 1)
-    out.check_norms()
-    return out
+        out.check_norms()

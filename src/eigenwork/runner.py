@@ -9,7 +9,6 @@ replay entry point checks that without invoking the optimizer.
 from __future__ import annotations
 
 import json
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,11 +76,10 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
                       ctx.batch.origin_energies.copy())
 
     def observer(step, t, states):
-        w = work_density(states, ctx.batch.origin_energies, ctx.H_target, cfg.L)
-        traj.add_sample(step, t, optimizer.reward(w, cfg.reward), 0.0,
-                        d_pos(w, cfg.dpos_epsilon), w)
+        optimizer.record(traj, cfg, step, t, work_density(
+            states, ctx.batch.origin_energies, ctx.H_target, cfg.L))
 
-    final = evolve(ctx.batch, protocol, ctx.stack, observers=[observer],
+    final = evolve(ctx.batch, protocol, ctx.stack, observer=observer,
                    sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
     return traj, final
 
@@ -157,9 +155,11 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
         protocol = ControlProtocol.load(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path} is not a readable protocol: {exc!r}") from exc
-    if (protocol.n_steps, protocol.dt) != (config.n_steps, config.dt):
-        raise ConfigError(f"{path} does not hold the {config.n_steps} steps of "
-                          f"dt={config.dt!r} that config.json sets")
+    if (protocol.n_steps, protocol.dt, protocol.basis_checksum, protocol.gamma.shape[1]) \
+            != (config.n_steps, config.dt, ctx.stack.checksum, ctx.stack.n_ops):
+        raise ConfigError(f"{path} does not hold the {config.n_steps} steps of dt="
+                          f"{config.dt!r} over the {ctx.stack.n_ops} operators of basis "
+                          f"{ctx.stack.checksum} that config.json sets")
     traj, _ = _replay_trajectory(ctx, protocol)
 
     archived = load_run(run_dir)[1].final_w()
@@ -209,7 +209,6 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
                            run_dir=str(run_dir))
             except Exception as exc:  # isolate per-run failures
                 row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-                traceback.print_exc()
             rows.append(row)
     outdir.mkdir(parents=True, exist_ok=True)
     ok = [(r["L"], r["k"], r["preset"], r["d_pos"], r["shell_size"])

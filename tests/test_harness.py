@@ -11,6 +11,7 @@ from eigenwork import runner
 from eigenwork.cli import main
 from eigenwork.config import ConfigError, ExperimentConfig
 from eigenwork.observables import d_pos
+from eigenwork.propagate import ControlProtocol
 
 
 def cfg_dict(**overrides):
@@ -300,6 +301,44 @@ def test_cli_bad_time_grid_is_config_error(tmp_path, case):
     assert not (tmp_path / "run").exists()
 
 
+BAD_CONFIG_FILES = {"missing": None, "malformed": '{"L": 8', "not_an_object": "[1]"}
+CONFIG_COMMANDS = {
+    "diag": lambda cfg, tmp: ["diag", "-c", cfg, "-o", str(tmp / "spectrum.csv")],
+    "optimize": lambda cfg, tmp: ["optimize", "-c", cfg],
+    "sweep-size": lambda cfg, tmp: ["sweep-size", "-c", cfg, "--L-list", "8",
+                                    "--outdir", str(tmp / "sweep")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_cli_unreadable_config_file_is_config_error(tmp_path, command, case):
+    """A -c file that is missing, not JSON, or not a JSON object exits 2."""
+    cfg_path = tmp_path / "cfg.json"
+    if BAD_CONFIG_FILES[case] is not None:
+        cfg_path.write_text(BAD_CONFIG_FILES[case])
+    assert main(CONFIG_COMMANDS[command](str(cfg_path), tmp_path)) == 2
+
+
+BAD_REWARDS = {
+    "a_not_a_number": {"a": "x"},
+    "not_an_object": 3,
+    "a_nan": {"a": float("nan")},
+    "c_infinite": {"c": float("inf")},
+    "epsilon_minus_infinite": {"epsilon": -float("inf")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REWARDS))
+def test_cli_bad_reward_is_config_error(tmp_path, case):
+    """Reward parameters must be finite numbers in range, else exit 2 and no run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(tmp_path / "run"), duration=0.02,
+                                            reward=BAD_REWARDS[case])))
+    assert main(["optimize", "-c", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mode", ["optimize", "quench", "discrete"])
 def test_cli_empty_shell_is_config_error(tmp_path, mode):
     """The nonintegrable L=6 spectrum has no state in the default shell."""
@@ -331,9 +370,11 @@ def test_cli_replay_detects_tampering(tmp_path):
     assert main(["replay", "--run", str(outdir)]) == 3
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no_n_steps", "deleted", "shortened"])
+@pytest.mark.parametrize("damage", ["truncated", "no_n_steps", "deleted", "shortened",
+                                    "other_basis", "narrow"])
 def test_cli_replay_rejects_damaged_protocol(tmp_path, damage):
-    """A protocol.txt that cannot be read, or that is off the config's grid, is a config error."""
+    """A protocol.txt that cannot be read, that is off the config's grid, or that
+    was recorded against another operator basis is a config error."""
     cfg_path = tmp_path / "cfg.json"
     outdir = tmp_path / "run"
     cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir), duration=0.02)))
@@ -348,6 +389,14 @@ def test_cli_replay_rejects_damaged_protocol(tmp_path, damage):
     elif damage == "shortened":
         lines = ["n_steps 7" if ln.startswith("n_steps") else ln for ln in lines]
         protocol.write_text("\n".join(lines[:-3]) + "\n")
+    elif damage == "other_basis":
+        lines = ["basis_checksum 0123abcd" if ln.startswith("basis_checksum") else ln
+                 for ln in lines]
+        protocol.write_text("\n".join(lines) + "\n")
+    elif damage == "narrow":
+        loaded = ControlProtocol.load(protocol)
+        loaded.gamma = loaded.gamma[:, :-1]
+        loaded.save(protocol)
     else:
         protocol.unlink()
     assert main(["replay", "--run", str(outdir)]) == 2

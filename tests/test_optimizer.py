@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.config import ExperimentConfig, RewardParams
 from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
-from eigenwork.propagate import StateBatch, expm_step, kick_unitary
+from eigenwork.propagate import StateBatch, evolve, expm_step, kick_unitary
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_batch
 from eigenwork.observables import work_density
 
@@ -198,6 +198,25 @@ def test_optimize_properties_short_run(shell_setup_L8):
     # recorded y_norm gives dr/dt = C ||Y|| / sqrt(Ld) >= 0
     rate = C * np.asarray(traj.y_norm) / np.sqrt(L * d)
     assert np.all(rate >= 0)
+
+
+def test_replay_of_optimized_protocol_is_bit_identical(shell_setup_L8):
+    """evolve of the protocol optimize returns reproduces its states and w exactly."""
+    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
+    protocol, traj, final = optimize(cfg, H, batch, stack, kick,
+                                     np.arange(batch.n_states))
+    replayed_w = []
+
+    def observer(step, t, states):
+        replayed_w.append(work_density(states, batch.origin_energies, H, L))
+
+    replayed = evolve(batch, protocol, stack, observer=observer,
+                      sample_steps=cfg.sample_steps, kick_matrix=kick)
+    assert_array_equal(replayed.states, final.states)
+    assert len(replayed_w) == len(traj.w_samples) == len(cfg.sample_steps)
+    for w_replay, w_opt in zip(replayed_w, traj.w_samples):
+        assert_array_equal(w_replay, w_opt)
 
 
 def test_optimize_requires_kick(shell_setup_L8):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import propagate
 from eigenwork.model import IsingParams, build_ising, diagonalize
@@ -205,6 +205,34 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
     assert_allclose(out.states, exact, rtol=0, atol=1e-12)
 
 
+def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
+    """A controller's rows are Taylor steps even when they repeat, and are recorded."""
+    basis, ops, stack, eig = setup_L6
+    row = rng.normal(size=stack.n_ops) * 0.4
+    dt, n_steps = 0.01, 6
+    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
+    built, asked = [], []
+    monkeypatch.setattr(propagate, "step_unitary",
+                        lambda H, dt: built.append(dt) or step_unitary(H, dt))
+
+    def controller(step, states):
+        asked.append(step)
+        assert not states.flags.writeable
+        return row
+
+    protocol = ControlProtocol(dt=dt, gamma=np.zeros((n_steps, stack.n_ops)))
+    out = evolve(batch, protocol, stack, controller=controller)
+    assert built == []
+    assert asked == list(range(n_steps))
+    assert_array_equal(protocol.gamma, np.tile(row, (n_steps, 1)))
+
+    taylor = batch.states
+    H = stack.assemble(row)
+    for _ in range(n_steps):
+        taylor = expm_step(H, dt, taylor)
+    assert_allclose(out.states, taylor, rtol=0, atol=1e-12)
+
+
 def test_evolve_rejects_non_finite_protocol(setup_L6):
     basis, ops, stack, eig = setup_L6
     batch = StateBatch(eig.states[:, :1], eig.energies[:1])
@@ -227,7 +255,7 @@ def test_observer_sampling_and_snapshots(setup_L6):
         assert not states.flags.writeable
 
     evolve(batch, ControlProtocol(dt=0.1, gamma=gamma), stack,
-           observers=[observer], sample_steps=[0, 5, 10])
+           observer=observer, sample_steps=[0, 5, 10])
     assert seen == [(0, 0.0), (5, 0.5), (10, 1.0)]
 
 
