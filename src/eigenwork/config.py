@@ -91,6 +91,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("h", "g", "quench_h", "quench_g", "dpos_epsilon"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("L", "k", "sample_every"):
+            value = getattr(self, name)
+            if not (value is None and name == "k" or isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.L < 2:
             raise ConfigError("L must be at least 2")
         if self.L % 2:
@@ -110,8 +118,8 @@ class ExperimentConfig:
         if self.mode == "discrete":
             if not self.actions:
                 raise ConfigError("discrete mode needs an action sequence")
-            if any(not 0 <= a < 7 for a in self.actions):
-                raise ConfigError("action indices must lie in [0, 7)")
+            if any(not (isinstance(a, numbers.Integral) and 0 <= a < 7) for a in self.actions):
+                raise ConfigError("action indices must be integers in [0, 7)")
             self.duration = len(self.actions) * self.dt
         elif self.duration is None:
             self.duration = DEFAULT_DURATION[self.mode]
@@ -130,8 +138,9 @@ class ExperimentConfig:
             if not 1 <= self.k <= self.L:
                 raise ConfigError(f"k={self.k} outside [1, L]")
         if self.mode == "quench":
-            if self.quench_h is None or self.quench_g is None:
-                self.quench_h, self.quench_g = PRESETS["quench-target"]
+            h, g = PRESETS["quench-target"]
+            self.quench_h = h if self.quench_h is None else self.quench_h
+            self.quench_g = g if self.quench_g is None else self.quench_g
         if self.sample_every < 1:
             raise ConfigError("sample_every must be a positive step count")
 

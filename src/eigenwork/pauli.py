@@ -50,9 +50,6 @@ class PauliString:
     def support(self) -> int:
         return self.x_mask | self.z_mask
 
-    def is_identity(self) -> bool:
-        return self.support == 0
-
     def is_hermitian(self) -> bool:
         # P^dag = i^{-p} (-1)^{n_Y} X^x Z^z, so Hermitian iff p and n_Y share parity.
         return (self.phase_pow - self.n_y) % 2 == 0
@@ -70,10 +67,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return to_text(self)
-
-
-def identity(L: int) -> PauliString:
-    return PauliString(0, 0, 0, L)
 
 
 def make_pauli(axes, L: int) -> PauliString:
@@ -137,17 +130,8 @@ def invert(p: PauliString) -> PauliString:
                        p.phase_pow, L)
 
 
-def apply_to_basis_state(p: PauliString, n: int) -> tuple[int, complex]:
-    """Apply p to |n>, returning (m, c) with p|n> = c|m> and |c| = 1."""
-    if not 0 <= n < (1 << p.n_sites):
-        raise ValueError(f"basis index {n} out of range")
-    m = n ^ p.x_mask
-    sign = -1.0 if bin(p.z_mask & n).count("1") & 1 else 1.0
-    return m, PHASES[p.phase_pow] * sign
-
-
 def apply_to_basis_indices(p: PauliString, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized apply_to_basis_state over an int64 index array."""
+    """Apply p to each |n> of an index array: (m, c) with p|n> = c|m>, |c| = 1."""
     n = np.asarray(n, dtype=np.int64)
     m = n ^ np.int64(p.x_mask)
     parity = np.bitwise_count(n & np.int64(p.z_mask)) & 1

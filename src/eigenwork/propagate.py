@@ -1,12 +1,12 @@
 """Discretized unitary evolution of sector-state batches.
 
 Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
-from an OperatorStack, to the batch of states. A step is a truncated Taylor
-series applied to the batch columns, with an a priori truncation bound and
-no unitary formed; only a row held over consecutive steps is turned once into
-a dense unitary by Hermitian eigendecomposition and reused. Batches are never
-renormalized: column-norm drift is a monitored health signal, not something
-to hide.
+from an OperatorStack, to the batch of states. Every exponential is one
+truncated Taylor series with an a priori truncation bound, applied to the
+batch columns with no unitary formed; only a row held over consecutive steps
+is turned once into a dense unitary, by the same series applied to the
+identity, and reused. Batches are never renormalized: column-norm drift is a
+monitored health signal, not something to hide.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ class ControlProtocol:
                    basis_checksum=header.get("basis_checksum", ""))
 
 
-def _step_norm(H: np.ndarray) -> float:
-    """||H||_1, the largest column sum of |H|, once H is checked finite and Hermitian."""
-    abs_H = np.abs(H)
-    norm = float(abs_H.sum(axis=0).max(initial=0.0))
-    scale = float(abs_H.max(initial=1.0))
-    del abs_H  # freed before require_hermitian allocates: twice as fast at dim 224
-    if not np.isfinite(norm):
-        raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
-    require_hermitian(H, tol=1e-12 * scale)
-    return norm
-
-
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """(substeps, terms per substep) for a step of |dt| ||H||_1 = norm.
 
@@ -155,11 +143,19 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
     """exp(-i dt H) @ states for Hermitian H, by a truncated Taylor series.
 
-    The term count is fixed a priori (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed, so the
-    cost is a few (dim x dim) @ (dim x M) products.
+    H must be finite and Hermitian. The term count is fixed a priori from
+    ||H||_1, the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed,
+    so the cost is a few (dim x dim) @ (dim x M) products.
     """
-    n_sub, n_terms = _taylor_plan(abs(dt) * _step_norm(H))
+    abs_H = np.abs(H)
+    norm = float(abs_H.sum(axis=0).max(initial=0.0))
+    scale = float(abs_H.max(initial=1.0))
+    del abs_H  # freed before require_hermitian allocates: twice as fast at dim 224
+    if not np.isfinite(norm):
+        raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
+    require_hermitian(H, tol=1e-12 * scale)
+    n_sub, n_terms = _taylor_plan(abs(dt) * norm)
     h = -1j * dt / n_sub
     out = np.array(states, dtype=complex)
     for _ in range(n_sub):
@@ -172,13 +168,11 @@ def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
 
 
 def step_unitary(H: np.ndarray, dt: float) -> np.ndarray:
-    """Dense exp(-i dt H) for Hermitian H, exact via eigendecomposition.
+    """Dense exp(-i dt H): :func:`expm_step` applied to the identity.
 
     Pays only for a Hamiltonian held over many consecutive steps.
     """
-    _step_norm(H)
-    energies, V = np.linalg.eigh(H)
-    U = (V * np.exp(-1j * dt * energies)) @ V.conj().T
+    U = expm_step(H, dt, np.eye(len(H)))
     dev = np.abs(U.conj().T @ U - np.eye(len(U))).max()
     if not dev <= 1e-11:
         raise NumericalConsistencyError(f"step unitary deviates from unitarity by {dev:.3e}")
@@ -200,9 +194,10 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     before its step, into the preallocated ``protocol.gamma``. The
     ``observer(step, t, states)`` then sees the same read-only states at each
     sample step; step 0 follows the kick, where the protocol clock starts.
-    Norms are checked after every step. A row is one :func:`expm_step`, but a
-    run of identical consecutive rows of a fixed protocol builds one
-    :func:`step_unitary` and reuses it; controller rows are never cached.
+    Norms are checked after every step. A row is one :func:`expm_step` on the
+    states, but a run of identical consecutive rows of a fixed protocol builds
+    one :func:`step_unitary`, the same series on the identity, and reuses it;
+    controller rows are never cached.
     """
     if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")

@@ -86,23 +86,17 @@ def build_sector_basis(L: int) -> SectorBasis:
 
 
 def embed_state(v: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Map sector coordinates to the unit full-space vector they represent."""
+    """Map sector coordinates to the unit full-space vector they represent.
+
+    ``v`` is one sector vector or a (dim x M) matrix of them, one per column,
+    and every column must be unit.
+    """
     v = np.asarray(v)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"sector vector not normalized: |v| = {nrm!r}")
-    amp = basis.norms
-    return v[basis.state_to_orbit] * amp[basis.state_to_orbit]
-
-
-def embed_batch(mat: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Embed the columns of a (dim x M) sector matrix; columns must be unit."""
-    mat = np.asarray(mat)
-    nrms = np.linalg.norm(mat, axis=0)
-    if np.any(np.abs(nrms - 1.0) > 1e-10):
-        raise ValueError("sector batch has non-normalized columns")
-    weights = basis.norms[basis.state_to_orbit]
-    return mat[basis.state_to_orbit, :] * weights[:, None]
+    dev = np.abs(np.linalg.norm(v, axis=0) - 1.0).max(initial=0.0)
+    if not dev <= 1e-10:
+        raise ValueError(f"sector vector not normalized: max ||v| - 1| = {dev!r}")
+    amp = basis.norms[basis.state_to_orbit]
+    return v[basis.state_to_orbit] * (amp if v.ndim == 1 else amp[:, None])
 
 
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -22,7 +22,7 @@ from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
 from eigenwork.optimizer import compute_Y, reward, reward_grad, solve_gamma
 from eigenwork.propagate import StateBatch, expm_step, kick_unitary
-from eigenwork.sector import build_sector_basis, embed_batch
+from eigenwork.sector import build_sector_basis, embed_state
 
 BASELINE_PATH = Path(__file__).parent / "baselines.json"
 
@@ -218,7 +218,7 @@ def test_criterion_7_spectral_sector_suite():
             j = int(np.argmin(np.abs(np.array(full) - ev)))
             ok &= abs(full[j] - ev) < 1e-9
             full.pop(j)
-        E = embed_batch(np.eye(basis.dim), basis)
+        E = embed_state(np.eye(basis.dim), basis)
         ok &= np.abs(E.conj().T @ E - np.eye(basis.dim)).max() < 1e-12
 
     basis4 = build_sector_basis(4)

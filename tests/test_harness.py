@@ -339,6 +339,41 @@ def test_cli_bad_reward_is_config_error(tmp_path, case):
     assert not (tmp_path / "run").exists()
 
 
+NAN, INF = float("nan"), float("inf")
+BAD_NUMBERS = {
+    "h_nan": {"mode": "optimize", "k": 2, "h": NAN},
+    "g_infinite": {"mode": "optimize", "k": 2, "g": INF},
+    "quench_h_nan": {"mode": "quench", "quench_h": NAN},
+    "quench_g_infinite": {"mode": "quench", "quench_g": -INF},
+    "dpos_epsilon_nan": {"mode": "optimize", "k": 2, "dpos_epsilon": NAN},
+    "L_float": {"mode": "optimize", "k": 2, "L": 8.0},
+    "k_fractional": {"mode": "optimize", "k": 2.5},
+    "sample_every_fractional": {"mode": "optimize", "k": 2, "sample_every": 2.5},
+    "action_fractional": {"mode": "discrete", "actions": [1.5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_cli_bad_number_is_config_error(tmp_path, case):
+    """Model numbers must be finite and counts integers, else exit 2 and no run."""
+    data = {"preset": "integrable", "L": 8, "duration": 0.02,
+            "outdir": str(tmp_path / "run"), **BAD_NUMBERS[case]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main([data["mode"], "-c", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_quench_fills_each_missing_field_from_preset(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "nonintegrable", "L": 8, "mode": "quench", "duration": 0.2,
+        "quench_h": 0.7, "outdir": str(tmp_path / "run")}))
+    assert main(["quench", "-c", str(cfg_path)]) == 0
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert (saved["quench_h"], saved["quench_g"]) == (0.7, 1.5)
+
+
 @pytest.mark.parametrize("mode", ["optimize", "quench", "discrete"])
 def test_cli_empty_shell_is_config_error(tmp_path, mode):
     """The nonintegrable L=6 spectrum has no state in the default shell."""

@@ -10,7 +10,7 @@ from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis,
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
 from eigenwork.propagate import StateBatch, evolve, expm_step, kick_unitary
-from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_batch
+from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_state
 from eigenwork.observables import work_density
 
 P = RewardParams()
@@ -125,7 +125,7 @@ def test_Y_matches_dense_commutator_oracle(shell_setup_L8):
     Y = compute_Y(states, H @ states, stack, grad, L)
 
     H_full = H_op.dense_matrix()
-    full_states = embed_batch(states, basis)
+    full_states = embed_state(states, basis)
     Y_dense = np.zeros(stack.n_ops)
     for i, op in enumerate(stack.ops):
         comm = H_full @ op.dense_matrix() - op.dense_matrix() @ H_full

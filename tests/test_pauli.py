@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from eigenwork import pauli
-from eigenwork.pauli import (PauliString, apply_to_basis_state, dense_matrix,
+from eigenwork.pauli import (PauliString, apply_to_basis_indices, dense_matrix,
                              from_text, invert, make_pauli, to_text, translate,
                              window_span)
 
@@ -102,15 +101,14 @@ def test_invert_matches_permutation_oracle(p):
 def test_apply_sign_conventions():
     L = 4
     z0 = make_pauli([(0, "Z")], L)
-    assert apply_to_basis_state(z0, 0b0000) == (0b0000, 1)
-    assert apply_to_basis_state(z0, 0b0001) == (0b0001, -1)
+    m, c = apply_to_basis_indices(z0, [0b0000, 0b0001])
+    assert m.tolist() == [0b0000, 0b0001] and c.tolist() == [1, -1]
     x0 = make_pauli([(0, "X")], L)
-    assert apply_to_basis_state(x0, 0b0000) == (0b0001, 1)
+    m, c = apply_to_basis_indices(x0, [0b0000])
+    assert m.tolist() == [0b0001] and c.tolist() == [1]
     y0 = make_pauli([(0, "Y")], L)
-    m, c = apply_to_basis_state(y0, 0b0000)
-    assert m == 0b0001 and c == 1j
-    m, c = apply_to_basis_state(y0, 0b0001)
-    assert m == 0b0000 and c == -1j
+    m, c = apply_to_basis_indices(y0, [0b0000, 0b0001])
+    assert m.tolist() == [0b0001, 0b0000] and c.tolist() == [1j, -1j]
 
 
 @given(st_pauli())
@@ -137,7 +135,7 @@ def test_mask_range_validation():
 
 def test_window_span():
     L = 6
-    assert window_span(pauli.identity(L)) == 0
+    assert window_span(PauliString(0, 0, 0, L)) == 0
     assert window_span(make_pauli([(2, "X")], L)) == 1
     assert window_span(make_pauli([(0, "X"), (2, "Z")], L)) == 3
 
@@ -145,7 +143,7 @@ def test_window_span():
 def test_text_form_example():
     p = make_pauli([(0, "X"), (1, "Z")], 4)
     assert to_text(p) == "X0 Z1 @L=4 *i^0"
-    assert to_text(pauli.identity(4)) == "I @L=4 *i^0"
+    assert to_text(PauliString(0, 0, 0, 4)) == "I @L=4 *i^0"
 
 
 @given(st_pauli())

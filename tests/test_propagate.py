@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork import propagate
+from eigenwork import propagate, runner
+from eigenwork.config import ExperimentConfig
 from eigenwork.model import IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.propagate import (ControlProtocol, StateBatch, _taylor_plan,
@@ -202,6 +203,22 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
         taylor = expm_step(H, dt, taylor)
         exact = scipy.linalg.expm(-1j * dt * H) @ exact
     assert_allclose(out.states, taylor, rtol=0, atol=1e-12)
+    assert_allclose(out.states, exact, rtol=0, atol=1e-12)
+
+
+def test_quench_never_calls_the_eigensolver(monkeypatch):
+    """A held row's dense unitary comes from the Taylor series, not from eigh."""
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "nonintegrable", "mode": "quench"})
+    ctx = runner.prepare(config)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called during a quench")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)))
+    out = evolve(ctx.batch, protocol, ctx.stack)
+    U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
+    exact = np.linalg.matrix_power(U, 20) @ ctx.batch.states
     assert_allclose(out.states, exact, rtol=0, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from eigenwork import pauli
 from eigenwork.model import IsingParams, build_ising
 from eigenwork.operators import SymmetrizedOperator
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              embed_batch, embed_state, manifest_checksum,
+                              embed_state, manifest_checksum,
                               project_operator, require_hermitian,
                               sector_manifest)
 
@@ -61,7 +61,7 @@ def test_L_range_validated():
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_embedded_vectors_orthonormal_and_symmetric(L):
     basis = build_sector_basis(L)
-    E = embed_batch(np.eye(basis.dim), basis)
+    E = embed_state(np.eye(basis.dim), basis)
     assert_allclose(E.conj().T @ E, np.eye(basis.dim), atol=1e-12)
     T = translation_matrix(L)
     R = reflection_matrix(L)
@@ -99,6 +99,10 @@ def test_embed_rejects_unnormalized():
     basis = build_sector_basis(4)
     with pytest.raises(ValueError):
         embed_state(np.ones(basis.dim), basis)
+    one_bad_column = np.eye(basis.dim)
+    one_bad_column[0, -1] = 1.0
+    with pytest.raises(ValueError):
+        embed_state(one_bad_column, basis)
 
 
 def classical_ising_orbit_energies(L):
