@@ -17,12 +17,15 @@ from .sector import NumericalConsistencyError, build_sector_basis, sector_manife
 from . import runner
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _number_list(text: str, kind) -> list:
+    """Comma- or space-separated numbers; anything else is a config error."""
+    try:
+        values = [kind(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"not a list of {kind.__name__} values: {text!r}") from exc
+    if not values:
+        raise ConfigError(f"empty list of {kind.__name__} values: {text!r}")
+    return values
 
 
 def _load_config(path, overrides=None) -> ExperimentConfig:
@@ -57,9 +60,9 @@ def _run_mode(args, mode):
     if mode == "optimize" and args.k is not None:
         overrides["k"] = args.k
     if mode == "discrete" and args.actions is not None:
-        overrides["actions"] = _int_list(Path(args.actions).read_text()
-                                         if Path(args.actions).exists()
-                                         else args.actions)
+        overrides["actions"] = _number_list(Path(args.actions).read_text()
+                                            if Path(args.actions).is_file()
+                                            else args.actions, int)
     cfg = _load_config(args.config, overrides)
     if cfg.mode != mode:
         raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {mode!r}")
@@ -74,7 +77,7 @@ def _cmd_sweep_size(args):
     template.pop("L", None)
     template.pop("preset", None)
     rows = runner.run_scaling_sweep(
-        template, _int_list(args.L_list), args.k_rule,
+        template, _number_list(args.L_list, int), args.k_rule,
         presets=args.presets.split(","), outdir=args.outdir)
     for row in rows:
         print(row)
@@ -84,7 +87,7 @@ def _cmd_sweep_size(args):
 
 
 def _cmd_sweep_threshold(args):
-    rows = runner.run_threshold_sweep(args.runs, _float_list(args.eps),
+    rows = runner.run_threshold_sweep(args.runs, _number_list(args.eps, float),
                                       out_path=args.out)
     for row in rows:
         print(f"{row['run']} eps={row['epsilon']:g} D_pos={row['d_pos_final']}")

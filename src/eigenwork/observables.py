@@ -25,11 +25,17 @@ FIG4_HEADER = "alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_
 
 
 def work_density(states: np.ndarray, origin_energies: np.ndarray,
-                 H_target: np.ndarray, L: int) -> np.ndarray:
-    """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column."""
+                 H_target: np.ndarray, L: int, H_psi: np.ndarray | None = None) -> np.ndarray:
+    """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column.
+
+    A caller that already holds ``H_psi = H_target @ states`` passes it to
+    save the product.
+    """
     if states.shape[0] != H_target.shape[0]:
         raise ValueError("state and Hamiltonian dimensions differ")
-    expect = np.einsum("ia,ia->a", states.conj(), H_target @ states)
+    if H_psi is None:
+        H_psi = H_target @ states
+    expect = np.einsum("ia,ia->a", states.conj(), H_psi)
     residue = float(np.abs(expect.imag).max()) if expect.size else 0.0
     if not residue <= 1e-10:
         raise NumericalConsistencyError(

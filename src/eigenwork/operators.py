@@ -12,6 +12,12 @@ For k <= L/2 every translation orbit has full length L and the normalization
 is automatic; for larger windows (e.g. k=8 on L=12) orbits can be shorter and
 elements are rescaled to keep the norm convention, which the norm-constrained
 optimizer relies on.
+
+In the real k=0, R=+1 sector basis each string's matrix elements are real or
+imaginary according to its number of Y factors, and every string of one
+symmetrized orbit has the same count. So each basis element is either real
+symmetric or imaginary antisymmetric there, and :class:`OperatorStack` keeps
+its operators as two real column-major matrices instead of one complex one.
 """
 
 from __future__ import annotations
@@ -271,11 +277,20 @@ def symbolic_gram(ops, L: int) -> np.ndarray:
 class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
-    Holds one CSR matrix whose column i is the flattened sector matrix of
-    Q_i, summed from :func:`sector_triplets`. Per time step it gives
-    Hamiltonian assembly (the CSR times the coefficient vector) and the
-    weighted quadratic-form gather for the gradient (the transposed CSR times
-    the flattened weight matrix). The exact full-space Frobenius norm of any
+    Column i of the (dim*dim x n_ops) stack is the flattened sector matrix of
+    Q_i, summed from :func:`sector_triplets`. It is held as two real CSC
+    matrices, the real part A and the imaginary part B, with explicit zeros
+    removed, so both products run over n_ops long columns:
+
+    - assembly of sum_i gamma_i Q_i is A gamma + i B gamma;
+    - the gradient gather is Im q = A^T Im(K) + B^T Re(K), with
+      q_i = sum_{r,c} Q_i[r,c] K[r,c].
+
+    Both are exact rewrites of the complex CSR products. Duplicate triplets
+    are summed by the complex CSR constructor before the split, so each entry
+    holds the same value; each column lies wholly in A or wholly in B for
+    the operators used here (see the module docstring), so every sum adds the
+    same terms in the same order. The exact full-space Frobenius norm of any
     coefficient combination is kept as a test oracle.
     """
 
@@ -294,20 +309,32 @@ class OperatorStack:
             flat.append(rows * self.dim + cols)
             vals.append(v)
         op_idx = np.repeat(np.arange(self.n_ops), [len(v) for v in vals])
-        self._assembler = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(flat), op_idx)),
-            shape=(self.dim * self.dim, self.n_ops))
+        # Concatenating first frees the per-operator pieces before the
+        # constructor's copies. The complex CSR constructor sums duplicate
+        # triplets; the split keeps its sums bit for bit.
+        flat, vals = np.concatenate(flat), np.concatenate(vals)
+        stack = scipy.sparse.csr_matrix((vals, (flat, op_idx)),
+                                        shape=(self.dim * self.dim, self.n_ops)).tocsc()
+        self.real, self.imag = stack.real, stack.imag
+        for part in (self.real, self.imag):
+            part.eliminate_zeros()
+        # CSR views of the transposes share the arrays; taken once, not per gather.
+        self._real_T, self._imag_T = self.real.T, self.imag.T
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.n_ops,):
             raise ValueError("coefficient vector length mismatch")
-        return (self._assembler @ gamma).reshape(self.dim, self.dim)
+        H = np.empty((self.dim, self.dim), dtype=complex)
+        H.real = (self.real @ gamma).reshape(self.dim, self.dim)
+        H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
+        return H
 
     def gather_quadratic(self, K: np.ndarray) -> np.ndarray:
-        """Vector q with q_i = sum_{r,c} Q_i[r,c] * K[r,c]."""
-        return self._assembler.T @ K.ravel()
+        """Im q, where q_i = sum_{r,c} Q_i[r,c] * K[r,c]."""
+        K = K.ravel()
+        return self._real_T @ K.imag + self._imag_T @ K.real
 
     def frobenius_norm_sq(self, gamma: np.ndarray) -> float:
         """Exact full-space ||sum_i gamma_i Q_i||_2^2 via string coefficients."""

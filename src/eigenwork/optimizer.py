@@ -45,11 +45,11 @@ def compute_Y(states: np.ndarray, H_psi: np.ndarray, stack: OperatorStack,
 
     The commutator expectation of Hermitian operators in a pure state is
     purely imaginary, so Y is assembled directly from the imaginary part of
-    the weighted quadratic form q_i = sum_alpha grad_alpha <psi|H Q_i|psi>.
+    the weighted quadratic form q_i = sum_alpha grad_alpha <psi|H Q_i|psi>,
+    which is what the stack's gather returns.
     """
     K = (H_psi.conj() * grad) @ states.T
-    q = stack.gather_quadratic(K)
-    return -(2.0 / L) * q.imag
+    return -(2.0 / L) * stack.gather_quadratic(K)
 
 
 def solve_gamma(Y: np.ndarray, C: float, L: int, d: int,
@@ -90,8 +90,9 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
     seen = {}  # the controller's w and Y, for the observer at the same step
 
     def controller(step, states):
-        w = work_density(states, batch.origin_energies, H_target, L)
-        Y = compute_Y(states, H_target @ states, stack, reward_grad(w, config.reward), L)
+        H_psi = H_target @ states
+        w = work_density(states, batch.origin_energies, H_target, L, H_psi=H_psi)
+        Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L)
         seen.update(step=step, w=w, Y=Y)
         return solve_gamma(Y, C, L, d, tol)[0]
 

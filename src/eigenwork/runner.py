@@ -9,6 +9,7 @@ replay entry point checks that without invoking the optimizer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,6 +148,8 @@ def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
 
 def replay(run_dir, tol: float = 1e-9) -> dict:
     """Re-evolve an archived protocol and compare final work densities."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"replay tolerance must be a finite number >= 0, got {tol!r}")
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_file(run_dir / "config.json")
     ctx = prepare(config)
@@ -227,6 +230,9 @@ def run_threshold_sweep(run_dirs, eps_list, out_path=None) -> list[dict]:
     used. Thresholds wider than the energy shell are flagged since the
     gradient-based protocol is only meaningful below the shell width.
     """
+    bad = [eps for eps in eps_list if not math.isfinite(eps)]
+    if bad:
+        raise ConfigError(f"thresholds must be finite, got {bad}")
     rows = []
     for run_dir in map(Path, run_dirs):
         summary, traj = load_run(run_dir)

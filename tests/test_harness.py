@@ -394,6 +394,35 @@ def test_cli_sweep_threshold_rejects_non_run_paths(tmp_path, small_run):
                  "--eps", "0.15"]) == 2
 
 
+BAD_CLI_VALUES = {
+    "replay_tol_nan": lambda run, tmp: ["replay", "--run", run, "--tol", "nan"],
+    "replay_tol_negative": lambda run, tmp: ["replay", "--run", run, "--tol", "-1"],
+    "actions_non_numeric": lambda run, tmp: ["discrete", "-c", str(tmp / "disc.json"),
+                                             "--actions", "1,x"],
+    "actions_empty": lambda run, tmp: ["discrete", "-c", str(tmp / "disc.json"),
+                                       "--actions", ""],
+    "eps_non_numeric": lambda run, tmp: ["sweep-threshold", "--runs", run,
+                                         "--eps", "0.1,abc", "-o", str(tmp / "out")],
+    "eps_nan": lambda run, tmp: ["sweep-threshold", "--runs", run,
+                                 "--eps", "nan", "-o", str(tmp / "out")],
+    "L_list_non_numeric": lambda run, tmp: ["sweep-size", "-c", str(tmp / "disc.json"),
+                                            "--L-list", "6,x", "--outdir", str(tmp / "out")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CLI_VALUES))
+def test_cli_bad_option_value_is_config_error(tmp_path, small_run, case):
+    """A bad list token, an empty list, a non-finite threshold or a negative or NaN
+    replay tolerance exits 2 and writes nothing."""
+    (tmp_path / "disc.json").write_text(json.dumps({
+        "preset": "integrable", "L": 8, "mode": "discrete", "actions": [1],
+        "outdir": str(tmp_path / "out")}))
+    archive = {p.name: p.read_bytes() for p in small_run.iterdir()}
+    assert main(BAD_CLI_VALUES[case](str(small_run), tmp_path)) == 2
+    assert not (tmp_path / "out").exists()
+    assert {p.name: p.read_bytes() for p in small_run.iterdir()} == archive
+
+
 def test_cli_replay_detects_tampering(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     outdir = tmp_path / "run"

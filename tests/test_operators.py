@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
 from eigenwork.model import IsingParams, build_ising
@@ -10,7 +11,7 @@ from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
                                  sum_x, symbolic_gram)
-from eigenwork.sector import build_sector_basis, manifest_checksum
+from eigenwork.sector import build_sector_basis, manifest_checksum, sector_triplets
 
 
 def term_dict(op):
@@ -184,15 +185,24 @@ def test_identity_absent():
             assert p.support != 0
 
 
-# Strings of one operator can send a column to the same row, so the CSR sums
-# repeated (row, col) entries; k=4 > L/2 adds rescaled short-orbit operators.
-STACK_CASES = pytest.mark.parametrize("L,k", [(6, 2), (6, 4)])
+def stack_ops(L, k):
+    if k == "discrete":
+        return discrete_action_set(L)
+    if k == "ising":
+        return [build_ising(IsingParams.preset("nonintegrable", L))]
+    return build_basis(L, k)
+
+
+# Strings of one operator can send a column to the same row, so the stack sums
+# repeated (row, col) entries; k=4 > L/2 adds rescaled short-orbit operators;
+# the discrete actions mix real and imaginary operators.
+STACK_CASES = pytest.mark.parametrize("L,k", [(6, 2), (6, 4), (6, "discrete"), (6, "ising")])
 
 
 @STACK_CASES
 def test_stack_assemble_matches_sector_matrices(rng, L, k):
     basis = build_sector_basis(L)
-    ops = build_basis(L, k)
+    ops = stack_ops(L, k)
     stack = OperatorStack(ops, basis)
     gamma = rng.normal(size=len(ops))
     direct = sum(g * op.sector_matrix(basis) for g, op in zip(gamma, ops))
@@ -202,11 +212,49 @@ def test_stack_assemble_matches_sector_matrices(rng, L, k):
 @STACK_CASES
 def test_stack_gather_quadratic(rng, L, k):
     basis = build_sector_basis(L)
-    ops = build_basis(L, k)
+    ops = stack_ops(L, k)
     stack = OperatorStack(ops, basis)
     K = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
     expected = [np.sum(op.sector_matrix(basis) * K) for op in ops]
-    assert_allclose(stack.gather_quadratic(K), expected, atol=1e-10)
+    assert_allclose(stack.gather_quadratic(K), np.imag(expected), atol=1e-10)
+
+
+@STACK_CASES
+def test_stack_is_real_split_without_zeros(L, k):
+    """Two real parts, no stored zeros, and each operator in one part only."""
+    stack = OperatorStack(stack_ops(L, k), build_sector_basis(L))
+    for value in vars(stack).values():
+        assert not np.iscomplexobj(value.data if scipy.sparse.issparse(value) else value)
+    for part in (stack.real, stack.imag):
+        assert part.format == "csc" and part.dtype == np.float64
+        assert np.all(part.data != 0)
+    in_real, in_imag = np.diff(stack.real.indptr) > 0, np.diff(stack.imag.indptr) > 0
+    assert not np.any(in_real & in_imag)
+
+
+def complex_csr_oracle(ops, basis):
+    """The complex (dim*dim x n_ops) CSR the stack splits, summed in the same order."""
+    flat, vals = [], []
+    for op in ops:
+        rows, cols, v = sector_triplets(op.terms, basis)
+        flat.append(rows * basis.dim + cols)
+        vals.append(v)
+    op_idx = np.repeat(np.arange(len(ops)), [len(v) for v in vals])
+    return scipy.sparse.csr_matrix((np.concatenate(vals), (np.concatenate(flat), op_idx)),
+                                   shape=(basis.dim * basis.dim, len(ops)))
+
+
+@STACK_CASES
+def test_stack_bitwise_matches_complex_csr(rng, L, k):
+    """The real split changes no bit of either product."""
+    basis = build_sector_basis(L)
+    ops = stack_ops(L, k)
+    stack = OperatorStack(ops, basis)
+    oracle = complex_csr_oracle(ops, basis)
+    gamma = rng.normal(size=len(ops))
+    K = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    assert_array_equal(stack.assemble(gamma), (oracle @ gamma).reshape(basis.dim, basis.dim))
+    assert_array_equal(stack.gather_quadratic(K), (oracle.T @ K.ravel()).imag)
 
 
 def test_stack_frobenius_matches_dense(rng):
