@@ -13,6 +13,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 from .model import PRESETS, SHELL_DEFAULT
+from .sector import L_MAX, L_MIN
 
 FORMAT_TAG = "eigenwork-run-v1"
 
@@ -99,8 +100,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value is None and name == "k" or isinstance(value, numbers.Integral)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.L < 2:
-            raise ConfigError("L must be at least 2")
+        if not L_MIN <= self.L <= L_MAX:
+            raise ConfigError(f"L={self.L} outside the supported range [{L_MIN}, {L_MAX}]")
         if self.L % 2:
             raise ConfigError("half-chain diagnostics need even L")
         if self.L > L_CI_CAP and not self.long_run:

@@ -167,7 +167,6 @@ class Trajectory:
     def per_state_csv(self) -> str:
         """Long-format per-state series; S only at the entropy sample times."""
         ee_by_alpha = {r.alpha: r for r in self.ee}
-        t_final = self.times[-1] if self.times else 0.0
         lines = [PER_STATE_HEADER]
         for s_idx, t in enumerate(self.times):
             for j, alpha in enumerate(self.alphas):
@@ -177,7 +176,7 @@ class Trajectory:
                 if rec is not None:
                     if s_idx == 0:
                         S = f"{rec.S0:.17g}"
-                    elif t == t_final and s_idx == len(self.times) - 1:
+                    elif s_idx == len(self.times) - 1:
                         S = f"{rec.St:.17g}"
                 lines.append(f"{alpha},{self.origin_energies[j]:.17g},{t:.17g},{w:.17g},{S}")
         return "\n".join(lines) + "\n"

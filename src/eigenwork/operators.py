@@ -30,7 +30,7 @@ import scipy.sparse
 
 from . import pauli
 from .pauli import PauliString, canonical_hermitian, window_span
-from .sector import SectorBasis, manifest_checksum, project_operator, sector_triplets
+from .sector import SectorBasis, manifest_checksum, require_hermitian, sector_entries
 
 
 def _combine_terms(raw_terms, L, tol=1e-14):
@@ -83,9 +83,16 @@ class SymmetrizedOperator:
                                    self.locality, self.L)
 
     def sector_matrix(self, basis: SectorBasis) -> np.ndarray:
+        """Dense Hermitian sector matrix <s|op|s'>, scattered from :func:`sector_entries`."""
         if basis.L != self.L:
             raise ValueError("sector basis chain length mismatch")
-        return project_operator(self, basis)
+        if not self.is_symmetric():
+            raise ValueError(f"operator {self.label!r} is not "
+                             "translation+inversion symmetric")
+        flat, vals = sector_entries(self.terms, basis)
+        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+        mat.flat[flat] = vals
+        return require_hermitian(mat)
 
     def dense_matrix(self) -> np.ndarray:
         """Full 2^L matrix; test-scale only."""
@@ -274,50 +281,52 @@ def symbolic_gram(ops, L: int) -> np.ndarray:
     return float(1 << L) * (coef @ coef.T).toarray()
 
 
+def _csc(columns, shape) -> scipy.sparse.csc_matrix:
+    """CSC matrix from one (row indices, values) pair per column."""
+    indptr = np.cumsum([0] + [len(rows) for rows, _ in columns])
+    rows = np.concatenate([rows for rows, _ in columns])
+    values = np.concatenate([values for _, values in columns])
+    return scipy.sparse.csc_matrix((values, rows, indptr), shape=shape)
+
+
 class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
     Column i of the (dim*dim x n_ops) stack is the flattened sector matrix of
-    Q_i, summed from :func:`sector_triplets`. It is held as two real CSC
-    matrices, the real part A and the imaginary part B, with explicit zeros
-    removed, so both products run over n_ops long columns:
+    Q_i, its :func:`sector_entries`. It is held as two real CSC matrices, the
+    real part A and the imaginary part B, with zero entries left out, so both
+    products run over n_ops long columns:
 
     - assembly of sum_i gamma_i Q_i is A gamma + i B gamma;
     - the gradient gather is Im q = A^T Im(K) + B^T Re(K), with
       q_i = sum_{r,c} Q_i[r,c] K[r,c].
 
-    Both are exact rewrites of the complex CSR products. Duplicate triplets
-    are summed by the complex CSR constructor before the split, so each entry
-    holds the same value; each column lies wholly in A or wholly in B for
-    the operators used here (see the module docstring), so every sum adds the
-    same terms in the same order. The exact full-space Frobenius norm of any
-    coefficient combination is kept as a test oracle.
+    Each entry holds the same sum as :meth:`SymmetrizedOperator.sector_matrix`.
+    Each column lies wholly in A or wholly in B for the operators used here
+    (see the module docstring), so both products add the same terms in the
+    same order as the complex products with A + iB, bit for bit. The exact
+    full-space Frobenius norm of any coefficient combination is kept as a
+    test oracle.
     """
 
     def __init__(self, ops, basis: SectorBasis):
         self.ops = list(ops)
-        self.basis = basis
         self.dim = basis.dim
         self.n_ops = len(self.ops)
         self.L = basis.L
         self.manifest = operator_manifest(self.ops, basis.L)
         self.checksum = manifest_checksum(self.manifest)
 
-        flat, vals = [], []
+        shape = (self.dim * self.dim, self.n_ops)
+        # int32 row indices where they fit, as scipy picks; cast per column, not at the end
+        index = np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64
+        parts = ([], [])  # one (rows, values) column per operator, for A and for B
         for op in self.ops:
-            rows, cols, v = sector_triplets(op.terms, basis)
-            flat.append(rows * self.dim + cols)
-            vals.append(v)
-        op_idx = np.repeat(np.arange(self.n_ops), [len(v) for v in vals])
-        # Concatenating first frees the per-operator pieces before the
-        # constructor's copies. The complex CSR constructor sums duplicate
-        # triplets; the split keeps its sums bit for bit.
-        flat, vals = np.concatenate(flat), np.concatenate(vals)
-        stack = scipy.sparse.csr_matrix((vals, (flat, op_idx)),
-                                        shape=(self.dim * self.dim, self.n_ops)).tocsc()
-        self.real, self.imag = stack.real, stack.imag
-        for part in (self.real, self.imag):
-            part.eliminate_zeros()
+            flat, vals = sector_entries(op.terms, basis)
+            for columns, values in zip(parts, (vals.real, vals.imag)):
+                keep = values != 0
+                columns.append((flat[keep].astype(index), values[keep]))
+        self.real, self.imag = (_csc(columns, shape) for columns in parts)
         # CSR views of the transposes share the arrays; taken once, not per gather.
         self._real_T, self._imag_T = self.real.T, self.imag.T
 

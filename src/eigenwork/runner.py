@@ -17,8 +17,8 @@ import numpy as np
 
 from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG
-from .model import (EnergyShell, IsingParams, build_ising, diagonalize,
-                    select_shell, spectrum_csv)
+from .model import (PRESETS, EnergyShell, IsingParams, build_ising,
+                    diagonalize, select_shell, spectrum_csv)
 from .observables import Trajectory, d_pos, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
@@ -192,6 +192,9 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
     """Optimize across system sizes; per-run failures isolate, sweep continues."""
     if k_rule not in ("fixed", "half"):
         raise ConfigError("k rule must be 'fixed' or 'half'")
+    unknown = [p for p in presets if p not in PRESETS]
+    if unknown:
+        raise ConfigError(f"unknown presets {unknown}; expected some of {sorted(PRESETS)}")
     outdir = Path(outdir)
     rows = []
     for preset in presets:

@@ -116,7 +116,7 @@ def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, 
     the orbit representative of every column; the image lands in the row of
     its orbit, rescaled by sqrt(|orbit_col| / |orbit_row|). Triplets come in
     term order, columns ascending within a term; a (row, col) pair can repeat
-    and the caller sums the repeats.
+    and :func:`sector_entries` sums the repeats.
     """
     sizes = basis.orbit_sizes.astype(float)
     rows, vals = [], []
@@ -129,19 +129,20 @@ def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, 
     return np.concatenate(rows), cols, np.concatenate(vals)
 
 
-def project_operator(op, basis: SectorBasis) -> np.ndarray:
-    """Sector matrix <s|op|s'> of a translation+inversion symmetric operator.
+def sector_entries(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries (flat, vals) of the sector matrix of sum_j c_j P_j.
 
-    ``op`` supplies ``terms`` as (coefficient, PauliString) pairs; the matrix
-    sums their :func:`sector_triplets`.
+    ``flat = row * dim + col`` ascends. Each value sums the repeats of its
+    (row, col) among :func:`sector_triplets` sequentially in triplet order,
+    the order ``np.add.at`` uses; this is the one place repeats are summed.
     """
-    if not op.is_symmetric():
-        raise ValueError(f"operator {getattr(op, 'label', op)!r} is not "
-                         "translation+inversion symmetric")
-    rows, cols, vals = sector_triplets(op.terms, basis)
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.add.at(mat, (rows, cols), vals)
-    return require_hermitian(mat)
+    rows, cols, vals = sector_triplets(terms, basis)
+    flat, where = np.unique(rows * basis.dim + cols, return_inverse=True)
+    sums = np.empty(len(flat), dtype=complex)
+    sums.real = np.bincount(where, weights=vals.real, minlength=len(flat))
+    sums.imag = np.bincount(where, weights=vals.imag, minlength=len(flat))
+    keep = sums != 0
+    return flat[keep], sums[keep]
 
 
 def sector_manifest(basis: SectorBasis) -> str:

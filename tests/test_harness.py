@@ -350,12 +350,14 @@ BAD_NUMBERS = {
     "k_fractional": {"mode": "optimize", "k": 2.5},
     "sample_every_fractional": {"mode": "optimize", "k": 2, "sample_every": 2.5},
     "action_fractional": {"mode": "discrete", "actions": [1.5]},
+    "L_above_sector_cap": {"mode": "optimize", "k": 2, "L": 22, "long_run": True},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_cli_bad_number_is_config_error(tmp_path, case):
-    """Model numbers must be finite and counts integers, else exit 2 and no run."""
+    """Model numbers must be finite, counts integers and L within the sector range,
+    else exit 2 and no run."""
     data = {"preset": "integrable", "L": 8, "duration": 0.02,
             "outdir": str(tmp_path / "run"), **BAD_NUMBERS[case]}
     cfg_path = tmp_path / "cfg.json"
@@ -407,13 +409,17 @@ BAD_CLI_VALUES = {
                                  "--eps", "nan", "-o", str(tmp / "out")],
     "L_list_non_numeric": lambda run, tmp: ["sweep-size", "-c", str(tmp / "disc.json"),
                                             "--L-list", "6,x", "--outdir", str(tmp / "out")],
+    "presets_unknown": lambda run, tmp: ["sweep-size", "-c", str(tmp / "disc.json"),
+                                         "--L-list", "6", "--k-rule", "half",
+                                         "--presets", "integrable,typo",
+                                         "--outdir", str(tmp / "out")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CLI_VALUES))
 def test_cli_bad_option_value_is_config_error(tmp_path, small_run, case):
-    """A bad list token, an empty list, a non-finite threshold or a negative or NaN
-    replay tolerance exits 2 and writes nothing."""
+    """A bad list token, an empty list, an unknown preset, a non-finite threshold or
+    a negative or NaN replay tolerance exits 2 and writes nothing."""
     (tmp_path / "disc.json").write_text(json.dumps({
         "preset": "integrable", "L": 8, "mode": "discrete", "actions": [1],
         "outdir": str(tmp_path / "out")}))

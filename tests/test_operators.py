@@ -207,6 +207,8 @@ def test_stack_assemble_matches_sector_matrices(rng, L, k):
     gamma = rng.normal(size=len(ops))
     direct = sum(g * op.sector_matrix(basis) for g, op in zip(gamma, ops))
     assert_allclose(stack.assemble(gamma), direct, atol=1e-12)
+    for i, op in enumerate(ops):
+        assert_array_equal(stack.assemble(np.eye(len(ops))[i]), op.sector_matrix(basis))
 
 
 @STACK_CASES
@@ -228,6 +230,7 @@ def test_stack_is_real_split_without_zeros(L, k):
     for part in (stack.real, stack.imag):
         assert part.format == "csc" and part.dtype == np.float64
         assert np.all(part.data != 0)
+        assert part.has_canonical_format
     in_real, in_imag = np.diff(stack.real.indptr) > 0, np.diff(stack.imag.indptr) > 0
     assert not np.any(in_real & in_imag)
 

@@ -10,8 +10,7 @@ from eigenwork.model import IsingParams, build_ising
 from eigenwork.operators import SymmetrizedOperator
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_state, manifest_checksum,
-                              project_operator, require_hermitian,
-                              sector_manifest)
+                              require_hermitian, sector_manifest)
 
 
 def translation_matrix(L):
@@ -117,7 +116,7 @@ def classical_ising_orbit_energies(L):
 
 def test_classical_ising_projection_frozen():
     basis = build_sector_basis(4)
-    H = project_operator(build_ising(IsingParams(0.0, 0.0, 4)), basis)
+    H = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis)
     assert np.abs(H - np.diag(np.diag(H))).max() < 1e-14
     diag = sorted(np.round(np.diag(H).real).astype(int))
     assert diag == sorted([4, 4, 0, 0, 0, -4])
@@ -129,7 +128,7 @@ def test_magnetization_projection_traceless():
     basis = build_sector_basis(L)
     op = SymmetrizedOperator(
         "sum Z", tuple((1.0, pauli.make_pauli([(l, "Z")], L)) for l in range(L)), 1, L)
-    M = project_operator(op, basis)
+    M = op.sector_matrix(basis)
     assert np.abs(M - np.diag(np.diag(M))).max() < 1e-14
     assert abs(np.trace(M)) < 1e-12
 
@@ -140,8 +139,9 @@ def test_asymmetric_operator_rejected():
     lone = SymmetrizedOperator.__new__(SymmetrizedOperator)
     lone.label = "lone X0"
     lone.terms = ((1.0, pauli.make_pauli([(0, "X")], L)),)
+    lone.L = L
     with pytest.raises(ValueError):
-        project_operator(lone, basis)
+        lone.sector_matrix(basis)
 
 
 @pytest.mark.parametrize("L", [4, 6])
