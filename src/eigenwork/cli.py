@@ -13,7 +13,8 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, read_config
 from .model import IsingParams, build_ising, diagonalize, select_shell, spectrum_csv
 from .operators import build_basis, operator_manifest
-from .sector import NumericalConsistencyError, build_sector_basis, sector_manifest
+from .sector import (L_MAX, L_MIN, NumericalConsistencyError, build_sector_basis,
+                     sector_manifest)
 from . import runner
 
 
@@ -35,6 +36,10 @@ def _load_config(path, overrides=None) -> ExperimentConfig:
 
 
 def _cmd_basis(args):
+    if not L_MIN <= args.L <= L_MAX:
+        raise ConfigError(f"L={args.L} outside the supported range [{L_MIN}, {L_MAX}]")
+    if not 1 <= args.k <= args.L:
+        raise ConfigError(f"k={args.k} outside [1, L]")
     ops = build_basis(args.L, args.k)
     text = operator_manifest(ops, args.L)
     Path(args.out).write_text(text)

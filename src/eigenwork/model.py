@@ -38,14 +38,6 @@ class IsingParams:
         if self.L < 2:
             raise ValueError("need at least two sites")
 
-    @classmethod
-    def preset(cls, name: str, L: int) -> "IsingParams":
-        try:
-            h, g = PRESETS[name]
-        except KeyError:
-            raise ValueError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}") from None
-        return cls(h, g, L)
-
 
 def build_ising(params: IsingParams) -> SymmetrizedOperator:
     L = params.L

@@ -1,9 +1,9 @@
 """Translation+inversion symmetric Hermitian operators and control bases.
 
-A SymmetrizedOperator is a real-weighted sum of canonical Hermitian Pauli
-strings whose string multiset is closed under translation and reflection.
-The control basis for locality k collects, for every window string supported
-on at most k contiguous sites, the sum of all its translates; inversion-
+A SymmetrizedOperator is a real-weighted sum of Hermitian Pauli strings
+whose string multiset is closed under translation and reflection. The
+control basis for locality k collects, for every window string supported on
+at most k contiguous sites, the sum of all its translates; inversion-
 asymmetric sums are paired with their reflections. All basis elements are
 normalized to Frobenius norm sqrt(L * 2^L), which makes them pairwise
 orthogonal with Tr[Q_a^dag Q_b] = L * 2^L * delta_ab.
@@ -23,34 +23,27 @@ its operators as two real column-major matrices instead of one complex one.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
 from . import pauli
-from .pauli import PauliString, canonical_hermitian, window_span
+from .pauli import PauliString, window_span
 from .sector import SectorBasis, manifest_checksum, require_hermitian, sector_entries
 
 
 def _combine_terms(raw_terms, L, tol=1e-14):
-    """Merge same-mask strings into canonical gauge; drop zeros; sort."""
-    acc: dict[tuple[int, int], complex] = {}
+    """Sum the coefficients of same-mask strings; drop zeros; sort by masks."""
+    acc: dict[tuple[int, int], float] = {}
     for coeff, p in raw_terms:
         if p.n_sites != L:
             raise ValueError("term chain length mismatch")
-        canon = canonical_hermitian(p.x_mask, p.z_mask, L)
-        rel = pauli.PHASES[(p.phase_pow - canon.phase_pow) % 4]
         key = (p.x_mask, p.z_mask)
-        acc[key] = acc.get(key, 0.0) + coeff * rel
-    terms = []
-    for (x, z), c in sorted(acc.items()):
-        if abs(c) <= tol:
-            continue
-        if abs(c.imag) > 1e-12 * max(1.0, abs(c)):
-            raise ValueError("non-Hermitian combination: complex string coefficient")
-        terms.append((float(c.real), canonical_hermitian(x, z, L)))
-    return tuple(terms)
+        acc[key] = acc.get(key, 0.0) + coeff
+    return tuple((float(c), PauliString(x, z, L))
+                 for (x, z), c in sorted(acc.items()) if abs(c) > tol)
 
 
 @dataclass(eq=False)
@@ -125,31 +118,22 @@ def enumerate_window_paulis(L: int, k: int) -> list[PauliString]:
     return out
 
 
-def _translation_orbit(p: PauliString) -> dict[tuple[int, int], int]:
-    """Mask multiset of sum_l T^l p T^-l (multiplicity = L / orbit period)."""
-    orbit: dict[tuple[int, int], int] = {}
-    for shift in range(p.n_sites):
-        q = pauli.translate(p, shift)
-        key = (q.x_mask, q.z_mask)
-        orbit[key] = orbit.get(key, 0) + 1
-    return orbit
+def _dihedral_orbit(p: PauliString) -> tuple[Counter, bool]:
+    """Mask counts of p's translates and, when p's reflection is not one of
+    them, of the reflection's translates; and whether it is one of them.
 
-
-def _reflect_orbit(orbit, L):
-    out = {}
-    for (x, z), mult in orbit.items():
-        q = pauli.invert(canonical_hermitian(x, z, L))
-        out[(q.x_mask, q.z_mask)] = mult
-    return out
-
-
-def _orbit_key(orbit):
-    return tuple(sorted(orbit.items()))
+    Each mask's count is L / (its translation period).
+    """
+    L = p.n_sites
+    reflected = (pauli.reflect_bits(p.x_mask, L), pauli.reflect_bits(p.z_mask, L))
+    images = [(pauli.rotate_bits(x, shift, L), pauli.rotate_bits(z, shift, L))
+              for x, z in ((p.x_mask, p.z_mask), reflected) for shift in range(L)]
+    symmetric = reflected in images[:L]
+    return Counter(images[:L] if symmetric else images), symmetric
 
 
 def _orbit_operator(label, orbit, locality, L):
-    terms = [(float(mult), canonical_hermitian(x, z, L))
-             for (x, z), mult in orbit.items()]
+    terms = [(float(mult), PauliString(x, z, L)) for (x, z), mult in orbit.items()]
     op = SymmetrizedOperator(label, tuple(terms), locality, L)
     target = float(L * (1 << L))
     if abs(op.norm_sq - target) > 1e-9 * target:
@@ -157,47 +141,25 @@ def _orbit_operator(label, orbit, locality, L):
     return op
 
 
-def _gen_label(p: PauliString) -> str:
-    return pauli.to_text(p).split(" @")[0]
-
-
 def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
-    """Orthogonal translation-invariant, inversion-symmetric basis B_k."""
-    generators = enumerate_window_paulis(L, k)
-    orbits: dict[tuple, tuple[PauliString, dict]] = {}
-    order: list[tuple] = []
-    for p in generators:
-        orbit = _translation_orbit(p)
-        key = _orbit_key(orbit)
-        if key not in orbits:
-            orbits[key] = (p, orbit)
-            order.append(key)
+    """Orthogonal translation-invariant, inversion-symmetric basis B_k.
 
-    elements = []
-    consumed = set()
-    for key in order:
-        if key in consumed:
+    One element per dihedral orbit of the window strings. The orbit's first
+    generator gives its label (``+R`` marks a translation orbit summed with
+    its reflection) and its locality, the generator's window span. Elements
+    are sorted by locality, then by the orbit's smallest (x_mask, z_mask).
+    """
+    seen, found = set(), []
+    for gen in enumerate_window_paulis(L, k):
+        orbit, symmetric = _dihedral_orbit(gen)
+        key = min(orbit)
+        if key in seen:
             continue
-        gen, orbit = orbits[key]
-        reflected = _reflect_orbit(orbit, L)
-        rkey = _orbit_key(reflected)
-        span = window_span(gen)
-        if rkey == key:
-            elements.append(_orbit_operator(_gen_label(gen), orbit, span, L))
-        else:
-            consumed.add(rkey)
-            merged = dict(orbit)
-            for mk, mult in reflected.items():
-                merged[mk] = merged.get(mk, 0) + mult
-            label = f"{_gen_label(gen)} +R"
-            elements.append(_orbit_operator(label, merged, span, L))
-
-    def sort_key(op):
-        c0, p0 = min(op.terms, key=lambda t: (t[1].x_mask, t[1].z_mask))
-        return (op.locality, p0.x_mask, p0.z_mask)
-
-    elements.sort(key=sort_key)
-    return elements
+        seen.add(key)
+        label = pauli.to_text(gen).split(" @")[0] + ("" if symmetric else " +R")
+        found.append((window_span(gen), key, label, orbit))
+    found.sort(key=lambda f: f[:2])
+    return [_orbit_operator(label, orbit, span, L) for span, _, label, orbit in found]
 
 
 def sum_x(L: int) -> SymmetrizedOperator:

@@ -1,11 +1,13 @@
-"""Bitmask-encoded Pauli strings on a periodic chain of L sites.
+"""Bitmask-encoded Hermitian Pauli strings on a periodic chain of L sites.
 
-A string is stored as ``i^phase_pow * prod_l X_l^{x_l} Z_l^{z_l}`` where bit l
-of ``x_mask`` / ``z_mask`` refers to site l. A site with both bits set carries
-the product XZ; since sigma^y = i XZ, every Y site shifts ``phase_pow`` by one.
-The canonical Hermitian gauge used throughout is ``phase_pow = n_Y mod 4``,
-which makes the stored operator equal to the plain product of its X/Y/Z letters
-with prefactor +1.
+A string is the plain product of its X/Y/Z letters with prefactor +1. Bit l
+of ``x_mask`` / ``z_mask`` refers to site l, and a site with both bits set
+carries Y. Since sigma^y = i XZ, the string equals
+``i^{n_Y} prod_l X_l^{x_l} Z_l^{z_l}``, and every string is Hermitian.
+
+Translation and reflection of the chain act on masks through
+:func:`rotate_bits` and :func:`reflect_bits`, which take Python ints and int64
+arrays of computational basis indices alike.
 
 Basis convention: bit l of a computational index holds site l, and the bit
 value 0 is the +1 eigenstate of sigma^z.
@@ -26,7 +28,6 @@ _AXIS_MASKS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 class PauliString:
     x_mask: int
     z_mask: int
-    phase_pow: int
     n_sites: int
 
     def __post_init__(self):
@@ -36,23 +37,14 @@ class PauliString:
         full = (1 << L) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask contains a bit at position >= n_sites")
-        object.__setattr__(self, "phase_pow", self.phase_pow % 4)
-
-    @property
-    def y_mask(self) -> int:
-        return self.x_mask & self.z_mask
 
     @property
     def n_y(self) -> int:
-        return bin(self.y_mask).count("1")
+        return bin(self.x_mask & self.z_mask).count("1")
 
     @property
     def support(self) -> int:
         return self.x_mask | self.z_mask
-
-    def is_hermitian(self) -> bool:
-        # P^dag = i^{-p} (-1)^{n_Y} X^x Z^z, so Hermitian iff p and n_Y share parity.
-        return (self.phase_pow - self.n_y) % 2 == 0
 
     def axis_at(self, site: int) -> str | None:
         x = (self.x_mask >> site) & 1
@@ -70,15 +62,13 @@ class PauliString:
 
 
 def make_pauli(axes, L: int) -> PauliString:
-    """Build the Hermitian string with the given (site, axis) factors.
+    """Build the string with the given (site, axis) factors.
 
     ``axes`` is an iterable of ``(site, axis)`` with axis in {"X","Y","Z"}.
-    The result carries unit physical prefactor (canonical Hermitian gauge).
     """
     x_mask = 0
     z_mask = 0
     seen = set()
-    n_y = 0
     for site, axis in axes:
         if not 0 <= site < L:
             raise ValueError(f"site {site} out of range for L={L}")
@@ -91,43 +81,41 @@ def make_pauli(axes, L: int) -> PauliString:
             raise ValueError(f"unknown axis {axis!r}") from None
         x_mask |= bx << site
         z_mask |= bz << site
-        if bx and bz:
-            n_y += 1
-    return PauliString(x_mask, z_mask, n_y % 4, L)
+    return PauliString(x_mask, z_mask, L)
 
 
-def canonical_hermitian(x_mask: int, z_mask: int, L: int) -> PauliString:
-    """Hermitian string with the given masks and unit physical prefactor."""
-    n_y = bin(x_mask & z_mask).count("1")
-    return PauliString(x_mask, z_mask, n_y % 4, L)
+def rotate_bits(mask, shift: int, L: int):
+    """Move bit l of an L-bit mask to bit (l + shift) mod L: site translation.
 
-
-def _rotl(mask: int, shift: int, L: int) -> int:
+    ``mask`` is a Python int or an int64 array of masks.
+    """
     shift %= L
-    full = (1 << L) - 1
-    return ((mask << shift) | (mask >> (L - shift))) & full if shift else mask
+    if shift == 0:
+        return mask
+    return ((mask << shift) | (mask >> (L - shift))) & ((1 << L) - 1)
 
 
-def _reverse_bits(mask: int, L: int) -> int:
-    out = 0
+def reflect_bits(mask, L: int):
+    """Move bit l of an L-bit mask to bit L-1-l: site reflection.
+
+    ``mask`` is a Python int or an int64 array of masks.
+    """
+    out = mask & 0  # 0, or a zero array of the mask array's shape and dtype
     for l in range(L):
-        if (mask >> l) & 1:
-            out |= 1 << (L - 1 - l)
+        out |= ((mask >> l) & 1) << (L - 1 - l)
     return out
 
 
 def translate(p: PauliString, shift: int) -> PauliString:
-    """Shift all site indices by +shift mod L. Phase is untouched."""
+    """Shift all site indices by +shift mod L."""
     L = p.n_sites
-    return PauliString(_rotl(p.x_mask, shift, L), _rotl(p.z_mask, shift, L),
-                       p.phase_pow, L)
+    return PauliString(rotate_bits(p.x_mask, shift, L), rotate_bits(p.z_mask, shift, L), L)
 
 
 def invert(p: PauliString) -> PauliString:
-    """Reflect sites l -> L-1-l. Phase is untouched."""
+    """Reflect sites l -> L-1-l."""
     L = p.n_sites
-    return PauliString(_reverse_bits(p.x_mask, L), _reverse_bits(p.z_mask, L),
-                       p.phase_pow, L)
+    return PauliString(reflect_bits(p.x_mask, L), reflect_bits(p.z_mask, L), L)
 
 
 def apply_to_basis_indices(p: PauliString, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +123,7 @@ def apply_to_basis_indices(p: PauliString, n: np.ndarray) -> tuple[np.ndarray, n
     n = np.asarray(n, dtype=np.int64)
     m = n ^ np.int64(p.x_mask)
     parity = np.bitwise_count(n & np.int64(p.z_mask)) & 1
-    coeff = PHASES[p.phase_pow] * np.where(parity, -1.0, 1.0)
+    coeff = PHASES[p.n_y % 4] * np.where(parity, -1.0, 1.0)
     return m, coeff
 
 
@@ -166,8 +154,8 @@ def window_span(p: PauliString) -> int:
 def to_text(p: PauliString) -> str:
     """Canonical text form, e.g. 'X0 Z1 @L=4 *i^0'.
 
-    The trailing i-power is the physical prefactor relative to the plain
-    product of the listed letters, so Hermitian strings show *i^0 or *i^2.
+    The trailing i-power is the prefactor of the product of the listed
+    letters, always ``*i^0``; manifest format v1 keeps it.
     """
     parts = []
     for site in range(p.n_sites):
@@ -175,21 +163,13 @@ def to_text(p: PauliString) -> str:
         if axis is not None:
             parts.append(f"{axis}{site}")
     body = " ".join(parts) if parts else "I"
-    k = (p.phase_pow - p.n_y) % 4
-    return f"{body} @L={p.n_sites} *i^{k}"
+    return f"{body} @L={p.n_sites} *i^0"
 
 
 def from_text(text: str) -> PauliString:
     """Parse the canonical text form produced by :func:`to_text`."""
     tokens = text.split()
-    if len(tokens) < 3 or not tokens[-2].startswith("@L=") or not tokens[-1].startswith("*i^"):
+    if len(tokens) < 3 or not tokens[-2].startswith("@L=") or tokens[-1] != "*i^0":
         raise ValueError(f"malformed pauli text {text!r}")
-    L = int(tokens[-2][3:])
-    k = int(tokens[-1][3:])
-    axes = []
-    for tok in tokens[:-2]:
-        if tok == "I":
-            continue
-        axes.append((int(tok[1:]), tok[0]))
-    base = make_pauli(axes, L)
-    return PauliString(base.x_mask, base.z_mask, (base.phase_pow + k) % 4, L)
+    axes = [(int(tok[1:]), tok[0]) for tok in tokens[:-2] if tok != "I"]
+    return make_pauli(axes, int(tokens[-2][3:]))

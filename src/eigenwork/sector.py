@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import apply_to_basis_indices
+from .pauli import apply_to_basis_indices, reflect_bits, rotate_bits
 
 L_MIN = 2
 L_MAX = 20
@@ -27,21 +27,6 @@ HERMITICITY_TOL = 1e-12
 
 class NumericalConsistencyError(RuntimeError):
     """A numerical invariant (hermiticity, norm, residue) was violated."""
-
-
-def _rotl_array(states: np.ndarray, shift: int, L: int) -> np.ndarray:
-    shift %= L
-    if shift == 0:
-        return states
-    full = np.int64((1 << L) - 1)
-    return ((states << shift) | (states >> (L - shift))) & full
-
-
-def _reverse_array(states: np.ndarray, L: int) -> np.ndarray:
-    out = np.zeros_like(states)
-    for l in range(L):
-        out |= ((states >> l) & 1) << (L - 1 - l)
-    return out
 
 
 @dataclass(eq=False)
@@ -75,10 +60,10 @@ def build_sector_basis(L: int) -> SectorBasis:
         raise ValueError(f"L={L} outside supported range [{L_MIN}, {L_MAX}]")
     states = np.arange(1 << L, dtype=np.int64)
     rep = states.copy()
-    reflected = _reverse_array(states, L)
+    reflected = reflect_bits(states, L)
     for shift in range(L):
-        np.minimum(rep, _rotl_array(states, shift, L), out=rep)
-        np.minimum(rep, _rotl_array(reflected, shift, L), out=rep)
+        np.minimum(rep, rotate_bits(states, shift, L), out=rep)
+        np.minimum(rep, rotate_bits(reflected, shift, L), out=rep)
     orbit_reps, state_to_orbit, orbit_sizes = np.unique(
         rep, return_inverse=True, return_counts=True)
     return SectorBasis(L, orbit_reps, orbit_sizes,

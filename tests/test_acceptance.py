@@ -16,7 +16,7 @@ import pytest
 
 from eigenwork import runner
 from eigenwork.config import ExperimentConfig, RewardParams
-from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
+from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize, select_shell
 from eigenwork.observables import fig4_csv, work_density
 from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
@@ -125,7 +125,7 @@ def test_ee_fluctuation_contrast(run_cache):
 def kkt_setup():
     L = 8
     basis = build_sector_basis(L)
-    H_op = build_ising(IsingParams.preset("integrable", L))
+    H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
@@ -211,7 +211,7 @@ def test_criterion_7_spectral_sector_suite():
     ok = True
     for L in (4, 6):
         basis = build_sector_basis(L)
-        op = build_ising(IsingParams.preset("nonintegrable", L))
+        op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
         sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis))
         full = list(np.linalg.eigvalsh(op.dense_matrix()))
         for ev in sector_eigs:

@@ -413,13 +413,18 @@ BAD_CLI_VALUES = {
                                          "--L-list", "6", "--k-rule", "half",
                                          "--presets", "integrable,typo",
                                          "--outdir", str(tmp / "out")],
+    "basis_k_zero": lambda run, tmp: ["basis", "--L", "4", "--k", "0", "-o", str(tmp / "out")],
+    "basis_k_above_L": lambda run, tmp: ["basis", "--L", "4", "--k", "5",
+                                         "-o", str(tmp / "out")],
+    "basis_L_one": lambda run, tmp: ["basis", "--L", "1", "--k", "1", "-o", str(tmp / "out")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CLI_VALUES))
 def test_cli_bad_option_value_is_config_error(tmp_path, small_run, case):
-    """A bad list token, an empty list, an unknown preset, a non-finite threshold or
-    a negative or NaN replay tolerance exits 2 and writes nothing."""
+    """A bad list token, an empty list, an unknown preset, a non-finite threshold,
+    a negative or NaN replay tolerance, or a basis size outside 1 <= k <= L with
+    L in the sector's range exits 2 and writes nothing."""
     (tmp_path / "disc.json").write_text(json.dumps({
         "preset": "integrable", "L": 8, "mode": "discrete", "actions": [1],
         "outdir": str(tmp_path / "out")}))

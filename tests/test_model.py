@@ -14,10 +14,8 @@ def test_preset_values():
     assert PRESETS["nonintegrable"] == (0.9045, 0.809)
     assert PRESETS["integrable"] == (0.0, 0.5)
     assert PRESETS["quench-target"] == (0.0, 1.5)
-    p = IsingParams.preset("nonintegrable", 8)
+    p = IsingParams(*PRESETS["nonintegrable"], 8)
     assert (p.h, p.g, p.L) == (0.9045, 0.809, 8)
-    with pytest.raises(ValueError):
-        IsingParams.preset("thermal", 8)
 
 
 def test_params_validation():
@@ -34,7 +32,7 @@ def test_classical_L2_full_spectrum():
 
 
 def test_builder_is_symmetric():
-    op = build_ising(IsingParams.preset("nonintegrable", 6))
+    op = build_ising(IsingParams(*PRESETS["nonintegrable"], 6))
     assert op.is_symmetric()
 
 
@@ -47,7 +45,7 @@ def test_sector_diagonalization_frozen_classical():
 
 def test_diagonalize_reconstruction_and_unitarity():
     basis = build_sector_basis(6)
-    H = build_ising(IsingParams.preset("nonintegrable", 6)).sector_matrix(basis)
+    H = build_ising(IsingParams(*PRESETS["nonintegrable"], 6)).sector_matrix(basis)
     eig = diagonalize(H)
     V = eig.states
     assert np.abs(V.conj().T @ V - np.eye(basis.dim)).max() < 1e-10
@@ -59,7 +57,7 @@ def test_diagonalize_reconstruction_and_unitarity():
 
 def test_diagonalize_gauge_deterministic():
     basis = build_sector_basis(6)
-    H = build_ising(IsingParams.preset("integrable", 6)).sector_matrix(basis)
+    H = build_ising(IsingParams(*PRESETS["integrable"], 6)).sector_matrix(basis)
     a, b = diagonalize(H.copy()), diagonalize(H.copy())
     assert a.checksum() == b.checksum()
 
@@ -94,7 +92,7 @@ def test_shell_bounds_closed():
 def test_shell_membership_reproducible_from_energies():
     L = 8
     basis = build_sector_basis(L)
-    eig = diagonalize(build_ising(IsingParams.preset("integrable", L)).sector_matrix(basis))
+    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     shell = select_shell(eig, -0.25, -0.1, L)
     recomputed = tuple(int(i) for i in np.flatnonzero(
         (eig.energies / L >= -0.25) & (eig.energies / L <= -0.1)))
@@ -122,7 +120,7 @@ def test_ground_state_density_monotone_in_g():
 def test_spectrum_csv_roundtrip():
     L = 4
     basis = build_sector_basis(L)
-    eig = diagonalize(build_ising(IsingParams.preset("integrable", L)).sector_matrix(basis))
+    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     shell = select_shell(eig, -0.25, -0.1, L)
     text = spectrum_csv(eig, shell, L)
     lines = text.strip().splitlines()

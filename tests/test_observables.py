@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenwork.model import IsingParams, build_ising, diagonalize
+from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.config import ConfigError
 from eigenwork.observables import (EERecord, Trajectory, d_pos, ee_records,
                                    fig4_csv, half_chain_ee,
@@ -83,7 +83,7 @@ def test_ee_bounds_and_validation(rng):
 def test_identity_protocol_gives_zero_deltaS():
     L = 6
     basis = build_sector_basis(L)
-    eig = diagonalize(build_ising(IsingParams.preset("integrable", L)).sector_matrix(basis))
+    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     states = eig.states[:, 3:6]
     records = ee_records(states, states, basis, [3, 4, 5])
     assert all(abs(r.S0 - r.St) < 1e-12 for r in records)

@@ -6,12 +6,13 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
-from eigenwork.model import IsingParams, build_ising
+from eigenwork.model import PRESETS, IsingParams, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
                                  sum_x, symbolic_gram)
-from eigenwork.sector import build_sector_basis, manifest_checksum, sector_triplets
+from eigenwork.sector import (build_sector_basis, manifest_checksum, sector_manifest,
+                              sector_triplets)
 
 
 def term_dict(op):
@@ -189,7 +190,7 @@ def stack_ops(L, k):
     if k == "discrete":
         return discrete_action_set(L)
     if k == "ising":
-        return [build_ising(IsingParams.preset("nonintegrable", L))]
+        return [build_ising(IsingParams(*PRESETS["nonintegrable"], L))]
     return build_basis(L, k)
 
 
@@ -278,6 +279,43 @@ def test_manifest_checksum_distinguishes_bases():
     assert manifest_checksum(m2) == manifest_checksum(operator_manifest(build_basis(L, 2), L))
 
 
+FROZEN_MANIFESTS = {
+    "basis_L4_k3": (lambda: operator_manifest(build_basis(4, 3), 4),
+                    "b8b2a9915641598908a88e1d1543df6b04dba442d6a9c63c233ab4552dfbebb9"),
+    "basis_L6_k2": (lambda: operator_manifest(build_basis(6, 2), 6),
+                    "89744c182e708fc329e23f4dd8faf0f8675a898bbc51c46a3e42096d63c24b82"),
+    "basis_L8_k4": (lambda: operator_manifest(build_basis(8, 4), 8),
+                    "15af9007cb3ca272cc40e6b73ad3ca9f889d7c28a68b8b409df340353086101e"),
+    "basis_L12_k4": (lambda: operator_manifest(build_basis(12, 4), 12),
+                     "e4f5e3208133839a7d2e95c59c0e7556076aded1b69571baa666638d3a429ffd"),
+    "discrete_L6": (lambda: operator_manifest(discrete_action_set(6), 6),
+                    "81b11849605a9c968ad48207603d79a974d824219df1f13a0a014b5e3d7c6ba9"),
+    "sum_x_L6": (lambda: operator_manifest([sum_x(6)], 6),
+                 "8f1afa547ff53a0fbe22ce076ecf326c9ef0eaa5a4705513cf6b21c9c59400b6"),
+    "ising_integrable_L6": (
+        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["integrable"], 6))], 6),
+        "d38c1fe2997631a2011e154a59a06d6d88ab3527a4ee8f6162e202ceb5a6f4b8"),
+    "ising_nonintegrable_L6": (
+        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["nonintegrable"], 6))], 6),
+        "7bfbb36e4a989621ecfe13305288a27cd4cb55ed7dfe14a5b7eedc22787fb6b6"),
+    "sector_L4": (lambda: sector_manifest(build_sector_basis(4)),
+                  "ef0812f403a67b70fdc87bc01ff80f4d72acc54c2488f33cc5330be57efa1d4b"),
+    "sector_L12": (lambda: sector_manifest(build_sector_basis(12)),
+                   "12eee61bbebfef92888282cfd237b33adc164b89fc1c25f73979000c3e89dc1d"),
+    "sector_L16": (lambda: sector_manifest(build_sector_basis(16)),
+                   "32e4912cd5396a7ab9242c766054ec93361c4fb9b7415826c029f2000041b913"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_MANIFESTS))
+def test_manifest_bytes_frozen(case):
+    """Replay rejects a protocol whose basis checksum differs from the one its
+    config rebuilds, so these manifest bytes must not move: (4, 3) has rescaled
+    wide-window orbits and (6, 2) has +R pairs."""
+    build, digest = FROZEN_MANIFESTS[case]
+    assert manifest_checksum(build()) == digest
+
+
 def test_sum_x_generator():
     op = sum_x(6)
     assert op.is_symmetric()
@@ -286,7 +324,7 @@ def test_sum_x_generator():
 
 
 def test_ising_lives_in_span_of_b2():
-    op = build_ising(IsingParams.preset("nonintegrable", 6))
+    op = build_ising(IsingParams(*PRESETS["nonintegrable"], 6))
     b2 = build_basis(6, 2)
     keys = {(p.x_mask, p.z_mask) for o in b2 for _, p in o.terms}
     assert all((p.x_mask, p.z_mask) in keys for _, p in op.terms)

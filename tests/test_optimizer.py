@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.config import ExperimentConfig, RewardParams
-from eigenwork.model import IsingParams, build_ising, diagonalize, select_shell
+from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize, select_shell
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
@@ -26,7 +26,7 @@ def optimize_config(L, k, **fields):
 def shell_setup_L8():
     L = 8
     basis = build_sector_basis(L)
-    H_op = build_ising(IsingParams.preset("integrable", L))
+    H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
@@ -244,7 +244,7 @@ def test_reward_approximately_monotone_L10():
     """
     L = 10
     basis = build_sector_basis(L)
-    H_op = build_ising(IsingParams.preset("integrable", L))
+    H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)

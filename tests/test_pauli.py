@@ -26,21 +26,20 @@ def kron_oracle(p: PauliString) -> np.ndarray:
     mat = np.eye(1, dtype=complex)
     for site in reversed(range(p.n_sites)):
         mat = np.kron(mat, SIGMA[p.axis_at(site) or "I"])
-    k = (p.phase_pow - p.n_y) % 4
-    return (1j ** k) * mat
+    return mat
 
 
 def st_pauli(max_L=6):
-    def build(L, x, z, phase):
+    def build(L, x, z):
         full = (1 << L) - 1
-        return PauliString(x & full, z & full, phase, L)
+        return PauliString(x & full, z & full, L)
     return st.builds(build, st.integers(2, max_L), st.integers(0, 63),
-                     st.integers(0, 63), st.integers(0, 3))
+                     st.integers(0, 63))
 
 
 def test_make_single_x():
     p = make_pauli([(0, "X")], 4)
-    assert (p.x_mask, p.z_mask, p.phase_pow) == (1, 0, 0)
+    assert (p.x_mask, p.z_mask) == (1, 0)
 
 
 def test_make_y_matches_sigma_y():
@@ -53,7 +52,6 @@ def test_make_y_matches_sigma_y():
 def test_make_zz_bond_hermitian():
     p = make_pauli([(0, "Z"), (1, "Z")], 4)
     assert p.z_mask == 0b11 and p.x_mask == 0
-    assert p.is_hermitian()
 
 
 def test_make_errors():
@@ -116,26 +114,23 @@ def test_dense_matches_kron_oracle(p):
     assert_allclose(dense_matrix(p), kron_oracle(p), atol=1e-14)
 
 
-def test_hermitian_predicate_vs_dense_exhaustive():
-    """Every (mask, phase) combination at L <= 4 agrees with the dense check."""
+def test_every_string_hermitian_exhaustive():
+    """Every mask pair at L <= 4 gives a Hermitian dense matrix."""
     for L in (2, 3, 4):
         for x in range(1 << L):
             for z in range(1 << L):
-                for phase in range(4):
-                    p = PauliString(x, z, phase, L)
-                    mat = dense_matrix(p)
-                    dense_herm = np.abs(mat - mat.conj().T).max() < 1e-12
-                    assert dense_herm == p.is_hermitian()
+                mat = dense_matrix(PauliString(x, z, L))
+                assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
 def test_mask_range_validation():
     with pytest.raises(ValueError):
-        PauliString(0b100, 0, 0, 2)
+        PauliString(0b100, 0, 2)
 
 
 def test_window_span():
     L = 6
-    assert window_span(PauliString(0, 0, 0, L)) == 0
+    assert window_span(PauliString(0, 0, L)) == 0
     assert window_span(make_pauli([(2, "X")], L)) == 1
     assert window_span(make_pauli([(0, "X"), (2, "Z")], L)) == 3
 
@@ -143,7 +138,7 @@ def test_window_span():
 def test_text_form_example():
     p = make_pauli([(0, "X"), (1, "Z")], 4)
     assert to_text(p) == "X0 Z1 @L=4 *i^0"
-    assert to_text(PauliString(0, 0, 0, 4)) == "I @L=4 *i^0"
+    assert to_text(PauliString(0, 0, 4)) == "I @L=4 *i^0"
 
 
 @given(st_pauli())
@@ -154,3 +149,5 @@ def test_text_roundtrip(p):
 def test_text_rejects_garbage():
     with pytest.raises(ValueError):
         from_text("X0 Z1")
+    with pytest.raises(ValueError):
+        from_text("X0 Z1 @L=4 *i^2")

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import propagate, runner
 from eigenwork.config import ExperimentConfig
-from eigenwork.model import IsingParams, build_ising, diagonalize
+from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.propagate import (ControlProtocol, StateBatch, _taylor_plan,
                                  evolve, expm_step, step_unitary)
@@ -22,7 +22,7 @@ def setup_L6():
     basis = build_sector_basis(6)
     ops = build_basis(6, 2)
     stack = OperatorStack(ops, basis)
-    eig = diagonalize(build_ising(IsingParams.preset("integrable", 6)).sector_matrix(basis))
+    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], 6)).sector_matrix(basis))
     return basis, ops, stack, eig
 
 
@@ -136,7 +136,7 @@ def test_empty_protocol_is_identity(setup_L6):
 def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
     """Driving with H(0) itself leaves every eigenstate expectation fixed."""
     basis, ops, stack, eig = setup_L6
-    H_op = build_ising(IsingParams.preset("integrable", 6))
+    H_op = build_ising(IsingParams(*PRESETS["integrable"], 6))
     H_sec = H_op.sector_matrix(basis)
     # H(0) expanded over the basis: coefficients on sum ZZ, sum Z, sum X.
     gamma0 = np.zeros(stack.n_ops)
@@ -175,7 +175,7 @@ def test_time_reversal(setup_L6, rng):
 def test_sector_step_commutes_with_full_space(rng):
     L = 4
     basis = build_sector_basis(L)
-    op = build_ising(IsingParams.preset("nonintegrable", L))
+    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     U_full = scipy.linalg.expm(-0.2j * op.dense_matrix())
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)

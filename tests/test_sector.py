@@ -6,7 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eigenwork import pauli
-from eigenwork.model import IsingParams, build_ising
+from eigenwork.model import PRESETS, IsingParams, build_ising
 from eigenwork.operators import SymmetrizedOperator
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_state, manifest_checksum,
@@ -146,7 +146,7 @@ def test_asymmetric_operator_rejected():
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_sector_spectrum_subset_of_full(L):
-    op = build_ising(IsingParams.preset("nonintegrable", L))
+    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     basis = build_sector_basis(L)
     sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis))
     full_eigs = list(np.linalg.eigvalsh(op.dense_matrix()))
@@ -160,7 +160,7 @@ def test_sector_dynamics_closure(rng):
     """Evolving in sector coordinates commutes with embedding, L=4."""
     L = 4
     basis = build_sector_basis(L)
-    op = build_ising(IsingParams.preset("nonintegrable", L))
+    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     H_sec = op.sector_matrix(basis)
     H_full = op.dense_matrix()
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
