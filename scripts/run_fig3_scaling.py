@@ -2,10 +2,12 @@
 """System-size scaling of D_pos(t=1) for local (fixed k) and global (k=L/2) control.
 
 Produces fig3_scaling.csv for both presets. Desk-scale defaults stop at L=12;
-L=14 is reachable directly and L=16 only with --long-run (hours). The
-optional --dt-check reruns the largest local-control case at half the time
-step and reports how far the final work densities move, demonstrating that
-discretization error is subdominant.
+L=14 is reachable directly and L=16 only with --long-run (hours).
+
+dt is the greedy controller's update interval, a parameter of the protocol,
+not an integration step: each row is exponentiated to machine precision. The
+optional --dt-check reruns the largest local-control case with that interval
+halved and reports how far the final work densities and D_pos move.
 """
 
 import argparse
@@ -25,7 +27,8 @@ def main():
     ap.add_argument("--outdir", default="runs/fig3")
     ap.add_argument("--long-run", action="store_true")
     ap.add_argument("--dt-check", action="store_true",
-                    help="rerun the largest local case at dt/2 and compare")
+                    help="rerun the largest local case with the update interval "
+                         "dt halved; report the shift in final w and D_pos")
     args = ap.parse_args()
 
     template = {"long_run": args.long_run}

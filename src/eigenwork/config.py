@@ -117,6 +117,9 @@ class ExperimentConfig:
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if self.mode == "discrete":
+            if self.L < 4:
+                raise ConfigError("discrete mode needs L >= 4: below it the action "
+                                  "set's two-site words are their own translates")
             if not self.actions:
                 raise ConfigError("discrete mode needs an action sequence")
             if any(not (isinstance(a, numbers.Integral) and 0 <= a < 7) for a in self.actions):

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pauli
-from .operators import SymmetrizedOperator
+from .operators import SymmetrizedOperator, translation_sum
 from .sector import require_hermitian
 
 PRESETS = {
@@ -40,16 +39,8 @@ class IsingParams:
 
 
 def build_ising(params: IsingParams) -> SymmetrizedOperator:
-    L = params.L
-    terms = []
-    for l in range(L):
-        terms.append((1.0, pauli.make_pauli([(l, "Z"), ((l + 1) % L, "Z")], L)))
-        if params.h != 0.0:
-            terms.append((params.h, pauli.make_pauli([(l, "Z")], L)))
-        if params.g != 0.0:
-            terms.append((params.g, pauli.make_pauli([(l, "X")], L)))
     label = f"ising(h={params.h}, g={params.g})"
-    return SymmetrizedOperator(label, tuple(terms), 2, L)
+    return translation_sum(label, [(1.0, "ZZ"), (params.h, "Z"), (params.g, "X")], 2, params.L)
 
 
 @dataclass(eq=False)

@@ -1,16 +1,18 @@
 """Translation+inversion symmetric Hermitian operators and control bases.
 
 A SymmetrizedOperator is a real-weighted sum of Hermitian Pauli strings
-whose string multiset is closed under translation and reflection. The
-control basis for locality k collects, for every window string supported on
-at most k contiguous sites, the sum of all its translates; inversion-
-asymmetric sums are paired with their reflections. All basis elements are
+whose string multiset is closed under translation and reflection. Its strings
+are the translates of short strings, counted by :func:`_translates`, and two
+constructors form them: :func:`translation_sum` weights the translation sums
+of a few words (the Ising target, ``sum X``, the discrete actions), and
+:func:`_dihedral_orbit` gives the control basis for locality k one element
+per dihedral orbit of the strings on at most k contiguous sites. These are
 normalized to Frobenius norm sqrt(L * 2^L), which makes them pairwise
 orthogonal with Tr[Q_a^dag Q_b] = L * 2^L * delta_ab.
 
 For k <= L/2 every translation orbit has full length L and the normalization
 is automatic; for larger windows (e.g. k=8 on L=12) orbits can be shorter and
-elements are rescaled to keep the norm convention, which the norm-constrained
+elements are scaled to keep the norm convention, which the norm-constrained
 optimizer relies on.
 
 In the real k=0, R=+1 sector basis each string's matrix elements are real or
@@ -36,14 +38,13 @@ from .sector import SectorBasis, manifest_checksum, require_hermitian, sector_en
 
 def _combine_terms(raw_terms, L, tol=1e-14):
     """Sum the coefficients of same-mask strings; drop zeros; sort by masks."""
-    acc: dict[tuple[int, int], float] = {}
+    acc: dict[tuple[int, int], list] = {}  # masks -> [summed coefficient, first string]
     for coeff, p in raw_terms:
         if p.n_sites != L:
             raise ValueError("term chain length mismatch")
-        key = (p.x_mask, p.z_mask)
-        acc[key] = acc.get(key, 0.0) + coeff
-    return tuple((float(c), PauliString(x, z, L))
-                 for (x, z), c in sorted(acc.items()) if abs(c) > tol)
+        entry = acc.setdefault((p.x_mask, p.z_mask), [0.0, p])
+        entry[0] += coeff
+    return tuple((float(c), p) for _, (c, p) in sorted(acc.items()) if abs(c) > tol)
 
 
 @dataclass(eq=False)
@@ -70,11 +71,6 @@ class SymmetrizedOperator:
                     return False
         return True
 
-    def scaled(self, factor: float, label: str | None = None) -> "SymmetrizedOperator":
-        return SymmetrizedOperator(label or self.label,
-                                   tuple((factor * c, p) for c, p in self.terms),
-                                   self.locality, self.L)
-
     def sector_matrix(self, basis: SectorBasis) -> np.ndarray:
         """Dense Hermitian sector matrix <s|op|s'>, scattered from :func:`sector_entries`."""
         if basis.L != self.L:
@@ -88,13 +84,10 @@ class SymmetrizedOperator:
         return require_hermitian(mat)
 
     def dense_matrix(self) -> np.ndarray:
-        """Full 2^L matrix; test-scale only."""
-        d = 1 << self.L
-        mat = np.zeros((d, d), dtype=complex)
+        """Full 2^L matrix, the weighted sum of :func:`pauli.dense_matrix`; test-scale only."""
+        mat = np.zeros((1 << self.L, 1 << self.L), dtype=complex)
         for c, p in self.terms:
-            cols = np.arange(d, dtype=np.int64)
-            rows, coeffs = pauli.apply_to_basis_indices(p, cols)
-            mat[rows, cols] += c * coeffs
+            mat += c * pauli.dense_matrix(p)
         return mat
 
     def __repr__(self):
@@ -118,27 +111,47 @@ def enumerate_window_paulis(L: int, k: int) -> list[PauliString]:
     return out
 
 
+def _translates(x: int, z: int, L: int) -> Counter:
+    """Mask counts of the L translates of string (x, z); each is L / its period."""
+    return Counter((pauli.rotate_bits(x, shift, L), pauli.rotate_bits(z, shift, L))
+                   for shift in range(L))
+
+
+def translation_sum(label: str, words, locality: int, L: int) -> SymmetrizedOperator:
+    """sum_j c_j sum_l T^l(w_j) for ``words = [(c_j, "ZZ"), ...]``.
+
+    The letters of each word sit on sites 0, 1, ...; T translates by one site.
+    A word that equals some of its own translates is counted once per
+    translate, as a sum over sites would count it (Z0 Z1 twice at L=2).
+    """
+    terms = []
+    for coeff, word in words:
+        p = pauli.make_pauli(enumerate(word), L)
+        terms += [(coeff * count, PauliString(x, z, L))
+                  for (x, z), count in _translates(p.x_mask, p.z_mask, L).items()]
+    return SymmetrizedOperator(label, tuple(terms), locality, L)
+
+
 def _dihedral_orbit(p: PauliString) -> tuple[Counter, bool]:
     """Mask counts of p's translates and, when p's reflection is not one of
-    them, of the reflection's translates; and whether it is one of them.
-
-    Each mask's count is L / (its translation period).
-    """
+    them, of the reflection's translates; and whether it is one of them."""
     L = p.n_sites
+    orbit = _translates(p.x_mask, p.z_mask, L)
     reflected = (pauli.reflect_bits(p.x_mask, L), pauli.reflect_bits(p.z_mask, L))
-    images = [(pauli.rotate_bits(x, shift, L), pauli.rotate_bits(z, shift, L))
-              for x, z in ((p.x_mask, p.z_mask), reflected) for shift in range(L)]
-    symmetric = reflected in images[:L]
-    return Counter(images[:L] if symmetric else images), symmetric
+    symmetric = reflected in orbit
+    if not symmetric:
+        orbit.update(_translates(*reflected, L))
+    return orbit, symmetric
 
 
 def _orbit_operator(label, orbit, locality, L):
-    terms = [(float(mult), PauliString(x, z, L)) for (x, z), mult in orbit.items()]
-    op = SymmetrizedOperator(label, tuple(terms), locality, L)
+    """The orbit's strings weighted by their counts, scaled to norm_sq L * 2^L."""
     target = float(L * (1 << L))
-    if abs(op.norm_sq - target) > 1e-9 * target:
-        op = op.scaled(np.sqrt(target / op.norm_sq), label)
-    return op
+    # integer counts: the sum is exact, so it equals norm_sq's float sum in any order
+    norm_sq = float(1 << L) * sum(count * count for count in orbit.values())
+    scale = np.sqrt(target / norm_sq) if abs(norm_sq - target) > 1e-9 * target else 1.0
+    terms = tuple((scale * count, PauliString(x, z, L)) for (x, z), count in orbit.items())
+    return SymmetrizedOperator(label, terms, locality, L)
 
 
 def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
@@ -164,15 +177,7 @@ def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
 
 def sum_x(L: int) -> SymmetrizedOperator:
     """sum_l sigma^x_l, the gradient-unlocking perturbation generator."""
-    terms = [(1.0, pauli.make_pauli([(l, "X")], L)) for l in range(L)]
-    return SymmetrizedOperator("sum X", tuple(terms), 1, L)
-
-
-def _chain_sum(L, builder):
-    terms = []
-    for l in range(L):
-        terms.extend(builder(l))
-    return terms
+    return translation_sum("sum X", [(1.0, "X")], 1, L)
 
 
 def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
@@ -182,31 +187,16 @@ def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
     element has Frobenius norm at most sqrt(2 L 2^L).
     """
     J, h_i, h_n, g_i, g_n = 1.0, 0.0, 0.9045, 0.5, 0.809
-
-    def zz(l):
-        return [(J, pauli.make_pauli([(l, "Z"), ((l + 1) % L, "Z")], L))]
-
-    def two_site(a, b):
-        def build(l):
-            return [(1.0, pauli.make_pauli([(l, a), ((l + 1) % L, b)], L)),
-                    (1.0, pauli.make_pauli([(l, b), ((l + 1) % L, a)], L))]
-        return build
-
-    def single(axis, coeff):
-        def build(l):
-            return [(coeff, pauli.make_pauli([(l, axis)], L))]
-        return build
-
-    specs = [
-        ("zz + hI z", _chain_sum(L, zz) + _chain_sum(L, single("Z", h_i))),
-        ("zz + hN z", _chain_sum(L, zz) + _chain_sum(L, single("Z", h_n))),
-        ("xy + yx", _chain_sum(L, two_site("X", "Y"))),
-        ("yz + zy", _chain_sum(L, two_site("Y", "Z"))),
-        ("gI x", _chain_sum(L, single("X", g_i))),
-        ("gN x", _chain_sum(L, single("X", g_n))),
-        ("y", _chain_sum(L, single("Y", 1.0))),
+    table = [
+        ("zz + hI z", [(J, "ZZ"), (h_i, "Z")]),
+        ("zz + hN z", [(J, "ZZ"), (h_n, "Z")]),
+        ("xy + yx", [(1.0, "XY"), (1.0, "YX")]),
+        ("yz + zy", [(1.0, "YZ"), (1.0, "ZY")]),
+        ("gI x", [(g_i, "X")]),
+        ("gN x", [(g_n, "X")]),
+        ("y", [(1.0, "Y")]),
     ]
-    ops = [SymmetrizedOperator(label, tuple(terms), 2, L) for label, terms in specs]
+    ops = [translation_sum(label, words, 2, L) for label, words in table]
     bound = 2.0 * L * (1 << L)
     for op in ops:
         if op.norm_sq > bound * (1 + 1e-12):

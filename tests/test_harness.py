@@ -351,6 +351,7 @@ BAD_NUMBERS = {
     "sample_every_fractional": {"mode": "optimize", "k": 2, "sample_every": 2.5},
     "action_fractional": {"mode": "discrete", "actions": [1.5]},
     "L_above_sector_cap": {"mode": "optimize", "k": 2, "L": 22, "long_run": True},
+    "discrete_L2": {"preset": "nonintegrable", "mode": "discrete", "L": 2, "actions": [0, 1]},
 }
 
 

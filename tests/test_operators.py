@@ -10,7 +10,7 @@ from eigenwork.model import PRESETS, IsingParams, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
-                                 sum_x, symbolic_gram)
+                                 sum_x, symbolic_gram, translation_sum)
 from eigenwork.sector import (build_sector_basis, manifest_checksum, sector_manifest,
                               sector_triplets)
 
@@ -298,6 +298,19 @@ FROZEN_MANIFESTS = {
     "ising_nonintegrable_L6": (
         lambda: operator_manifest([build_ising(IsingParams(*PRESETS["nonintegrable"], 6))], 6),
         "7bfbb36e4a989621ecfe13305288a27cd4cb55ed7dfe14a5b7eedc22787fb6b6"),
+    "discrete_L12": (lambda: operator_manifest(discrete_action_set(12), 12),
+                     "7e8a11eb46688a365bbbc993acfed3080cdd88c7276fdb172dfe4ce54a2de2ab"),
+    "sum_x_L14": (lambda: operator_manifest([sum_x(14)], 14),
+                  "940bad13239f23574eb7489d9cc615c993fc93d813aad00340293463c5ec0f0f"),
+    "ising_integrable_L14": (
+        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["integrable"], 14))], 14),
+        "0113a2f3b25d94fe94fabfcdbf861ce0cbab0d6428815709e59437001dd2e7d4"),
+    "ising_nonintegrable_L14": (
+        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["nonintegrable"], 14))], 14),
+        "f02f380e00f26756d295efeb271455a68cfab674852b914167d8c2606b399969"),
+    "quench_target_L14": (  # the quench_L14 benchmark's target
+        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["quench-target"], 14))], 14),
+        "e115245e1344a61b8de7bbad9ecf241d3ed2005aafa47944b4fcc08fd2daf487"),
     "sector_L4": (lambda: sector_manifest(build_sector_basis(4)),
                   "ef0812f403a67b70fdc87bc01ff80f4d72acc54c2488f33cc5330be57efa1d4b"),
     "sector_L12": (lambda: sector_manifest(build_sector_basis(12)),
@@ -314,6 +327,17 @@ def test_manifest_bytes_frozen(case):
     wide-window orbits and (6, 2) has +R pairs."""
     build, digest = FROZEN_MANIFESTS[case]
     assert manifest_checksum(build()) == digest
+
+
+@pytest.mark.parametrize("L", range(2, 13, 2))
+@pytest.mark.parametrize("word", ["ZZ", "XY", "YX", "YZ", "ZY", "Z", "X", "Y"])
+def test_translation_sum_matches_site_loop(L, word):
+    """Same terms as the sum over sites, doubled where a word is its own translate."""
+    expected = {}
+    for l in range(L):
+        p = pauli.make_pauli([((l + i) % L, a) for i, a in enumerate(word)], L)
+        expected[(p.x_mask, p.z_mask)] = expected.get((p.x_mask, p.z_mask), 0.0) + 1.0
+    assert term_dict(translation_sum(word, [(1.0, word)], len(word), L)) == expected
 
 
 def test_sum_x_generator():

@@ -109,7 +109,8 @@ def test_Y_vanishes_for_unkicked_eigenstates(shell_setup_L8):
 def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
     """[H, Q] = 0 when Q is proportional to the measured Hamiltonian."""
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    aligned = OperatorStack([H_op.scaled(1 / np.sqrt(H_op.norm_sq), "aligned")], basis)
+    unit = tuple((c / np.sqrt(H_op.norm_sq), p) for c, p in H_op.terms)
+    aligned = OperatorStack([SymmetrizedOperator("aligned", unit, 2, L)], basis)
     states = kick_unitary(kick, 0.05, batch.states)
     w = work_density(states, batch.origin_energies, H, L)
     Y = compute_Y(states, H @ states, aligned, reward_grad(w, P), L)

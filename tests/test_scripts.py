@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eigenwork import cli
 from eigenwork.observables import FIG4_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,8 +38,8 @@ def test_fig3_dt_check_then_threshold_sweep(tmp_path):
     runs = sorted(glob.glob(os.path.join(out, "local", "*", "")))
     assert len(runs) == 2
     table = tmp_path / "thresholds.csv"
-    run_script("run_threshold_sweep.py", *runs, "--eps", "0.10", "0.15",
-               "-o", str(table))
+    assert cli.main(["sweep-threshold", "--runs", *runs, "--eps", "0.10,0.15",
+                     "-o", str(table)]) == 0
     with open(table) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
