@@ -98,8 +98,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("L", "k", "sample_every"):
             value = getattr(self, name)
-            if not (value is None and name == "k" or isinstance(value, numbers.Integral)):
+            if not (value is None and name == "k" or isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.long_run, bool):
+            raise ConfigError(f"long_run must be true or false, got {self.long_run!r}")
+        if not isinstance(self.outdir, str):
+            raise ConfigError(f"outdir must be a string, got {self.outdir!r}")
         if not L_MIN <= self.L <= L_MAX:
             raise ConfigError(f"L={self.L} outside the supported range [{L_MIN}, {L_MAX}]")
         if self.L % 2:

@@ -4,9 +4,11 @@ Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
 from an OperatorStack, to the batch of states. Every exponential is one
 truncated Taylor series with an a priori truncation bound, applied to the
 batch columns with no unitary formed; only a row held over consecutive steps
-is turned once into a dense unitary, by the same series applied to the
-identity, and reused. Batches are never renormalized: column-norm drift is a
-monitored health signal, not something to hide.
+is turned once into a dense unitary U, by the same series applied to the
+identity, and each run of that row up to the next sample is one product with
+a cached power of U. Norms are checked after every product applied. Batches
+are never renormalized: column-norm drift is a monitored health signal, not
+something to hide.
 """
 
 from __future__ import annotations
@@ -194,10 +196,11 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     before its step, into the preallocated ``protocol.gamma``. The
     ``observer(step, t, states)`` then sees the same read-only states at each
     sample step; step 0 follows the kick, where the protocol clock starts.
-    Norms are checked after every step. A row is one :func:`expm_step` on the
-    states, but a run of identical consecutive rows of a fixed protocol builds
-    one :func:`step_unitary`, the same series on the identity, and reuses it;
-    controller rows are never cached.
+    A row is one :func:`expm_step` on the states. A row of a fixed protocol
+    held over consecutive steps builds one :func:`step_unitary` U, the same
+    series on the identity, and each of its runs up to the next sample step
+    (or to the row's end) is one product with U^r, cached by the run length r;
+    controller rows are never merged. Norms are checked after every product.
     """
     if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
@@ -210,28 +213,34 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     if protocol.kick_duration > 0.0:
         out.states = kick_unitary(kick_matrix, protocol.kick_duration, out.states)
 
-    n_steps, gamma = protocol.n_steps, protocol.gamma
-    samples = set(range(n_steps + 1)) if sample_steps is None else set(sample_steps)
+    n_steps, gamma, dt = protocol.n_steps, protocol.gamma, protocol.dt
+    samples = (set() if observer is None else
+               set(range(n_steps + 1) if sample_steps is None else sample_steps))
     # Distinct keys for controller rows, whose successors are not known yet.
     keys = [*range(n_steps)] if controller else [row.tobytes() for row in gamma]
     keys.append(None)
-    cached_key = U = None
-    for n in range(n_steps + 1):
-        states = out.states.view()  # steps replace out.states, never write it
+    held = powers = None  # the held row's key and its unitary's powers by exponent
+    n = 0
+    while True:
+        states = out.states.view()  # products replace out.states, never write it
         states.setflags(write=False)
         if controller and n < n_steps:
             gamma[n] = controller(n, states)
-        if observer and n in samples:
-            observer(n, n * protocol.dt, states)
+        if n in samples:
+            observer(n, n * dt, states)
         if n == n_steps:
             return out
-        key = keys[n]
-        if key != cached_key:
-            H = stack.assemble(gamma[n])
-            if key == keys[n + 1]:
-                U, cached_key = step_unitary(H, protocol.dt), key
-        if key == cached_key:
-            out.states = U @ out.states
+        key, run = keys[n], 1
+        if key == held or key == keys[n + 1]:
+            if key != held:
+                held, powers = key, None  # the last row's powers go before U is built
+                powers = {1: step_unitary(stack.assemble(gamma[n]), dt)}
+            while keys[n + run] == key and n + run not in samples:
+                run += 1
+            if run not in powers:
+                powers[run] = np.linalg.matrix_power(powers[1], run)
+            out.states = powers[run] @ out.states
         else:
-            out.states = expm_step(H, protocol.dt, out.states)
+            out.states = expm_step(stack.assemble(gamma[n]), dt, out.states)
         out.check_norms()
+        n += run

@@ -150,6 +150,21 @@ def test_replay_matches_archive(small_run):
     assert result["max_w_deviation"] <= 1e-9
 
 
+ARCHIVED_QUENCH = Path(__file__).parent / "data" / "quench_nonintegrable_L8"
+
+
+def test_archived_quench_still_replays():
+    """A nonintegrable L=8 quench archived by the stepping loop that applied a
+    held row's unitary once per step still reads, and replays within 1e-9."""
+    summary, traj = runner.load_run(ARCHIVED_QUENCH)
+    assert (summary["format"], summary["mode"], summary["L"]) == ("eigenwork-run-v1", "quench", 8)
+    assert traj.steps == list(range(0, 501, 10))
+    assert traj.dpos == [0] * 51
+    result = runner.replay(ARCHIVED_QUENCH)
+    assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
+    assert result["n_states"] == summary["shell"]["size"] == 2
+
+
 def test_config_to_output_determinism(tmp_path):
     dirs = []
     for name in ("a", "b"):
@@ -352,13 +367,17 @@ BAD_NUMBERS = {
     "action_fractional": {"mode": "discrete", "actions": [1.5]},
     "L_above_sector_cap": {"mode": "optimize", "k": 2, "L": 22, "long_run": True},
     "discrete_L2": {"preset": "nonintegrable", "mode": "discrete", "L": 2, "actions": [0, 1]},
+    "k_bool": {"mode": "optimize", "k": True},
+    "sample_every_bool": {"mode": "optimize", "k": 2, "sample_every": True},
+    "long_run_string": {"mode": "optimize", "k": 2, "L": 16, "long_run": "false"},
+    "outdir_number": {"mode": "optimize", "k": 2, "outdir": 5},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_cli_bad_number_is_config_error(tmp_path, case):
-    """Model numbers must be finite, counts integers and L within the sector range,
-    else exit 2 and no run."""
+    """Model numbers must be finite, counts integers (not booleans), L within the
+    sector range, long_run a boolean and outdir a string, else exit 2 and no run."""
     data = {"preset": "integrable", "L": 8, "duration": 0.02,
             "outdir": str(tmp_path / "run"), **BAD_NUMBERS[case]}
     cfg_path = tmp_path / "cfg.json"

@@ -206,6 +206,45 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
     assert_allclose(out.states, exact, rtol=0, atol=1e-12)
 
 
+def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
+    """A row held for 23 steps sampled at 0, 10, 20, 23: one unitary, runs 10, 10, 3."""
+    basis, ops, stack, eig = setup_L6
+    row = rng.normal(size=stack.n_ops) * 0.4
+    dt, sample_steps = 0.01, [0, 10, 20, 23]
+    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
+    built, powers, seen = [], [], []
+    monkeypatch.setattr(propagate, "step_unitary",
+                        lambda H, dt: built.append(dt) or step_unitary(H, dt))
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda U, r: powers.append(r) or matrix_power(U, r))
+
+    def observer(step, t, states):
+        assert not states.flags.writeable
+        seen.append((step, t, states.copy()))
+
+    evolve(batch, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1))), stack,
+           observer=observer, sample_steps=sample_steps)
+    assert built == [dt]
+    assert powers == [10, 3]
+    assert [(n, t) for n, t, _ in seen] == [(n, n * dt) for n in sample_steps]
+    H = stack.assemble(row)
+    for n, _, states in seen:
+        assert_allclose(states, scipy.linalg.expm(-1j * n * dt * H) @ batch.states,
+                        rtol=0, atol=1e-12)
+
+
+def test_held_row_runs_keep_the_norm_check(setup_L6, monkeypatch):
+    """A merged run of a slightly non-unitary step still fails the norm check."""
+    basis, ops, stack, eig = setup_L6
+    batch = StateBatch(eig.states[:, :2], eig.energies[:2])
+    monkeypatch.setattr(propagate, "step_unitary", lambda H, dt: 1.0001 * step_unitary(H, dt))
+    gamma = np.ones((20, stack.n_ops)) * 0.3
+    with pytest.raises(NumericalConsistencyError):
+        evolve(batch, ControlProtocol(dt=0.01, gamma=gamma), stack,
+               observer=lambda *args: None, sample_steps=[0, 10, 20])
+
+
 def test_quench_never_calls_the_eigensolver(monkeypatch):
     """A held row's dense unitary comes from the Taylor series, not from eigh."""
     config = ExperimentConfig.from_dict({"L": 8, "preset": "nonintegrable", "mode": "quench"})
