@@ -41,6 +41,12 @@ def read_config(path) -> dict:
     return data
 
 
+def _finite_real(value) -> bool:
+    """A finite real number; a JSON true/false is a bool, not a number."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class RewardParams:
     a: float = 30.0
@@ -50,7 +56,7 @@ class RewardParams:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not _finite_real(value):
                 raise ConfigError(f"reward {name} must be a finite number, got {value!r}")
         if not self.a > 0:
             raise ConfigError("sigmoid sharpness must be positive")
@@ -92,9 +98,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("h", "g", "quench_h", "quench_g", "dpos_epsilon"):
+        required = ("h", "g", "shell_lo", "shell_hi")
+        for name in required + ("quench_h", "quench_g", "dpos_epsilon", "dt", "duration",
+                                "kick_duration"):
             value = getattr(self, name)
-            if not (value is None or isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not (_finite_real(value) or value is None and name not in required):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("L", "k", "sample_every"):
             value = getattr(self, name)
@@ -127,7 +135,8 @@ class ExperimentConfig:
                                   "set's two-site words are their own translates")
             if not self.actions:
                 raise ConfigError("discrete mode needs an action sequence")
-            if any(not (isinstance(a, numbers.Integral) and 0 <= a < 7) for a in self.actions):
+            if any(not (isinstance(a, numbers.Integral) and not isinstance(a, bool)
+                        and 0 <= a < 7) for a in self.actions):
                 raise ConfigError("action indices must be integers in [0, 7)")
             self.duration = len(self.actions) * self.dt
         elif self.duration is None:

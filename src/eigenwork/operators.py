@@ -25,6 +25,7 @@ its operators as two real column-major matrices instead of one complex one.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,7 +34,8 @@ import scipy.sparse
 
 from . import pauli
 from .pauli import PauliString, window_span
-from .sector import SectorBasis, manifest_checksum, require_hermitian, sector_entries
+from .sector import (HERMITICITY_TOL, NumericalConsistencyError, SectorBasis,
+                     manifest_checksum, require_hermitian, sector_entries)
 
 
 def _combine_terms(raw_terms, L, tol=1e-14):
@@ -233,12 +235,19 @@ def symbolic_gram(ops, L: int) -> np.ndarray:
     return float(1 << L) * (coef @ coef.T).toarray()
 
 
-def _csc(columns, shape) -> scipy.sparse.csc_matrix:
-    """CSC matrix from one (row indices, values) pair per column."""
-    indptr = np.cumsum([0] + [len(rows) for rows, _ in columns])
-    rows = np.concatenate([rows for rows, _ in columns])
-    values = np.concatenate([values for _, values in columns])
-    return scipy.sparse.csc_matrix((values, rows, indptr), shape=shape)
+def _asymmetry(flat, values, combine, mirror, dim) -> float:
+    """max |combine(M[r,c], M[c,r])| over the entries (flat, values) of a real matrix M.
+
+    ``mirror`` is a zeroed dim*dim scratch, zeroed again on return, so the
+    cost is O(len(flat)); an entry whose transpose is missing counts as its
+    modulus.
+    """
+    if not len(flat):  # the column lies wholly in the other part
+        return 0.0
+    mirror[flat] = values
+    transposed = mirror[flat * dim - flat // dim * (dim * dim - 1)]  # col * dim + row
+    mirror[flat] = 0
+    return float(np.abs(combine(values, transposed)).max(initial=0.0))
 
 
 class OperatorStack:
@@ -259,6 +268,17 @@ class OperatorStack:
     same order as the complex products with A + iB, bit for bit. The exact
     full-space Frobenius norm of any coefficient combination is kept as a
     test oracle.
+
+    Hermiticity is proven here, once per column, and not per step. The
+    constructor measures ``dev[i] = max |Q_i[r,c] - conj Q_i[c,r]|`` (as
+    the hypot of the real part's and the imaginary part's largest deviation,
+    which is exact for a column wholly in A or in B and an upper bound
+    otherwise) and rejects a column above ``HERMITICITY_TOL * max(1, max
+    |Q_i|)``. The sum_i gamma_i Q_i of the stored entries then satisfies
+    max |H - H^dag| <= sum_i |gamma_i| dev[i], and :meth:`assemble` rejects a
+    row whose bound exceeds 1e-12 * max(1, max |H|); the assembled H differs
+    from that sum only by the rounding of its sparse products. This is the
+    Hermiticity that :func:`propagate.expm_step` takes as a precondition.
     """
 
     def __init__(self, ops, basis: SectorBasis):
@@ -270,26 +290,60 @@ class OperatorStack:
         self.checksum = manifest_checksum(self.manifest)
 
         shape = (self.dim * self.dim, self.n_ops)
-        # int32 row indices where they fit, as scipy picks; cast per column, not at the end
+        # int32 row indices where they fit, as scipy picks
         index = np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64
-        parts = ([], [])  # one (rows, values) column per operator, for A and for B
-        for op in self.ops:
+        # A column has at most its triplet count of entries; pages of the
+        # preallocated arrays that no entry reaches are never touched.
+        capacity = sum(len(op.terms) for op in self.ops) * self.dim
+        parts = [(np.empty(capacity, index), np.empty(capacity), np.zeros(self.n_ops + 1, np.int64))
+                 for _ in range(2)]  # (rows, values, indptr) of A and of B
+        mirror = np.zeros(shape[0])  # one part of one column at a time
+        self.dev = np.empty(self.n_ops)
+        for i, op in enumerate(self.ops):
             flat, vals = sector_entries(op.terms, basis)
-            for columns, values in zip(parts, (vals.real, vals.imag)):
+            devs = []
+            # A symmetric, B antisymmetric: Q[r,c] - conj Q[c,r] = (A - A^T + i (B + B^T))[r,c]
+            for (rows, data, indptr), values, combine in zip(
+                    parts, (vals.real, vals.imag), (np.subtract, np.add)):
                 keep = values != 0
-                columns.append((flat[keep].astype(index), values[keep]))
-        self.real, self.imag = (_csc(columns, shape) for columns in parts)
+                kept, values = flat[keep], values[keep]
+                start, end = indptr[i], indptr[i] + len(kept)
+                rows[start:end] = kept
+                data[start:end] = values
+                indptr[i + 1] = end
+                devs.append(_asymmetry(kept, values, combine, mirror, self.dim))
+            self.dev[i] = dev = math.hypot(*devs)
+            if not (dev <= HERMITICITY_TOL or dev <= HERMITICITY_TOL * np.abs(vals).max()):
+                raise NumericalConsistencyError(
+                    f"operator {op.label!r} fails hermiticity check: "
+                    f"max |Q - Q^dag| = {dev:.3e}")
+        for rows, data, indptr in parts:
+            # shrink in place: scipy would copy a slice of a much larger buffer
+            rows.resize(indptr[-1], refcheck=False)
+            data.resize(indptr[-1], refcheck=False)
+        self.real, self.imag = (scipy.sparse.csc_matrix((data, rows, indptr), shape=shape)
+                                for rows, data, indptr in parts)
         # CSR views of the transposes share the arrays; taken once, not per gather.
         self._real_T, self._imag_T = self.real.T, self.imag.T
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
-        """Dense sector matrix of sum_i gamma_i Q_i."""
+        """Dense sector matrix of sum_i gamma_i Q_i, certified Hermitian.
+
+        Rejects a non-finite row, and a row whose bound sum_i |gamma_i| dev[i]
+        exceeds 1e-12 * max(1, m), m = max(max |Re H|, max |Im H|) <= max |H|.
+        """
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.n_ops,):
             raise ValueError("coefficient vector length mismatch")
+        if not np.isfinite(gamma).all():
+            raise NumericalConsistencyError("coefficient row has non-finite entries")
         H = np.empty((self.dim, self.dim), dtype=complex)
         H.real = (self.real @ gamma).reshape(self.dim, self.dim)
         H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
+        bound = float(np.abs(gamma) @ self.dev)
+        if bound > 1e-12 and bound > 1e-12 * max(np.abs(H.real).max(), np.abs(H.imag).max()):
+            raise NumericalConsistencyError(
+                f"assembled H fails hermiticity bound: sum |gamma_i| dev_i = {bound:.3e}")
         return H
 
     def gather_quadratic(self, K: np.ndarray) -> np.ndarray:

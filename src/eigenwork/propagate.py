@@ -9,6 +9,14 @@ identity, and each run of that row up to the next sample is one product with
 a cached power of U. Norms are checked after every product applied. Batches
 are never renormalized: column-norm drift is a monitored health signal, not
 something to hide.
+
+Every H exponentiated here must be Hermitian; the step does not re-check it.
+The OperatorStack checks each column once when it is built, and certifies
+each assembled row by the bound max |H - H^dag| <= sum_i |gamma_i| dev_i
+(up to the rounding of the assembly's sums), which it requires to be at most
+1e-12 * max(1, max |H|). Fixed matrices such as the kick generator are
+checked by :meth:`SymmetrizedOperator.sector_matrix`. Each step still checks
+that H is finite, and :func:`step_unitary` checks the unitarity of U.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorStack
-from .sector import NumericalConsistencyError, require_hermitian
+from .sector import NumericalConsistencyError
 
 NORM_DRIFT_TOL = 1e-8
 # Taylor step: substep bound on |dt| ||H||_1, truncation tolerance (the unit
@@ -145,18 +153,18 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
     """exp(-i dt H) @ states for Hermitian H, by a truncated Taylor series.
 
-    H must be finite and Hermitian. The term count is fixed a priori from
-    ||H||_1, the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed,
-    so the cost is a few (dim x dim) @ (dim x M) products.
+    Hermiticity is a precondition, not checked here: it is certified where H
+    is built, by :meth:`SymmetrizedOperator.sector_matrix` for fixed
+    matrices and by :class:`OperatorStack` (each column once, then the bound
+    sum_i |gamma_i| dev_i per assembled row) for step Hamiltonians. H must be
+    finite, which is checked. The term count is fixed a priori from ||H||_1,
+    the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci. Comput.
+    33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed, so the
+    cost is a few (dim x dim) @ (dim x M) products.
     """
-    abs_H = np.abs(H)
-    norm = float(abs_H.sum(axis=0).max(initial=0.0))
-    scale = float(abs_H.max(initial=1.0))
-    del abs_H  # freed before require_hermitian allocates: twice as fast at dim 224
+    norm = float(np.abs(H).sum(axis=0).max(initial=0.0))
     if not np.isfinite(norm):
         raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
-    require_hermitian(H, tol=1e-12 * scale)
     n_sub, n_terms = _taylor_plan(abs(dt) * norm)
     h = -1j * dt / n_sub
     out = np.array(states, dtype=complex)

@@ -371,13 +371,22 @@ BAD_NUMBERS = {
     "sample_every_bool": {"mode": "optimize", "k": 2, "sample_every": True},
     "long_run_string": {"mode": "optimize", "k": 2, "L": 16, "long_run": "false"},
     "outdir_number": {"mode": "optimize", "k": 2, "outdir": 5},
+    "h_bool": {"mode": "optimize", "k": 2, "h": True},
+    "dt_bool": {"mode": "quench", "dt": True, "duration": 1.0},
+    "duration_bool": {"mode": "quench", "dt": 0.5, "duration": True},
+    "kick_duration_bool": {"mode": "optimize", "k": 2, "kick_duration": True},
+    "dpos_epsilon_bool": {"mode": "optimize", "k": 2, "dpos_epsilon": True},
+    "reward_a_bool": {"mode": "optimize", "k": 2, "reward": {"a": True}},
+    "actions_bool": {"mode": "discrete", "actions": [True, False]},
+    "shell_hi_infinite": {"mode": "optimize", "k": 2, "shell_hi": INF},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_cli_bad_number_is_config_error(tmp_path, case):
-    """Model numbers must be finite, counts integers (not booleans), L within the
-    sector range, long_run a boolean and outdir a string, else exit 2 and no run."""
+    """Model numbers must be finite numbers and counts integers (neither a boolean),
+    L within the sector range, long_run a boolean and outdir a string, else exit
+    2 and no run."""
     data = {"preset": "integrable", "L": 8, "duration": 0.02,
             "outdir": str(tmp_path / "run"), **BAD_NUMBERS[case]}
     cfg_path = tmp_path / "cfg.json"

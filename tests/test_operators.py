@@ -5,14 +5,14 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork import pauli
+from eigenwork import operators, pauli
 from eigenwork.model import PRESETS, IsingParams, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
                                  sum_x, symbolic_gram, translation_sum)
-from eigenwork.sector import (build_sector_basis, manifest_checksum, sector_manifest,
-                              sector_triplets)
+from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
+                              manifest_checksum, sector_manifest, sector_triplets)
 
 
 def term_dict(op):
@@ -269,6 +269,99 @@ def test_stack_frobenius_matches_dense(rng):
     gamma = rng.normal(size=len(ops))
     dense = sum(g * op.dense_matrix() for g, op in zip(gamma, ops))
     assert abs(stack.frobenius_norm_sq(gamma) - np.linalg.norm(dense) ** 2) < 1e-9
+
+
+@STACK_CASES
+def test_stack_dev_is_each_columns_asymmetry(L, k):
+    """dev[i] is max |Q_i - Q_i^dag| of the sector matrix, to the bit."""
+    basis = build_sector_basis(L)
+    ops = stack_ops(L, k)
+    stack = OperatorStack(ops, basis)
+    for op, dev in zip(ops, stack.dev):
+        Q = op.sector_matrix(basis)
+        assert dev == np.abs(Q - Q.conj().T).max()
+
+
+def tamper_one_column(monkeypatch, edit):
+    """Route the stack's sector_entries through ``edit`` for operator 4 only,
+    whose first entry (row 0, column 1) is off the diagonal."""
+    entries, calls = operators.sector_entries, []
+
+    def patched(terms, basis):
+        flat, vals = entries(terms, basis)
+        calls.append(None)
+        return edit(flat, vals.copy()) if len(calls) == 5 else (flat, vals)
+    monkeypatch.setattr(operators, "sector_entries", patched)
+
+
+def scale_first(flat, vals, factor):
+    vals[0] *= factor
+    return flat, vals
+
+
+@pytest.mark.parametrize("edit", [
+    lambda flat, vals: scale_first(flat, vals, 1 + 1e-9),
+    lambda flat, vals: scale_first(flat, vals, 1j),
+    lambda flat, vals: (flat[1:], vals[1:]),  # an entry loses its transpose
+], ids=["scaled", "rotated", "dropped"])
+def test_stack_rejects_nonhermitian_column(monkeypatch, edit):
+    basis = build_sector_basis(6)
+    ops = build_basis(6, 2)
+    tamper_one_column(monkeypatch, edit)
+    with pytest.raises(NumericalConsistencyError, match="hermiticity"):
+        OperatorStack(ops, basis)
+
+
+def test_stack_keeps_rounding_level_asymmetry(monkeypatch):
+    """An asymmetry within HERMITICITY_TOL is kept, and counted in dev."""
+    basis = build_sector_basis(6)
+    ops = build_basis(6, 2)
+    clean = OperatorStack(ops, basis).dev
+    tamper_one_column(monkeypatch, lambda flat, vals: scale_first(flat, vals, 1 + 1e-14))
+    dev = OperatorStack(ops, basis).dev
+    assert dev[4] > clean[4] and np.array_equal(np.delete(dev, 4), np.delete(clean, 4))
+
+
+def test_assemble_rejects_tampered_dev(rng):
+    basis = build_sector_basis(6)
+    stack = OperatorStack(build_basis(6, 2), basis)
+    gamma = rng.normal(size=stack.n_ops)
+    stack.assemble(gamma)
+    stack.dev[3] = 1e-6
+    with pytest.raises(NumericalConsistencyError, match="hermiticity bound"):
+        stack.assemble(gamma)
+    gamma[3] = 0.0
+    stack.assemble(gamma)
+    stack.dev[3] = np.inf
+    with pytest.raises(NumericalConsistencyError):
+        stack.assemble(np.eye(stack.n_ops)[3])
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 10])
+@pytest.mark.parametrize("k", [2, 4])
+def test_certified_bound_covers_measured_asymmetry(rng, L, k):
+    """max |H - H^dag| <= sum_i |gamma_i| dev_i for random rows.
+
+    The bound is the one of the exact sum; the sum is measured in the
+    platform's extended precision and the float64 assembly against it, each
+    with the standard rounding bound 2 n eps max(|A| |gamma| + |B| |gamma|)
+    of its own precision.
+    """
+    basis = build_sector_basis(L)
+    stack = OperatorStack(build_basis(L, k), basis)
+    dim, n = basis.dim, stack.n_ops
+    parts = [np.abs(part).toarray() for part in (stack.real, stack.imag)]
+    for scale in (1e-3, 1.0, 1e3):
+        gamma = scale * rng.normal(size=n)
+        bound = np.abs(gamma) @ stack.dev
+        magnitude = max(sum(part @ np.abs(gamma) for part in parts))
+        H = stack.assemble(gamma)
+        assert np.abs(H - H.conj().T).max() <= bound + 2 * n * np.finfo(float).eps * magnitude
+        wide = gamma.astype(np.longdouble)
+        re, im = ((part.toarray().astype(np.longdouble) @ wide).reshape(dim, dim)
+                  for part in (stack.real, stack.imag))
+        asymmetry = np.sqrt(((re - re.T) ** 2 + (im + im.T) ** 2).max())
+        assert asymmetry <= bound + 2 * n * np.finfo(np.longdouble).eps * magnitude
 
 
 def test_manifest_checksum_distinguishes_bases():

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork import propagate, runner
+from eigenwork import operators, propagate, runner
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, sum_x
@@ -83,12 +83,19 @@ def test_taylor_step_zero_hamiltonian_returns_states_exactly(rng):
     assert np.array_equal(out, B) and out is not B
 
 
-def test_expm_rejects_nonhermitian():
+def test_expm_rejects_nonhermitian(monkeypatch):
+    """A non-Hermitian H never reaches expm_step: the constructors that build
+    every H it is given reject it, and step_unitary checks unitarity."""
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NumericalConsistencyError):
-        expm_step(H, 0.1, np.eye(2))
-    with pytest.raises(NumericalConsistencyError):
         step_unitary(H, 0.1)
+    basis = build_sector_basis(2)
+    monkeypatch.setattr(operators, "sector_entries",
+                        lambda terms, basis: (np.array([1]), np.array([1.0 + 0j])))
+    with pytest.raises(NumericalConsistencyError):
+        OperatorStack([sum_x(2)], basis)
+    with pytest.raises(NumericalConsistencyError):
+        sum_x(2).sector_matrix(basis)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
