@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .model import PRESETS, SHELL_DEFAULT
 from .sector import L_MAX, L_MIN
@@ -64,14 +64,6 @@ class RewardParams:
             raise ConfigError("penalty slope must be nonnegative")
         if not self.epsilon < self.delta:
             raise ConfigError("threshold epsilon must sit below the penalty knee delta")
-
-
-_REWARD_KEYS = {"a", "c", "epsilon", "delta"}
-_TOP_KEYS = {
-    "L", "h", "g", "preset", "shell_lo", "shell_hi", "mode", "k",
-    "quench_h", "quench_g", "actions", "reward", "dpos_epsilon",
-    "dt", "duration", "kick_duration", "sample_every", "outdir", "long_run",
-}
 
 
 @dataclass
@@ -176,7 +168,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        unknown = set(data) - _TOP_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)} - {"preset"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         preset = data.pop("preset", None)
@@ -190,9 +182,10 @@ class ExperimentConfig:
         if "h" not in data or "g" not in data or "L" not in data or "mode" not in data:
             raise ConfigError("config requires L, mode, and (h, g) or a preset")
         reward = data.pop("reward", {})
-        if not isinstance(reward, dict) or set(reward) - _REWARD_KEYS:
+        reward_keys = {f.name for f in fields(RewardParams)}
+        if not isinstance(reward, dict) or set(reward) - reward_keys:
             raise ConfigError(f"reward must be an object with keys among "
-                              f"{sorted(_REWARD_KEYS)}, got {reward!r}")
+                              f"{sorted(reward_keys)}, got {reward!r}")
         try:
             return cls(reward=RewardParams(**reward), **data)
         except TypeError as exc:

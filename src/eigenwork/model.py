@@ -40,7 +40,7 @@ class IsingParams:
 
 def build_ising(params: IsingParams) -> SymmetrizedOperator:
     label = f"ising(h={params.h}, g={params.g})"
-    return translation_sum(label, [(1.0, "ZZ"), (params.h, "Z"), (params.g, "X")], 2, params.L)
+    return translation_sum(label, [(1.0, "ZZ"), (params.h, "Z"), (params.g, "X")], params.L)
 
 
 @dataclass(eq=False)
@@ -60,7 +60,7 @@ def diagonalize(H: np.ndarray) -> EigenDecomposition:
     vectors still depend on the eigensolver, so run archives record the
     eigenvector checksum.
     """
-    require_hermitian(H, tol=1e-12 * max(1.0, float(np.abs(H).max())))
+    require_hermitian(H)
     energies, states = np.linalg.eigh(H)
     for j in range(states.shape[1]):
         col = states[:, j]

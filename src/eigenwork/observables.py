@@ -29,17 +29,19 @@ def work_density(states: np.ndarray, origin_energies: np.ndarray,
     """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column.
 
     A caller that already holds ``H_psi = H_target @ states`` passes it to
-    save the product.
+    save the product. The imaginary parts, rounding of order eps |H psi|,
+    must stay within 1e-10 * max(1, max_alpha |H psi_alpha|).
     """
     if states.shape[0] != H_target.shape[0]:
         raise ValueError("state and Hamiltonian dimensions differ")
     if H_psi is None:
         H_psi = H_target @ states
     expect = np.einsum("ia,ia->a", states.conj(), H_psi)
-    residue = float(np.abs(expect.imag).max()) if expect.size else 0.0
-    if not residue <= 1e-10:
+    residue = float(np.abs(expect.imag).max(initial=0.0))
+    scale = float(np.linalg.norm(H_psi, axis=0).max(initial=0.0))
+    if not residue <= 1e-10 * max(1.0, scale):
         raise NumericalConsistencyError(
-            f"energy expectation has imaginary part {residue:.3e}")
+            f"energy expectation has imaginary part {residue:.3e} at |H psi| {scale:.3e}")
     return (origin_energies - expect.real) / L
 
 

@@ -34,8 +34,8 @@ import scipy.sparse
 
 from . import pauli
 from .pauli import PauliString, window_span
-from .sector import (HERMITICITY_TOL, NumericalConsistencyError, SectorBasis,
-                     manifest_checksum, require_hermitian, sector_entries)
+from .sector import (NumericalConsistencyError, SectorBasis, check_hermiticity,
+                     manifest_checksum, sector_entries)
 
 
 def _combine_terms(raw_terms, L, tol=1e-14):
@@ -49,13 +49,47 @@ def _combine_terms(raw_terms, L, tol=1e-14):
     return tuple((float(c), p) for _, (c, p) in sorted(acc.items()) if abs(c) > tol)
 
 
+def _asymmetry(flat, values, combine, mirror, dim) -> float:
+    """max |combine(M[r,c], M[c,r])| over the entries (flat, values) of a real matrix M.
+
+    ``mirror`` is a zeroed dim*dim scratch, zeroed again on return, so the
+    cost is O(len(flat)); an entry whose transpose is missing counts as its
+    modulus, and a zero entry adds nothing its transpose's own term lacks.
+    """
+    if not values.any():  # the matrix lies wholly in the other part
+        return 0.0
+    mirror[flat] = values
+    transposed = mirror[flat * dim - flat // dim * (dim * dim - 1)]  # col * dim + row
+    mirror[flat] = 0
+    return float(np.abs(combine(values, transposed)).max(initial=0.0))
+
+
+def certified_entries(op, basis: SectorBasis, mirror=None):
+    """(flat, vals, dev): ``op``'s :func:`sector_entries` and their Hermiticity certificate.
+
+    dev = max |Q[r,c] - conj Q[c,r]| of the sector matrix Q, as the hypot of
+    its real and imaginary parts' deviations (exact when Q is wholly one of
+    them), checked by :func:`check_hermiticity` at scale max |Q|. A caller
+    certifying many operators passes one zeroed dim*dim ``mirror`` scratch.
+    """
+    flat, vals = sector_entries(op.terms, basis)
+    if mirror is None:
+        mirror = np.zeros(basis.dim * basis.dim)
+    # real part symmetric, imaginary part antisymmetric:
+    # Q[r,c] - conj Q[c,r] = (Re Q - Re Q^T + i (Im Q + Im Q^T))[r,c]
+    dev = math.hypot(_asymmetry(flat, vals.real, np.subtract, mirror, basis.dim),
+                     _asymmetry(flat, vals.imag, np.add, mirror, basis.dim))
+    check_hermiticity(dev, lambda: np.abs(vals).max(initial=0.0),
+                      f"operator {op.label!r} fails hermiticity check: max |Q - Q^dag|")
+    return flat, vals, dev
+
+
 @dataclass(eq=False)
 class SymmetrizedOperator:
     """Hermitian, translation+inversion symmetric weighted Pauli-string sum."""
 
     label: str
     terms: tuple
-    locality: int
     L: int
     norm_sq: float = field(init=False)
 
@@ -74,16 +108,16 @@ class SymmetrizedOperator:
         return True
 
     def sector_matrix(self, basis: SectorBasis) -> np.ndarray:
-        """Dense Hermitian sector matrix <s|op|s'>, scattered from :func:`sector_entries`."""
+        """Dense Hermitian sector matrix <s|op|s'>, scattered from :func:`certified_entries`."""
         if basis.L != self.L:
             raise ValueError("sector basis chain length mismatch")
         if not self.is_symmetric():
             raise ValueError(f"operator {self.label!r} is not "
                              "translation+inversion symmetric")
-        flat, vals = sector_entries(self.terms, basis)
+        flat, vals, _ = certified_entries(self, basis)
         mat = np.zeros((basis.dim, basis.dim), dtype=complex)
         mat.flat[flat] = vals
-        return require_hermitian(mat)
+        return mat
 
     def dense_matrix(self) -> np.ndarray:
         """Full 2^L matrix, the weighted sum of :func:`pauli.dense_matrix`; test-scale only."""
@@ -119,7 +153,7 @@ def _translates(x: int, z: int, L: int) -> Counter:
                    for shift in range(L))
 
 
-def translation_sum(label: str, words, locality: int, L: int) -> SymmetrizedOperator:
+def translation_sum(label: str, words, L: int) -> SymmetrizedOperator:
     """sum_j c_j sum_l T^l(w_j) for ``words = [(c_j, "ZZ"), ...]``.
 
     The letters of each word sit on sites 0, 1, ...; T translates by one site.
@@ -131,7 +165,7 @@ def translation_sum(label: str, words, locality: int, L: int) -> SymmetrizedOper
         p = pauli.make_pauli(enumerate(word), L)
         terms += [(coeff * count, PauliString(x, z, L))
                   for (x, z), count in _translates(p.x_mask, p.z_mask, L).items()]
-    return SymmetrizedOperator(label, tuple(terms), locality, L)
+    return SymmetrizedOperator(label, tuple(terms), L)
 
 
 def _dihedral_orbit(p: PauliString) -> tuple[Counter, bool]:
@@ -146,14 +180,14 @@ def _dihedral_orbit(p: PauliString) -> tuple[Counter, bool]:
     return orbit, symmetric
 
 
-def _orbit_operator(label, orbit, locality, L):
+def _orbit_operator(label, orbit, L):
     """The orbit's strings weighted by their counts, scaled to norm_sq L * 2^L."""
     target = float(L * (1 << L))
     # integer counts: the sum is exact, so it equals norm_sq's float sum in any order
     norm_sq = float(1 << L) * sum(count * count for count in orbit.values())
     scale = np.sqrt(target / norm_sq) if abs(norm_sq - target) > 1e-9 * target else 1.0
     terms = tuple((scale * count, PauliString(x, z, L)) for (x, z), count in orbit.items())
-    return SymmetrizedOperator(label, terms, locality, L)
+    return SymmetrizedOperator(label, terms, L)
 
 
 def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
@@ -161,8 +195,8 @@ def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
 
     One element per dihedral orbit of the window strings. The orbit's first
     generator gives its label (``+R`` marks a translation orbit summed with
-    its reflection) and its locality, the generator's window span. Elements
-    are sorted by locality, then by the orbit's smallest (x_mask, z_mask).
+    its reflection) and its sort key, the generator's window span. Elements
+    are sorted by that span, then by the orbit's smallest (x_mask, z_mask).
     """
     seen, found = set(), []
     for gen in enumerate_window_paulis(L, k):
@@ -174,12 +208,12 @@ def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
         label = pauli.to_text(gen).split(" @")[0] + ("" if symmetric else " +R")
         found.append((window_span(gen), key, label, orbit))
     found.sort(key=lambda f: f[:2])
-    return [_orbit_operator(label, orbit, span, L) for span, _, label, orbit in found]
+    return [_orbit_operator(label, orbit, L) for _, _, label, orbit in found]
 
 
 def sum_x(L: int) -> SymmetrizedOperator:
     """sum_l sigma^x_l, the gradient-unlocking perturbation generator."""
-    return translation_sum("sum X", [(1.0, "X")], 1, L)
+    return translation_sum("sum X", [(1.0, "X")], L)
 
 
 def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
@@ -198,7 +232,7 @@ def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
         ("gN x", [(g_n, "X")]),
         ("y", [(1.0, "Y")]),
     ]
-    ops = [translation_sum(label, words, 2, L) for label, words in table]
+    ops = [translation_sum(label, words, L) for label, words in table]
     bound = 2.0 * L * (1 << L)
     for op in ops:
         if op.norm_sq > bound * (1 + 1e-12):
@@ -235,21 +269,6 @@ def symbolic_gram(ops, L: int) -> np.ndarray:
     return float(1 << L) * (coef @ coef.T).toarray()
 
 
-def _asymmetry(flat, values, combine, mirror, dim) -> float:
-    """max |combine(M[r,c], M[c,r])| over the entries (flat, values) of a real matrix M.
-
-    ``mirror`` is a zeroed dim*dim scratch, zeroed again on return, so the
-    cost is O(len(flat)); an entry whose transpose is missing counts as its
-    modulus.
-    """
-    if not len(flat):  # the column lies wholly in the other part
-        return 0.0
-    mirror[flat] = values
-    transposed = mirror[flat * dim - flat // dim * (dim * dim - 1)]  # col * dim + row
-    mirror[flat] = 0
-    return float(np.abs(combine(values, transposed)).max(initial=0.0))
-
-
 class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
@@ -269,16 +288,16 @@ class OperatorStack:
     full-space Frobenius norm of any coefficient combination is kept as a
     test oracle.
 
-    Hermiticity is proven here, once per column, and not per step. The
-    constructor measures ``dev[i] = max |Q_i[r,c] - conj Q_i[c,r]|`` (as
-    the hypot of the real part's and the imaginary part's largest deviation,
-    which is exact for a column wholly in A or in B and an upper bound
-    otherwise) and rejects a column above ``HERMITICITY_TOL * max(1, max
-    |Q_i|)``. The sum_i gamma_i Q_i of the stored entries then satisfies
-    max |H - H^dag| <= sum_i |gamma_i| dev[i], and :meth:`assemble` rejects a
-    row whose bound exceeds 1e-12 * max(1, max |H|); the assembled H differs
-    from that sum only by the rounding of its sparse products. This is the
-    Hermiticity that :func:`propagate.expm_step` takes as a precondition.
+    Hermiticity is proven once per column, and not per step: each column
+    comes from :func:`certified_entries`, the path that
+    :meth:`SymmetrizedOperator.sector_matrix` takes too, and keeps its
+    certificate ``dev[i] = max |Q_i[r,c] - conj Q_i[c,r]|``. The sum_i
+    gamma_i Q_i of the stored entries then satisfies max |H - H^dag| <=
+    sum_i |gamma_i| dev[i], and :meth:`assemble` checks that bound by
+    :func:`sector.check_hermiticity` at H's scale; the assembled H
+    differs from that sum only by the rounding of its sparse products. This
+    is the Hermiticity that :func:`propagate.expm_step` takes as a
+    precondition.
     """
 
     def __init__(self, ops, basis: SectorBasis):
@@ -297,26 +316,16 @@ class OperatorStack:
         capacity = sum(len(op.terms) for op in self.ops) * self.dim
         parts = [(np.empty(capacity, index), np.empty(capacity), np.zeros(self.n_ops + 1, np.int64))
                  for _ in range(2)]  # (rows, values, indptr) of A and of B
-        mirror = np.zeros(shape[0])  # one part of one column at a time
+        mirror = np.zeros(shape[0])  # the certificate's scratch, shared by the columns
         self.dev = np.empty(self.n_ops)
         for i, op in enumerate(self.ops):
-            flat, vals = sector_entries(op.terms, basis)
-            devs = []
-            # A symmetric, B antisymmetric: Q[r,c] - conj Q[c,r] = (A - A^T + i (B + B^T))[r,c]
-            for (rows, data, indptr), values, combine in zip(
-                    parts, (vals.real, vals.imag), (np.subtract, np.add)):
+            flat, vals, self.dev[i] = certified_entries(op, basis, mirror)
+            for (rows, data, indptr), values in zip(parts, (vals.real, vals.imag)):
                 keep = values != 0
-                kept, values = flat[keep], values[keep]
-                start, end = indptr[i], indptr[i] + len(kept)
-                rows[start:end] = kept
-                data[start:end] = values
+                start, end = indptr[i], indptr[i] + np.count_nonzero(keep)
+                rows[start:end] = flat[keep]
+                data[start:end] = values[keep]
                 indptr[i + 1] = end
-                devs.append(_asymmetry(kept, values, combine, mirror, self.dim))
-            self.dev[i] = dev = math.hypot(*devs)
-            if not (dev <= HERMITICITY_TOL or dev <= HERMITICITY_TOL * np.abs(vals).max()):
-                raise NumericalConsistencyError(
-                    f"operator {op.label!r} fails hermiticity check: "
-                    f"max |Q - Q^dag| = {dev:.3e}")
         for rows, data, indptr in parts:
             # shrink in place: scipy would copy a slice of a much larger buffer
             rows.resize(indptr[-1], refcheck=False)
@@ -330,7 +339,8 @@ class OperatorStack:
         """Dense sector matrix of sum_i gamma_i Q_i, certified Hermitian.
 
         Rejects a non-finite row, and a row whose bound sum_i |gamma_i| dev[i]
-        exceeds 1e-12 * max(1, m), m = max(max |Re H|, max |Im H|) <= max |H|.
+        fails :func:`check_hermiticity` at scale m = max(max |Re H|, max |Im
+        H|) <= max |H|.
         """
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.n_ops,):
@@ -340,10 +350,9 @@ class OperatorStack:
         H = np.empty((self.dim, self.dim), dtype=complex)
         H.real = (self.real @ gamma).reshape(self.dim, self.dim)
         H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
-        bound = float(np.abs(gamma) @ self.dev)
-        if bound > 1e-12 and bound > 1e-12 * max(np.abs(H.real).max(), np.abs(H.imag).max()):
-            raise NumericalConsistencyError(
-                f"assembled H fails hermiticity bound: sum |gamma_i| dev_i = {bound:.3e}")
+        check_hermiticity(float(np.abs(gamma) @ self.dev),
+                          lambda: max(np.abs(H.real).max(), np.abs(H.imag).max()),
+                          "assembled H fails hermiticity bound: sum |gamma_i| dev_i")
         return H
 
     def gather_quadratic(self, K: np.ndarray) -> np.ndarray:

@@ -24,18 +24,24 @@ from .propagate import expm_step, kick_unitary  # noqa: F401  wrapped by bench/w
 from .sector import NumericalConsistencyError
 
 
+def _sigmoid(w: np.ndarray, p: RewardParams) -> np.ndarray:
+    """1 / (1 + exp(-a (w - epsilon))); far below epsilon exp overflows to
+    inf, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-p.a * (w - p.epsilon)))
+
+
 def reward(w: np.ndarray, p: RewardParams) -> float:
     """Shell sum of sigmoid(w - epsilon) plus sub-knee linear penalty."""
     w = np.asarray(w, dtype=float)
-    sig = 1.0 / (1.0 + np.exp(-p.a * (w - p.epsilon)))
     # theta(0) = 0: the penalty is inactive exactly at the knee.
     penalty = p.c * (w - p.delta) * (w < p.delta)
-    return float(np.sum(sig + penalty))
+    return float(np.sum(_sigmoid(w, p) + penalty))
 
 
 def reward_grad(w: np.ndarray, p: RewardParams) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    sig = 1.0 / (1.0 + np.exp(-p.a * (w - p.epsilon)))
+    sig = _sigmoid(w, p)
     return p.a * sig * (1.0 - sig) + p.c * (w < p.delta)
 
 

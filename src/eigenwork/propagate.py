@@ -11,12 +11,13 @@ are never renormalized: column-norm drift is a monitored health signal, not
 something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
-The OperatorStack checks each column once when it is built, and certifies
-each assembled row by the bound max |H - H^dag| <= sum_i |gamma_i| dev_i
-(up to the rounding of the assembly's sums), which it requires to be at most
-1e-12 * max(1, max |H|). Fixed matrices such as the kick generator are
-checked by :meth:`SymmetrizedOperator.sector_matrix`. Each step still checks
-that H is finite, and :func:`step_unitary` checks the unitarity of U.
+Every sector matrix, a stack column or a fixed matrix such as the kick
+generator, comes from :func:`operators.certified_entries`, which checks it
+once when it is formed. The OperatorStack certifies each assembled row by the
+bound max |H - H^dag| <= sum_i |gamma_i| dev_i (up to the rounding of the
+assembly's sums), which :func:`sector.check_hermiticity` checks at H's
+scale. Each step still checks that H is finite, and
+:func:`step_unitary` checks the unitarity of U.
 """
 
 from __future__ import annotations

@@ -5,14 +5,16 @@ states: |s> = |orbit|^{-1/2} sum_{n in orbit} |n>. For the k=0, R=+1 sector
 every orbit survives (all group characters are +1), so the sector dimension
 equals the number of binary bracelets of length L.
 
-Sector matrices are plain complex ndarrays, validated Hermitian on
-construction. All dynamics run in sector coordinates; the full 2^L space is
-touched only by :func:`embed_state` for entanglement diagnostics.
+Sector matrices are plain complex ndarrays. Every Hermiticity check on them
+goes through :func:`check_hermiticity`, one rule relative to the scale of the
+matrix. All dynamics run in sector coordinates; the full 2^L space is touched
+only by :func:`embed_state` for entanglement diagnostics.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,13 +86,28 @@ def embed_state(v: np.ndarray, basis: SectorBasis) -> np.ndarray:
     return v[basis.state_to_orbit] * (amp if v.ndim == 1 else amp[:, None])
 
 
-def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermiticity(dev: float, scale, what: str) -> None:
+    """Reject a deviation dev from Hermiticity above HERMITICITY_TOL * max(1, scale()).
+
+    The one Hermiticity rule: relative to the scale of the matrix, absolute
+    below 1, and failed by every dev at a non-finite scale. ``scale`` is
+    called only for a dev above HERMITICITY_TOL, so the usual tiny dev costs
+    no pass over the matrix. ``what`` names dev in the error.
+    """
+    if dev <= HERMITICITY_TOL:
+        return
+    scale = float(scale())
+    tol = HERMITICITY_TOL * max(1.0, scale) if math.isfinite(scale) else math.nan
+    if not dev <= tol:
+        raise NumericalConsistencyError(f"{what} = {dev:.3e} > {tol:.3e}")
+
+
+def require_hermitian(mat: np.ndarray) -> np.ndarray:
+    """``mat``, after checking max |M - M^dag| by :func:`check_hermiticity`."""
     diff = np.conjugate(mat).T  # a fresh array, so the subtraction can reuse it
     np.subtract(mat, diff, out=diff)
-    dev = np.abs(diff).max()
-    if not dev <= tol:
-        raise NumericalConsistencyError(
-            f"matrix fails hermiticity check: max |M - M^dag| = {dev:.3e} > {tol:.0e}")
+    check_hermiticity(np.abs(diff).max(), lambda: np.abs(mat).max(),
+                      "matrix fails hermiticity check: max |M - M^dag|")
     return mat
 
 

@@ -245,6 +245,36 @@ def test_cli_basis_and_diag(tmp_path):
     assert spectrum.read_text().startswith("alpha,E,E_over_L,in_shell")
 
 
+LARGE_FIELDS = {
+    "diag_L10_1e6": ("diag", {"L": 10, "h": 1e6, "g": 1e6, "mode": "quench"}),
+    "diag_L12_1e4": ("diag", {"L": 12, "h": 1e4, "g": 1e4, "mode": "quench"}),
+    "quench_L10_1e6": ("quench", {"L": 10, "h": 1e6, "g": 1e6, "mode": "quench",
+                                  "duration": 0.2}),
+    "optimize_L12_1e4": ("optimize", {"L": 12, "h": 1e4, "g": 1e4, "mode": "optimize",
+                                      "k": 4, "duration": 0.02}),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(LARGE_FIELDS))
+def test_cli_large_fields_pass_hermiticity_on_rounding(tmp_path, case):
+    """Fields of 1e4-1e6 leave rounding asymmetries and expectation residues
+    far above 1e-12 and 1e-10 in absolute terms but at a relative 1e-16;
+    every check is relative to the matrix's scale, so each run succeeds and
+    replays, with no overflow warning from the reward's sigmoid."""
+    command, data = LARGE_FIELDS[case]
+    outdir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**data, "shell_lo": -1e9, "shell_hi": 1e9,
+                                    "outdir": str(outdir)}))
+    if command == "diag":
+        assert main(["diag", "-c", str(cfg_path), "-o", str(tmp_path / "spectrum.csv")]) == 0
+        return
+    assert main([command, "-c", str(cfg_path)]) == 0
+    result = runner.replay(outdir)
+    assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
+
+
 def test_cli_run_replay_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     outdir = tmp_path / "run"

@@ -430,7 +430,7 @@ def test_translation_sum_matches_site_loop(L, word):
     for l in range(L):
         p = pauli.make_pauli([((l + i) % L, a) for i, a in enumerate(word)], L)
         expected[(p.x_mask, p.z_mask)] = expected.get((p.x_mask, p.z_mask), 0.0) + 1.0
-    assert term_dict(translation_sum(word, [(1.0, word)], len(word), L)) == expected
+    assert term_dict(translation_sum(word, [(1.0, word)], L)) == expected
 
 
 def test_sum_x_generator():

@@ -110,7 +110,7 @@ def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
     """[H, Q] = 0 when Q is proportional to the measured Hamiltonian."""
     L, basis, H_op, H, batch, stack, kick = shell_setup_L8
     unit = tuple((c / np.sqrt(H_op.norm_sq), p) for c, p in H_op.terms)
-    aligned = OperatorStack([SymmetrizedOperator("aligned", unit, 2, L)], basis)
+    aligned = OperatorStack([SymmetrizedOperator("aligned", unit, L)], basis)
     states = kick_unitary(kick, 0.05, batch.states)
     w = work_density(states, batch.origin_energies, H, L)
     Y = compute_Y(states, H @ states, aligned, reward_grad(w, P), L)

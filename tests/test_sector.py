@@ -127,7 +127,7 @@ def test_magnetization_projection_traceless():
     L = 4
     basis = build_sector_basis(L)
     op = SymmetrizedOperator(
-        "sum Z", tuple((1.0, pauli.make_pauli([(l, "Z")], L)) for l in range(L)), 1, L)
+        "sum Z", tuple((1.0, pauli.make_pauli([(l, "Z")], L)) for l in range(L)), L)
     M = op.sector_matrix(basis)
     assert np.abs(M - np.diag(np.diag(M))).max() < 1e-14
     assert abs(np.trace(M)) < 1e-12
@@ -190,3 +190,20 @@ def test_require_hermitian_rejects_non_finite(bad):
     mat[1, 1] = bad
     with pytest.raises(NumericalConsistencyError):
         require_hermitian(mat)
+
+
+def test_hermiticity_rule_is_relative_to_scale():
+    """Deviations are judged against HERMITICITY_TOL * max(1, max |M|)."""
+    small = np.array([[0.5, 0.1], [0.1 + 5e-13, 0.0]], dtype=complex)
+    require_hermitian(small)
+    small[1, 0] = 0.1 + 2e-12
+    with pytest.raises(NumericalConsistencyError):
+        require_hermitian(small)
+    big = np.array([[1e6, 1.0], [1.0 + 5e-7, 0.0]], dtype=complex)
+    require_hermitian(big)
+    big[1, 0] = 1.0 + 2e-6
+    with pytest.raises(NumericalConsistencyError):
+        require_hermitian(big)
+    lone = np.array([[0.0, np.inf], [0.0, 0.0]], dtype=complex)  # max |M - M^dag| = inf
+    with pytest.raises(NumericalConsistencyError):
+        require_hermitian(lone)
