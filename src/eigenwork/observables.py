@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError
-from .sector import NumericalConsistencyError, SectorBasis, embed_state
+from .sector import NumericalConsistencyError, SectorBasis, embed_state, matmul
 
 SCHMIDT_FLOOR = 1e-14
 
@@ -25,17 +25,19 @@ FIG4_HEADER = "alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_
 
 
 def work_density(states: np.ndarray, origin_energies: np.ndarray,
-                 H_target: np.ndarray, L: int, H_psi: np.ndarray | None = None) -> np.ndarray:
+                 H_target, L: int, H_psi: np.ndarray | None = None) -> np.ndarray:
     """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column.
 
-    A caller that already holds ``H_psi = H_target @ states`` passes it to
-    save the product. The imaginary parts, rounding of order eps |H psi|,
-    must stay within 1e-10 * max(1, max_alpha |H psi_alpha|).
+    ``H_target`` is dense or CSR (see :func:`sector.sparse_matrix`) and is
+    applied by :func:`sector.matmul`. A caller that already holds ``H_psi =
+    H_target @ states`` passes it to save the product. The imaginary parts,
+    rounding of order eps |H psi|, must stay within 1e-10 * max(1,
+    max_alpha |H psi_alpha|).
     """
     if states.shape[0] != H_target.shape[0]:
         raise ValueError("state and Hamiltonian dimensions differ")
     if H_psi is None:
-        H_psi = H_target @ states
+        H_psi = matmul(H_target, states)
     expect = np.einsum("ia,ia->a", states.conj(), H_psi)
     residue = float(np.abs(expect.imag).max(initial=0.0))
     scale = float(np.linalg.norm(H_psi, axis=0).max(initial=0.0))

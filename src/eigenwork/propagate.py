@@ -5,9 +5,11 @@ from an OperatorStack, to the batch of states. Every exponential is one
 truncated Taylor series with an a priori truncation bound, applied to the
 batch columns with no unitary formed; only a row held over consecutive steps
 is turned once into a dense unitary U, by the same series applied to the
-identity, and each run of that row up to the next sample is one product with
-a cached power of U. Norms are checked after every product applied. Batches
-are never renormalized: column-norm drift is a monitored health signal, not
+identity with H in the CSR form of :func:`sector.sparse_matrix` (real for a
+row with no Y strings), and each run of that row up to the next sample is one
+product with a cached power of U. Controller rows and the kick keep their
+dense complex H. Norms are checked after every product applied. Batches are
+never renormalized: column-norm drift is a monitored health signal, not
 something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorStack
-from .sector import NumericalConsistencyError
+from .sector import NumericalConsistencyError, matmul, sparse_matrix
 
 NORM_DRIFT_TOL = 1e-8
 # Taylor step: substep bound on |dt| ||H||_1, truncation tolerance (the unit
@@ -64,7 +66,7 @@ class StateBatch:
         return StateBatch(self.states.copy(), self.origin_energies.copy())
 
     def norm_drift(self) -> float:
-        return float(np.abs(np.linalg.norm(self.states, axis=0) - 1.0).max())
+        return float(np.abs(np.linalg.norm(self.states, axis=0) - 1.0).max(initial=0.0))
 
     def check_norms(self):
         drift = self.norm_drift()
@@ -120,6 +122,9 @@ class ControlProtocol:
                 break
             key, _, value = line.partition(" ")
             header[key] = value
+        if header.get("kick_generator") != KICK_GENERATOR:
+            raise ValueError(f"kick generator {header.get('kick_generator')!r} "
+                             f"is not {KICK_GENERATOR!r}")
         for line in it:
             rows.append([float(tok) for tok in line.split()])
         n_steps = int(header["n_steps"])
@@ -151,8 +156,8 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
         f"{TAYLOR_MAX_TERMS} Taylor terms")
 
 
-def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
-    """exp(-i dt H) @ states for Hermitian H, by a truncated Taylor series.
+def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
+    """exp(-i dt H) @ states for Hermitian H, dense or CSR, by a truncated Taylor series.
 
     Hermiticity is a precondition, not checked here: it is certified where H
     is built, by :meth:`SymmetrizedOperator.sector_matrix` for fixed
@@ -160,10 +165,12 @@ def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
     sum_i |gamma_i| dev_i per assembled row) for step Hamiltonians. H must be
     finite, which is checked. The term count is fixed a priori from ||H||_1,
     the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed, so the
-    cost is a few (dim x dim) @ (dim x M) products.
+    33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed: each
+    term is one :func:`sector.matmul` of H with the (dim x M) batch, a dense
+    complex product for a dense H and a sparse one, over the batch's float
+    view when H is real, for a CSR H.
     """
-    norm = float(np.abs(H).sum(axis=0).max(initial=0.0))
+    norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
     if not np.isfinite(norm):
         raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
     n_sub, n_terms = _taylor_plan(abs(dt) * norm)
@@ -172,7 +179,7 @@ def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
     for _ in range(n_sub):
         term = out
         for j in range(1, n_terms + 1):
-            term = H @ term
+            term = matmul(H, term)
             term *= h / j
             out += term
     return out
@@ -181,9 +188,11 @@ def expm_step(H: np.ndarray, dt: float, states: np.ndarray) -> np.ndarray:
 def step_unitary(H: np.ndarray, dt: float) -> np.ndarray:
     """Dense exp(-i dt H): :func:`expm_step` applied to the identity.
 
+    H is recast once by :func:`sector.sparse_matrix`, so each term is a
+    sparse product with the (dim x dim) identity's images, real when H is.
     Pays only for a Hamiltonian held over many consecutive steps.
     """
-    U = expm_step(H, dt, np.eye(len(H)))
+    U = expm_step(sparse_matrix(H), dt, np.eye(len(H)))
     dev = np.abs(U.conj().T @ U - np.eye(len(U))).max()
     if not dev <= 1e-11:
         raise NumericalConsistencyError(f"step unitary deviates from unitarity by {dev:.3e}")

@@ -23,7 +23,8 @@ from .observables import Trajectory, d_pos, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
 from .propagate import ControlProtocol, StateBatch, evolve
-from .sector import SectorBasis, build_sector_basis, manifest_checksum, sector_manifest
+from .sector import (SectorBasis, build_sector_basis, manifest_checksum,
+                     sector_manifest, sparse_matrix)
 
 
 @dataclass
@@ -71,14 +72,18 @@ def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
 
 
 def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Trajectory, StateBatch]:
-    """Evolve under a fixed protocol, recording the same aggregates as optimize."""
+    """Evolve under a fixed protocol, recording the same aggregates as optimize.
+
+    The observer applies the target in its CSR form, built once here.
+    """
     cfg = ctx.config
     traj = Trajectory(np.asarray(ctx.shell.indices),
                       ctx.batch.origin_energies.copy())
+    target = sparse_matrix(ctx.H_target)
 
     def observer(step, t, states):
         optimizer.record(traj, cfg, step, t, work_density(
-            states, ctx.batch.origin_energies, ctx.H_target, cfg.L))
+            states, ctx.batch.origin_energies, target, cfg.L))
 
     final = evolve(ctx.batch, protocol, ctx.stack, observer=observer,
                    sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
@@ -153,6 +158,11 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
     run_dir = Path(run_dir)
     config = ExperimentConfig.from_file(run_dir / "config.json")
     ctx = prepare(config)
+    # Only run.json is read before the evolve: parsing the CSVs first raises peak RSS.
+    shell = [int(i) for i in ctx.shell.indices]
+    if shell != load_summary(run_dir).get("shell", {}).get("indices"):
+        raise ConfigError(f"config.json's shell [{config.shell_lo!r}, {config.shell_hi!r}] "
+                          f"holds {len(shell)} eigenstates, not those of run.json's shell")
     path = run_dir / "protocol.txt"
     try:
         protocol = ControlProtocol.load(path)
@@ -174,11 +184,19 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
             "tolerance": tol, "n_states": len(archived)}
 
 
+def load_summary(run_dir) -> dict:
+    """Read an archived run's summary, run.json."""
+    try:
+        return json.loads((Path(run_dir) / "run.json").read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{run_dir} is not a readable run archive: {exc}") from exc
+
+
 def load_run(run_dir) -> tuple[dict, Trajectory]:
     """Read an archived run's summary and trajectory; the one reader of its CSVs."""
     run_dir = Path(run_dir)
+    summary = load_summary(run_dir)
     try:
-        summary = json.loads((run_dir / "run.json").read_text())
         traj = Trajectory.from_csv((run_dir / "timeseries.csv").read_text(),
                                    (run_dir / "per_state.csv").read_text())
     except (OSError, ValueError) as exc:

@@ -5,10 +5,15 @@ states: |s> = |orbit|^{-1/2} sum_{n in orbit} |n>. For the k=0, R=+1 sector
 every orbit survives (all group characters are +1), so the sector dimension
 equals the number of binary bracelets of length L.
 
-Sector matrices are plain complex ndarrays. Every Hermiticity check on them
-goes through :func:`check_hermiticity`, one rule relative to the scale of the
-matrix. All dynamics run in sector coordinates; the full 2^L space is touched
-only by :func:`embed_state` for entanglement diagnostics.
+Sector matrices are complex ndarrays where they are formed. A matrix that
+multiplies many batches in a row, a held protocol row or a fixed target, is
+recast once by :func:`sparse_matrix` into CSR form, real when it has no
+imaginary part. Every Taylor term, and every H psi that
+:func:`observables.work_density` forms itself, goes through :func:`matmul`.
+Every Hermiticity check on sector matrices goes through
+:func:`check_hermiticity`, one rule relative to the scale of the matrix. All
+dynamics run in sector coordinates; the full 2^L space is touched only by
+:func:`embed_state` for entanglement diagnostics.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .pauli import apply_to_basis_indices, reflect_bits, rotate_bits
 
@@ -109,6 +115,24 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     check_hermiticity(np.abs(diff).max(), lambda: np.abs(mat).max(),
                       "matrix fails hermiticity check: max |M - M^dag|")
     return mat
+
+
+def sparse_matrix(mat: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR form of a dense sector matrix; real when its imaginary part is exactly zero."""
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = mat.real
+    return scipy.sparse.csr_array(mat)
+
+
+def matmul(H, X: np.ndarray) -> np.ndarray:
+    """H @ X for a dense or CSR sector matrix H and a (dim x M) batch X.
+
+    A real H times a complex X multiplies X's float view, (dim x 2M), so H
+    is never upcast to complex; each product adds the same real terms.
+    """
+    if np.iscomplexobj(X) and not np.iscomplexobj(H):
+        return (H @ np.ascontiguousarray(X).view(float)).view(complex)
+    return H @ X
 
 
 def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -550,3 +550,52 @@ def test_cli_replay_rejects_non_finite_protocol(tmp_path, bad):
     lines[-3] = " ".join(row)
     protocol.write_text("\n".join(lines) + "\n")
     assert main(["replay", "--run", str(outdir)]) == 3
+
+
+@pytest.fixture(scope="module")
+def quench_L8(tmp_path_factory):
+    """An L=8 nonintegrable quench archive, written through the CLI."""
+    tmp = tmp_path_factory.mktemp("quench_L8")
+    cfg_path = tmp / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "nonintegrable", "L": 8, "mode": "quench",
+                                    "duration": 0.1, "outdir": str(tmp / "run")}))
+    assert main(["quench", "-c", str(cfg_path)]) == 0
+    return tmp / "run"
+
+
+@pytest.mark.parametrize("bounds", [(5.0, 6.0), (-10.0, 10.0)], ids=["empty", "other"])
+def test_cli_replay_rejects_a_different_shell(tmp_path, quench_L8, monkeypatch, bounds):
+    """config.json edited to select another shell is a config error, caught before
+    any step: an empty shell, or one of another size, never reaches evolve."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for path in quench_L8.iterdir():
+        (run_dir / path.name).write_bytes(path.read_bytes())
+    data = json.loads((run_dir / "config.json").read_text())
+    data.update(shell_lo=bounds[0], shell_hi=bounds[1], outdir=str(run_dir))
+    (run_dir / "config.json").write_text(json.dumps(data))
+    size = len(runner.prepare(ExperimentConfig.from_dict(data)).shell.indices)
+    assert size != json.loads((run_dir / "run.json").read_text())["shell"]["size"]
+    assert (size == 0) == (bounds == (5.0, 6.0))
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("replay evolved a mismatched shell")
+
+    monkeypatch.setattr(runner, "evolve", no_evolve)
+    assert main(["replay", "--run", str(run_dir)]) == 2
+
+
+def test_cli_replay_rejects_another_kick_generator(tmp_path):
+    """protocol.txt names its kick generator; replay refuses one it does not apply."""
+    cfg_path = tmp_path / "cfg.json"
+    outdir = tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir), duration=0.02)))
+    assert main(["optimize", "-c", str(cfg_path)]) == 0
+    protocol = outdir / "protocol.txt"
+    assert main(["replay", "--run", str(outdir)]) == 0
+    text = protocol.read_text()
+    assert "kick_generator sum_sigma_x\n" in text
+    protocol.write_text(text.replace("kick_generator sum_sigma_x", "kick_generator sum_sigma_z"))
+    with pytest.raises(ValueError, match="sum_sigma_z"):
+        ControlProtocol.load(protocol)
+    assert main(["replay", "--run", str(outdir)]) == 2

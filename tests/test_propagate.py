@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork import operators, propagate, runner
+from eigenwork import observables, operators, propagate, runner, sector
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
-from eigenwork.operators import OperatorStack, build_basis, sum_x
+from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
 from eigenwork.propagate import (ControlProtocol, StateBatch, _taylor_plan,
                                  evolve, expm_step, step_unitary)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              embed_state)
+                              embed_state, matmul, sparse_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,94 @@ def test_taylor_step_matches_scipy(rng, n_cols, dt_norm, substeps, sign):
     B /= np.linalg.norm(B, axis=0)
     assert_allclose(expm_step(H, dt, B), scipy.linalg.expm(-1j * dt * H) @ B,
                     rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def held_rows_L8():
+    """The real L=8 quench H and the imaginary discrete actions y and xy + yx."""
+    basis = build_sector_basis(8)
+    quench = runner.prepare(ExperimentConfig.from_dict(
+        {"L": 8, "preset": "nonintegrable", "mode": "quench"}))
+    actions = OperatorStack(discrete_action_set(8), basis)
+    labels = [op.label for op in actions.ops]
+    rows = {"quench": quench.stack.assemble(np.ones(1))}
+    for label in ("y", "xy + yx"):
+        rows[label] = actions.assemble(np.eye(actions.n_ops)[labels.index(label)])
+    return rows
+
+
+@pytest.mark.parametrize("label", ["quench", "y", "xy + yx"])
+def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
+    H = held_rows_L8[label]
+    real = label == "quench"
+    assert (np.abs(H.imag).max() == 0) == real and (np.abs(H.real).max() == 0) != real
+    assert np.iscomplexobj(sparse_matrix(H)) != real
+    assert_allclose(step_unitary(H, 0.002), scipy.linalg.expm(-0.002j * H),
+                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["quench", "y"])
+def test_expm_step_csr_matches_dense(held_rows_L8, rng, label):
+    H = held_rows_L8[label]
+    B = rng.normal(size=(len(H), 5)) + 1j * rng.normal(size=(len(H), 5))
+    B /= np.linalg.norm(B, axis=0)
+    for dt in (0.002, -0.3):
+        assert_allclose(expm_step(sparse_matrix(H), dt, B), expm_step(H, dt, B),
+                        rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_step_csr_rejects_non_finite_data(held_rows_L8, bad):
+    H = sparse_matrix(held_rows_L8["quench"])
+    H.data[7] = bad
+    with pytest.raises(NumericalConsistencyError):
+        expm_step(H, 0.002, np.eye(H.shape[0]))
+
+
+def test_real_view_product_matches_complex(held_rows_L8, rng):
+    """A real H multiplies a read-only or non-contiguous batch through its float view."""
+    H = held_rows_L8["quench"]
+    H_csr = sparse_matrix(H)
+    assert H_csr.dtype == np.float64
+    X = rng.normal(size=(len(H), 6)) + 1j * rng.normal(size=(len(H), 6))
+    read_only = X.copy()
+    read_only.setflags(write=False)
+    for batch in (X, read_only, X[:, ::2], np.asfortranarray(X), X[:, 1:2]):
+        for real_H in (H_csr, H.real):
+            assert_allclose(matmul(real_H, batch), H @ batch, rtol=0, atol=1e-14)
+    assert not read_only.flags.writeable
+
+
+def test_optimize_never_builds_a_sparse_matrix(tmp_path, monkeypatch):
+    """Optimize steps, kicks and observes with the dense complex matrices only,
+    so its arithmetic (and with it the D_pos pins) does not move."""
+    def no_sparse(mat):
+        raise AssertionError("sparse_matrix called during an optimize run")
+
+    for module in (sector, propagate, runner):
+        monkeypatch.setattr(module, "sparse_matrix", no_sparse)
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
+                                         "k": 2, "outdir": str(tmp_path / "run")})
+    runner.run(config)
+    with pytest.raises(AssertionError, match="sparse_matrix"):
+        runner.replay(tmp_path / "run")
+
+
+def test_fixed_protocol_observer_uses_the_sparse_target(monkeypatch):
+    """A quench's observer applies the target's CSR form, within 1e-14 of the dense w."""
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "nonintegrable", "mode": "quench",
+                                         "duration": 0.1})
+    ctx = runner.prepare(config)
+    seen = []
+    monkeypatch.setattr(runner, "work_density", lambda states, E, H, L: seen.append(
+        (H, states.copy())) or observables.work_density(states, E, H, L))
+    runner._replay_trajectory(ctx, runner._constant_gamma_protocol(ctx))
+    assert len(seen) == len(config.sample_steps)
+    for H, states in seen:
+        assert scipy.sparse.issparse(H) and H.dtype == np.float64
+        assert_allclose(observables.work_density(states, ctx.batch.origin_energies, H, 8),
+                        observables.work_density(states, ctx.batch.origin_energies,
+                                                 ctx.H_target, 8), rtol=0, atol=1e-14)
 
 
 def test_taylor_plan_bound():
