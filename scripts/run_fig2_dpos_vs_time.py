@@ -8,7 +8,6 @@ shell-size column is the saturation reference.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from eigenwork import runner
@@ -37,7 +36,7 @@ def main():
                     "outdir": str(outdir / f"opt_{preset}_k{k}"),
                     "long_run": args.long_run}
             run_dirs.append(runner.run(ExperimentConfig.from_dict(data)))
-            summary = json.loads((run_dirs[-1] / "run.json").read_text())
+            summary = runner.load_summary(run_dirs[-1])
             print(f"{preset} k={k}: D_pos(t=1) = {summary['dpos_final']}"
                   f" / shell {summary['shell']['size']}")
 

@@ -72,7 +72,7 @@ def _run_mode(args, mode):
     if cfg.mode != mode:
         raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {mode!r}")
     run_dir = runner.run(cfg)
-    summary = json.loads((run_dir / "run.json").read_text())
+    summary = runner.load_summary(run_dir)
     print(f"run archived at {run_dir}; D_pos(t={summary['t_final']:g}) = "
           f"{summary['dpos_final']} of shell {summary['shell']['size']}")
 

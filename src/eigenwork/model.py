@@ -9,7 +9,7 @@ plus the (0, 1.5) quench target.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +70,13 @@ def diagonalize(H: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(energies, states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyShell:
-    lo: float
-    hi: float
-    indices: tuple
+    """The shell's columns of the eigendecomposition; per-state results follow their order."""
+
+    indices: np.ndarray
+    energies: np.ndarray
+    states: np.ndarray
 
     @property
     def size(self) -> int:
@@ -82,17 +84,17 @@ class EnergyShell:
 
 
 def select_shell(eig: EigenDecomposition, lo: float, hi: float, L: int) -> EnergyShell:
-    """Eigenstate indices with energy density in the closed interval [lo, hi]."""
+    """Eigenstates with energy density in the closed interval [lo, hi]."""
     if not lo < hi:
         raise ValueError("shell bounds must satisfy lo < hi")
     density = eig.energies / L
     members = np.flatnonzero((density >= lo) & (density <= hi))
-    return EnergyShell(lo, hi, tuple(int(i) for i in members))
+    return EnergyShell(members, eig.energies[members], eig.states[:, members])
 
 
 def spectrum_csv(eig: EigenDecomposition, shell: EnergyShell, L: int) -> str:
     lines = ["alpha,E,E_over_L,in_shell"]
-    in_shell = set(shell.indices)
+    in_shell = set(shell.indices.tolist())
     for a, E in enumerate(eig.energies):
         lines.append(f"{a},{E:.17g},{E / L:.17g},{int(a in in_shell)}")
     return "\n".join(lines) + "\n"

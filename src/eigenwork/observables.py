@@ -70,31 +70,19 @@ def half_chain_ee(state: np.ndarray, L: int) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-@dataclass(frozen=True)
-class EERecord:
-    alpha: int
-    S0: float
-    St: float
+def ee_records(states0: np.ndarray, states_t: np.ndarray, basis: SectorBasis) -> np.ndarray:
+    """(M x 2) array of (S0, St), the entropies of each column before and after.
 
-
-def ee_records(states0: np.ndarray, states_t: np.ndarray, basis: SectorBasis,
-               alphas) -> list[EERecord]:
-    """Per-state entropies before/after; unit-normalizes at the measurement.
-
-    Evolution never renormalizes, but columns may carry harmless drift up to
-    the batch tolerance, which the stricter embedding contract would reject.
+    Unit-normalizes at the measurement: evolution never renormalizes, but
+    columns may carry harmless drift up to the batch tolerance, which the
+    stricter embedding contract would reject.
     """
     def entropy(col):
         col = col / np.linalg.norm(col)
         return half_chain_ee(embed_state(col, basis), basis.L)
 
-    return [EERecord(int(alpha), entropy(states0[:, j]), entropy(states_t[:, j]))
-            for j, alpha in enumerate(alphas)]
-
-
-def shell_mean_initial_ee(records) -> float:
-    """In-shell mean of S(rho(0)); stands in for the thermal reference line."""
-    return float(np.mean([r.S0 for r in records])) if records else float("nan")
+    return np.array([[entropy(states0[:, j]), entropy(states_t[:, j])]
+                     for j in range(states0.shape[1])]).reshape(-1, 2)
 
 
 @dataclass
@@ -109,8 +97,7 @@ class Trajectory:
     y_norm: list = field(default_factory=list)
     dpos: list = field(default_factory=list)
     w_samples: list = field(default_factory=list)
-    ee: list = field(default_factory=list)
-    shell_mean_s0: float = float("nan")
+    ee: np.ndarray | None = None  # one (S0, St) row per state, from ee_records
 
     def add_sample(self, step, t, r, y_norm, dpos_count, w):
         self.steps.append(int(step))
@@ -148,15 +135,12 @@ class Trajectory:
         if not all(S0 + St):
             raise ConfigError("per_state.csv lacks S at the first or the last sample")
         w = np.array([float(r[3]) for r in ps]).reshape(len(ts), n_states)
-        traj = cls(np.array([int(a) for a in alphas]),
+        return cls(np.array([int(a) for a in alphas]),
                    np.array([float(r[1]) for r in blocks[0]]),
                    steps=[int(r[0]) for r in ts], times=[float(r[1]) for r in ts],
                    reward=[float(r[2]) for r in ts], y_norm=[float(r[3]) for r in ts],
                    dpos=[int(r[4]) for r in ts], w_samples=list(w),
-                   ee=[EERecord(int(a), float(s0), float(st))
-                       for a, s0, st in zip(alphas, S0, St)])
-        traj.shell_mean_s0 = shell_mean_initial_ee(traj.ee)
-        return traj
+                   ee=np.array([[float(a), float(b)] for a, b in zip(S0, St)]).reshape(-1, 2))
 
     def final_w(self) -> np.ndarray:
         return self.w_samples[-1]
@@ -170,19 +154,14 @@ class Trajectory:
 
     def per_state_csv(self) -> str:
         """Long-format per-state series; S only at the entropy sample times."""
-        ee_by_alpha = {r.alpha: r for r in self.ee}
+        last = len(self.times) - 1
         lines = [PER_STATE_HEADER]
         for s_idx, t in enumerate(self.times):
+            S = self.ee[:, 0] if s_idx == 0 else self.ee[:, 1] if s_idx == last else None
             for j, alpha in enumerate(self.alphas):
                 w = self.w_samples[s_idx][j]
-                S = ""
-                rec = ee_by_alpha.get(int(alpha))
-                if rec is not None:
-                    if s_idx == 0:
-                        S = f"{rec.S0:.17g}"
-                    elif s_idx == len(self.times) - 1:
-                        S = f"{rec.St:.17g}"
-                lines.append(f"{alpha},{self.origin_energies[j]:.17g},{t:.17g},{w:.17g},{S}")
+                S_j = "" if S is None else f"{S[j]:.17g}"
+                lines.append(f"{alpha},{self.origin_energies[j]:.17g},{t:.17g},{w:.17g},{S_j}")
         return "\n".join(lines) + "\n"
 
 
@@ -198,11 +177,9 @@ def fig4_csv(traj: Trajectory, dpos_epsilon: float) -> str:
     """Per-state work density against both entropy-change conventions."""
     w_final = traj.final_w()
     lines = [FIG4_HEADER]
-    by_alpha = {r.alpha: r for r in traj.ee}
     for j, alpha in enumerate(traj.alphas):
-        rec = by_alpha[int(alpha)]
-        w = w_final[j]
+        w, (S0, St) = w_final[j], traj.ee[j]
         lines.append(
-            f"{alpha},{traj.origin_energies[j]:.17g},{w:.17g},{rec.S0:.17g},{rec.St:.17g},"
-            f"{rec.St - rec.S0:.17g},{rec.S0 - rec.St:.17g},{int(w >= dpos_epsilon)}")
+            f"{alpha},{traj.origin_energies[j]:.17g},{w:.17g},{S0:.17g},{St:.17g},"
+            f"{St - S0:.17g},{S0 - St:.17g},{int(w >= dpos_epsilon)}")
     return "\n".join(lines) + "\n"

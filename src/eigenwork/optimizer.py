@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, RewardParams
+from .model import EnergyShell
 from .observables import Trajectory, d_pos, work_density
 from .operators import OperatorStack
-from .propagate import ControlProtocol, StateBatch, evolve
+from .propagate import ControlProtocol, evolve
 from .propagate import expm_step, kick_unitary  # noqa: F401  wrapped by bench/worker.py
 from .sector import NumericalConsistencyError
 
@@ -74,22 +75,23 @@ def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
                     d_pos(w, config.dpos_epsilon), w)
 
 
-def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
-             stack: OperatorStack, kick_matrix: np.ndarray,
-             alphas) -> tuple[ControlProtocol, Trajectory, StateBatch]:
-    """Run the greedy controller through :func:`evolve`; emit a replayable protocol.
+def optimize(config: ExperimentConfig, H_target: np.ndarray, shell: EnergyShell,
+             stack: OperatorStack,
+             kick_matrix: np.ndarray) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
+    """Run the greedy controller on the shell's states through :func:`evolve`.
 
+    Returns the replayable protocol, the trajectory and the final states.
     The kick is recorded as a protocol prelude so replays are self-contained;
     the protocol clock (t = 0) starts after it. Raises if every step saw a
     vanished gradient, which is the unkicked-eigenstate degeneracy.
     """
-    if batch.n_states == 0:
+    if shell.size == 0:
         raise ValueError("empty shell: nothing to optimize")
     L, d = config.L, 1 << config.L
     C = float(np.sqrt(2.0 * L * (1 << L)))
     tol = 1e-12 * np.sqrt(stack.n_ops)
 
-    traj = Trajectory(np.asarray(alphas), batch.origin_energies.copy())
+    traj = Trajectory(shell.indices, shell.energies)
     protocol = ControlProtocol(dt=config.dt, gamma=np.zeros((config.n_steps, stack.n_ops)),
                                kick_duration=config.kick_duration,
                                basis_checksum=stack.checksum)
@@ -97,7 +99,7 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
 
     def controller(step, states):
         H_psi = H_target @ states
-        w = work_density(states, batch.origin_energies, H_target, L, H_psi=H_psi)
+        w = work_density(states, shell.energies, H_target, L, H_psi=H_psi)
         Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L)
         seen.update(step=step, w=w, Y=Y)
         return solve_gamma(Y, C, L, d, tol)[0]
@@ -106,9 +108,9 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, batch: StateBatch,
         if seen.get("step") == step:
             record(traj, config, step, t, seen["w"], float(np.linalg.norm(seen["Y"])))
         else:  # the final state, which no step follows
-            record(traj, config, step, t, work_density(states, batch.origin_energies, H_target, L))
+            record(traj, config, step, t, work_density(states, shell.energies, H_target, L))
 
-    final = evolve(batch, protocol, stack, observer=observer,
+    final = evolve(shell.states, protocol, stack, observer=observer,
                    sample_steps=config.sample_steps, kick_matrix=kick_matrix,
                    controller=controller)
     if not protocol.gamma.any():  # every vanished gradient gave a zero row

@@ -1,4 +1,4 @@
-"""Discretized unitary evolution of sector-state batches.
+"""Discretized unitary evolution of sector-state batches, (dim x M) arrays.
 
 Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
 from an OperatorStack, to the batch of states. Every exponential is one
@@ -43,36 +43,9 @@ TAYLOR_MAX_TERMS = 100_000
 KICK_GENERATOR = "sum_sigma_x"
 
 
-@dataclass
-class StateBatch:
-    """Columns are evolved shell eigenstates in sector coordinates."""
-
-    states: np.ndarray
-    origin_energies: np.ndarray
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=complex)
-        self.origin_energies = np.asarray(self.origin_energies, dtype=float)
-        if self.states.ndim != 2:
-            raise ValueError("states must be a (dim x M) matrix")
-        if self.states.shape[1] != len(self.origin_energies):
-            raise ValueError("one origin energy required per column")
-
-    @property
-    def n_states(self) -> int:
-        return self.states.shape[1]
-
-    def copy(self) -> "StateBatch":
-        return StateBatch(self.states.copy(), self.origin_energies.copy())
-
-    def norm_drift(self) -> float:
-        return float(np.abs(np.linalg.norm(self.states, axis=0) - 1.0).max(initial=0.0))
-
-    def check_norms(self):
-        drift = self.norm_drift()
-        if not drift <= NORM_DRIFT_TOL:
-            raise NumericalConsistencyError(
-                f"column norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
+def norm_drift(states: np.ndarray) -> float:
+    """Largest deviation of a (dim x M) batch's column norms from 1; NaN if any is NaN."""
+    return float(np.abs(np.linalg.norm(states, axis=0) - 1.0).max(initial=0.0))
 
 
 @dataclass
@@ -89,8 +62,9 @@ class ControlProtocol:
         if gamma.size == 0:
             gamma = gamma.reshape(0, gamma.shape[1] if gamma.ndim == 2 else 0)
         self.gamma = np.atleast_2d(gamma)
-        if self.kick_duration < 0:
-            raise ValueError("kick duration must be nonnegative")
+        if not (math.isfinite(self.kick_duration) and self.kick_duration >= 0):
+            raise ValueError(f"kick duration must be finite and nonnegative, "
+                             f"got {self.kick_duration!r}")
 
     @property
     def n_steps(self) -> int:
@@ -205,10 +179,12 @@ def kick_unitary(kick_op_matrix: np.ndarray, duration: float,
     return expm_step(kick_op_matrix, duration, states)
 
 
-def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
+def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
            observer=None, sample_steps=None, kick_matrix: np.ndarray | None = None,
-           controller=None) -> StateBatch:
-    """Step a batch through a protocol: the one stepping loop of every run.
+           controller=None) -> np.ndarray:
+    """Step a (dim x M) batch through a protocol: the one stepping loop of every run.
+
+    Returns the evolved batch; ``states`` is not modified.
 
     A ``controller(step, states) -> gamma`` computes each row from the states
     before its step, into the preallocated ``protocol.gamma``. The
@@ -218,7 +194,8 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     held over consecutive steps builds one :func:`step_unitary` U, the same
     series on the identity, and each of its runs up to the next sample step
     (or to the row's end) is one product with U^r, cached by the run length r;
-    controller rows are never merged. Norms are checked after every product.
+    controller rows are never merged. :func:`norm_drift` is checked after
+    every product.
     """
     if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
@@ -227,9 +204,9 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     if protocol.kick_duration > 0.0 and kick_matrix is None:
         raise ValueError("protocol carries a kick but no kick generator was given")
 
-    out = batch.copy()
+    out = np.array(states, dtype=complex, order="C")
     if protocol.kick_duration > 0.0:
-        out.states = kick_unitary(kick_matrix, protocol.kick_duration, out.states)
+        out = kick_unitary(kick_matrix, protocol.kick_duration, out)
 
     n_steps, gamma, dt = protocol.n_steps, protocol.gamma, protocol.dt
     samples = (set() if observer is None else
@@ -240,12 +217,12 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
     held = powers = None  # the held row's key and its unitary's powers by exponent
     n = 0
     while True:
-        states = out.states.view()  # products replace out.states, never write it
-        states.setflags(write=False)
+        view = out.view()  # products replace out, never write it
+        view.setflags(write=False)
         if controller and n < n_steps:
-            gamma[n] = controller(n, states)
+            gamma[n] = controller(n, view)
         if n in samples:
-            observer(n, n * dt, states)
+            observer(n, n * dt, view)
         if n == n_steps:
             return out
         key, run = keys[n], 1
@@ -257,8 +234,11 @@ def evolve(batch: StateBatch, protocol: ControlProtocol, stack: OperatorStack,
                 run += 1
             if run not in powers:
                 powers[run] = np.linalg.matrix_power(powers[1], run)
-            out.states = powers[run] @ out.states
+            out = powers[run] @ out
         else:
-            out.states = expm_step(stack.assemble(gamma[n]), dt, out.states)
-        out.check_norms()
+            out = expm_step(stack.assemble(gamma[n]), dt, out)
+        drift = norm_drift(out)
+        if not drift <= NORM_DRIFT_TOL:
+            raise NumericalConsistencyError(
+                f"column norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
         n += run

@@ -22,7 +22,7 @@ from .model import (PRESETS, EnergyShell, IsingParams, build_ising,
 from .observables import Trajectory, d_pos, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
-from .propagate import ControlProtocol, StateBatch, evolve
+from .propagate import ControlProtocol, evolve, norm_drift
 from .sector import (SectorBasis, build_sector_basis, manifest_checksum,
                      sector_manifest, sparse_matrix)
 
@@ -34,7 +34,6 @@ class RunContext:
     H_target: np.ndarray
     eig: "object"
     shell: EnergyShell
-    batch: StateBatch
     stack: OperatorStack
     kick_matrix: np.ndarray
 
@@ -45,8 +44,6 @@ def prepare(config: ExperimentConfig) -> RunContext:
     H_target = model_op.sector_matrix(basis)
     eig = diagonalize(H_target)
     shell = select_shell(eig, config.shell_lo, config.shell_hi, config.L)
-    idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
 
     if config.mode == "optimize":
         ops = build_basis(config.L, config.k)
@@ -56,7 +53,7 @@ def prepare(config: ExperimentConfig) -> RunContext:
         ops = discrete_action_set(config.L)
     stack = OperatorStack(ops, basis)
     kick_matrix = sum_x(config.L).sector_matrix(basis)
-    return RunContext(config, basis, H_target, eig, shell, batch, stack, kick_matrix)
+    return RunContext(config, basis, H_target, eig, shell, stack, kick_matrix)
 
 
 def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
@@ -71,21 +68,20 @@ def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
                            basis_checksum=ctx.stack.checksum)
 
 
-def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Trajectory, StateBatch]:
+def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Trajectory, np.ndarray]:
     """Evolve under a fixed protocol, recording the same aggregates as optimize.
 
     The observer applies the target in its CSR form, built once here.
     """
     cfg = ctx.config
-    traj = Trajectory(np.asarray(ctx.shell.indices),
-                      ctx.batch.origin_energies.copy())
+    traj = Trajectory(ctx.shell.indices, ctx.shell.energies)
     target = sparse_matrix(ctx.H_target)
 
     def observer(step, t, states):
         optimizer.record(traj, cfg, step, t, work_density(
-            states, ctx.batch.origin_energies, target, cfg.L))
+            states, ctx.shell.energies, target, cfg.L))
 
-    final = evolve(ctx.batch, protocol, ctx.stack, observer=observer,
+    final = evolve(ctx.shell.states, protocol, ctx.stack, observer=observer,
                    sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
     return traj, final
 
@@ -98,21 +94,18 @@ def run(config: ExperimentConfig) -> Path:
 
     if config.mode == "optimize":
         protocol, traj, final = optimizer.optimize(
-            config, ctx.H_target, ctx.batch, ctx.stack, ctx.kick_matrix,
-            np.asarray(ctx.shell.indices))
+            config, ctx.H_target, ctx.shell, ctx.stack, ctx.kick_matrix)
     else:
         protocol = _constant_gamma_protocol(ctx)
         traj, final = _replay_trajectory(ctx, protocol)
 
-    traj.ee = observables.ee_records(ctx.batch.states, final.states,
-                                     ctx.basis, ctx.shell.indices)
-    traj.shell_mean_s0 = observables.shell_mean_initial_ee(traj.ee)
+    traj.ee = observables.ee_records(ctx.shell.states, final, ctx.basis)
 
     return _archive(ctx, protocol, traj, final)
 
 
 def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
-             final: StateBatch) -> Path:
+             final: np.ndarray) -> Path:
     cfg = ctx.config
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -134,16 +127,16 @@ def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
         "g": cfg.g,
         "shell": {"lo": cfg.shell_lo, "hi": cfg.shell_hi,
                   "size": ctx.shell.size,
-                  "indices": list(ctx.shell.indices)},
+                  "indices": ctx.shell.indices.tolist()},
         "dpos_epsilon": cfg.dpos_epsilon,
         "dpos_final": traj.dpos[-1],
         "t_final": traj.times[-1],
-        "shell_mean_initial_ee": traj.shell_mean_s0,
-        "initial_ee_std": float(np.std([r.S0 for r in traj.ee])),
+        "shell_mean_initial_ee": float(np.mean(traj.ee[:, 0])),
+        "initial_ee_std": float(np.std(traj.ee[:, 0])),
         "basis_checksum": ctx.stack.checksum,
         "sector_checksum": manifest_checksum(sect),
         "eigenvector_checksum": ctx.eig.checksum(),
-        "norm_drift": final.norm_drift(),
+        "norm_drift": norm_drift(final),
     }
     with open(outdir / "run.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -159,7 +152,7 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
     config = ExperimentConfig.from_file(run_dir / "config.json")
     ctx = prepare(config)
     # Only run.json is read before the evolve: parsing the CSVs first raises peak RSS.
-    shell = [int(i) for i in ctx.shell.indices]
+    shell = ctx.shell.indices.tolist()
     if shell != load_summary(run_dir).get("shell", {}).get("indices"):
         raise ConfigError(f"config.json's shell [{config.shell_lo!r}, {config.shell_hi!r}] "
                           f"holds {len(shell)} eigenstates, not those of run.json's shell")
@@ -168,11 +161,13 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
         protocol = ControlProtocol.load(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path} is not a readable protocol: {exc!r}") from exc
-    if (protocol.n_steps, protocol.dt, protocol.basis_checksum, protocol.gamma.shape[1]) \
-            != (config.n_steps, config.dt, ctx.stack.checksum, ctx.stack.n_ops):
+    if (protocol.n_steps, protocol.dt, protocol.basis_checksum, protocol.gamma.shape[1],
+            protocol.kick_duration) != (config.n_steps, config.dt, ctx.stack.checksum,
+                                        ctx.stack.n_ops, config.kick_duration):
         raise ConfigError(f"{path} does not hold the {config.n_steps} steps of dt="
                           f"{config.dt!r} over the {ctx.stack.n_ops} operators of basis "
-                          f"{ctx.stack.checksum} that config.json sets")
+                          f"{ctx.stack.checksum}, after a kick of {config.kick_duration!r}, "
+                          f"that config.json sets")
     traj, _ = _replay_trajectory(ctx, protocol)
 
     archived = load_run(run_dir)[1].final_w()
@@ -227,7 +222,7 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
             row = {"preset": preset, "L": L, "k": data["k"]}
             try:
                 run_dir = run(ExperimentConfig.from_dict(data))
-                summary = json.loads((run_dir / "run.json").read_text())
+                summary = load_summary(run_dir)
                 row.update(status="ok", d_pos=summary["dpos_final"],
                            shell_size=summary["shell"]["size"],
                            run_dir=str(run_dir))

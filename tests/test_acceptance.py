@@ -21,7 +21,7 @@ from eigenwork.observables import fig4_csv, work_density
 from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
 from eigenwork.optimizer import compute_Y, reward, reward_grad, solve_gamma
-from eigenwork.propagate import StateBatch, expm_step, kick_unitary
+from eigenwork.propagate import expm_step, kick_unitary
 from eigenwork.sector import build_sector_basis, embed_state
 
 BASELINE_PATH = Path(__file__).parent / "baselines.json"
@@ -129,23 +129,21 @@ def kkt_setup():
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
-    idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
-    return L, H, batch, stack, kick
+    return L, H, shell, stack, kick
 
 
 def test_criterion_5_kkt_gradient_suite(kkt_setup):
-    L, H, batch, stack, kick = kkt_setup
+    L, H, shell, stack, kick = kkt_setup
     d = 1 << L
     C = np.sqrt(2 * L * d)
     params = RewardParams()
     ok = True
 
     # (ii) unkicked eigenstates: Y identically zero
-    w0 = work_density(batch.states, batch.origin_energies, H, L)
-    Y0 = compute_Y(batch.states, H @ batch.states, stack,
+    w0 = work_density(shell.states, shell.energies, H, L)
+    Y0 = compute_Y(shell.states, H @ shell.states, stack,
                    reward_grad(w0, params), L)
     ok &= np.abs(Y0).max() < 1e-12
 
@@ -159,10 +157,10 @@ def test_criterion_5_kkt_gradient_suite(kkt_setup):
     ok &= np.abs(reward_grad(w_grid, params) - fd).max() < 1e-6
 
     # (i) + (v): drive 100 steps manually, checking the closed form each step
-    states = kick_unitary(kick, 0.001, batch.states)
+    states = kick_unitary(kick, 0.001, shell.states)
     dt = 0.002
     for _ in range(100):
-        w = work_density(states, batch.origin_energies, H, L)
+        w = work_density(states, shell.energies, H, L)
         grad = reward_grad(w, params)
         Y = compute_Y(states, H @ states, stack, grad, L)
         gamma, vanished = solve_gamma(Y, C, L, d, tol=1e-12 * np.sqrt(stack.n_ops))
@@ -181,12 +179,12 @@ def test_criterion_5_kkt_gradient_suite(kkt_setup):
     H_t = stack.assemble(gamma)
     predicted = -(2.0 / L) * np.einsum(
         "ia,ia->a", (H @ states).conj(), H_t @ states).imag
-    w_now = work_density(states, batch.origin_energies, H, L)
+    w_now = work_density(states, shell.energies, H, L)
     dts = [4e-3, 2e-3, 1e-3]
     errs = []
     for step in dts:
         w_next = work_density(expm_step(H_t, step, states),
-                              batch.origin_energies, H, L)
+                              shell.energies, H, L)
         errs.append(np.abs((w_next - w_now) / step - predicted).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     ok &= 0.8 < slope < 1.25

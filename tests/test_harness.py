@@ -1,5 +1,6 @@
 """Config schema, run archiving, replay, sweeps, and the CLI surface."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -121,16 +122,90 @@ ROUNDTRIP_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(ROUNDTRIP_CONFIGS))
-def test_load_run_reserializes_archive_bytes(tmp_path, mode):
+@pytest.fixture(scope="module", params=sorted(ROUNDTRIP_CONFIGS))
+def roundtrip_run(request, tmp_path_factory):
+    """One archive per ROUNDTRIP_CONFIGS mode."""
+    data = dict(ROUNDTRIP_CONFIGS[request.param],
+                outdir=str(tmp_path_factory.mktemp("roundtrip") / request.param))
+    return request.param, runner.run(ExperimentConfig.from_dict(data))
+
+
+def test_load_run_reserializes_archive_bytes(roundtrip_run):
     """The one archive reader loses nothing the writers put in the CSVs."""
-    data = dict(ROUNDTRIP_CONFIGS[mode], outdir=str(tmp_path / mode))
-    run_dir = runner.run(ExperimentConfig.from_dict(data))
+    _, run_dir = roundtrip_run
     summary, traj = runner.load_run(run_dir)
     assert traj.timeseries_csv().encode() == (run_dir / "timeseries.csv").read_bytes()
     assert traj.per_state_csv().encode() == (run_dir / "per_state.csv").read_bytes()
-    assert len(traj.ee) == summary["shell"]["size"] > 0
-    assert traj.shell_mean_s0 == summary["shell_mean_initial_ee"]
+    assert traj.ee.shape == (summary["shell"]["size"], 2) and len(traj.ee) > 0
+    assert float(np.mean(traj.ee[:, 0])) == summary["shell_mean_initial_ee"]
+    assert float(np.std(traj.ee[:, 0])) == summary["initial_ee_std"]
+
+
+FROZEN_ARCHIVES = {
+    "discrete": {
+        "basis_manifest.txt":
+            "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8",
+        "per_state.csv":
+            "f305c8efbe7a21bbeb1091bb255a1104d96397a0bbe96228a3141b6a7c4dd8f7",
+        "protocol.txt":
+            "b19bdd3133a0b2534b0851bd83ea03137552819f0377235d860833303d2984bc",
+        "run.json":
+            "5de2e09481673c30c46fc8234d045da0a14d8016f52a2529e2700412965fd8d3",
+        "sector_manifest.txt":
+            "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
+        "spectrum.csv":
+            "fd7839c5b5ef8a6c06348559d7b931dacb4601f86594d953d6bfdcb6893dc872",
+        "timeseries.csv":
+            "a023014835b28649db45ba16aad6a370b3a912881bf0aa00deba743cb6be5642",
+    },
+    "optimize": {
+        "basis_manifest.txt":
+            "b62cf95327b315fd4b54ec700c48b7e7842d0f51abfd1d4f964aac4c9a9a648e",
+        "per_state.csv":
+            "96eaf1f84e9272b5f933cdbf1a96abbd766045cbbf8263e2765249d5f396e34a",
+        "protocol.txt":
+            "a907fd57cddc2af658ef1cc4a85e860a7ad6a48bebef0dfcf70e785327429999",
+        "run.json":
+            "f0f090e505d64d12d62d528ed66a919c9d5ce2b521a69b2051d118d6ab29c1ee",
+        "sector_manifest.txt":
+            "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
+        "spectrum.csv":
+            "fd7839c5b5ef8a6c06348559d7b931dacb4601f86594d953d6bfdcb6893dc872",
+        "timeseries.csv":
+            "dcf3e61a92ad591ac0c62cd5d3e350462df65f84e9bf6c869d2b618d16e059ff",
+    },
+    "quench": {
+        "basis_manifest.txt":
+            "5ea44b0e6416ade37810f750a363a728b578533a8340b51f2a1a54e3918d7d72",
+        "per_state.csv":
+            "74c6b2cc39692c8bdea562a33e99550d4e78186120ed3423fa2f27eb320cdccb",
+        "protocol.txt":
+            "19e328cbb3c4fc81ac29c813053dfa9832599db9d91dfcd76bf6b11ee00ae693",
+        "run.json":
+            "40122a93f766533c3636816e8c8f639af5df232b4c001eb397a43b0039d14623",
+        "sector_manifest.txt":
+            "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
+        "spectrum.csv":
+            "233235b7e45f5339ab848ff6a3b954a507aaacf05174b18800e41e0d188fc8d7",
+        "timeseries.csv":
+            "7efa7844bc18fcdb594f82101b7177933ab7cd756bd93e746184066ddd23ff5d",
+    },
+}
+
+
+def test_archive_bytes_frozen(roundtrip_run):
+    """sha256 of every archive file but config.json, which holds the outdir.
+
+    Taken with numpy 2.4.6 on scipy-openblas 0.3.31; at L=8 these bytes are
+    the same under 1 and 2 OpenBLAS threads. A refactor must leave them
+    alone. A deliberate change of the arithmetic (ROADMAP items 1, 6 and 7:
+    canonical shell eigenstates, batched entropies, a cheaper Taylor step)
+    updates the digests, with the evidence for it in CHANGES.md.
+    """
+    mode, run_dir = roundtrip_run
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in run_dir.iterdir() if path.name != "config.json"}
+    assert digests == FROZEN_ARCHIVES[mode]
 
 
 def test_load_run_rejects_non_archives(tmp_path, small_run):
@@ -598,4 +673,19 @@ def test_cli_replay_rejects_another_kick_generator(tmp_path):
     protocol.write_text(text.replace("kick_generator sum_sigma_x", "kick_generator sum_sigma_z"))
     with pytest.raises(ValueError, match="sum_sigma_z"):
         ControlProtocol.load(protocol)
+    assert main(["replay", "--run", str(outdir)]) == 2
+
+
+@pytest.mark.parametrize("kick", ["nan", "0.002", "0"])
+def test_cli_replay_rejects_another_kick(tmp_path, kick):
+    """A protocol.txt kick that is not config.json's, or not a finite number >= 0,
+    is a config error, not a replay deviation."""
+    cfg_path = tmp_path / "cfg.json"
+    outdir = tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(outdir), duration=0.02)))
+    assert main(["optimize", "-c", str(cfg_path)]) == 0
+    protocol = outdir / "protocol.txt"
+    text = protocol.read_text()
+    assert "kick_duration 0.001\n" in text
+    protocol.write_text(text.replace("kick_duration 0.001", f"kick_duration {kick}"))
     assert main(["replay", "--run", str(outdir)]) == 2

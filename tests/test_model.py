@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.model import (EigenDecomposition, IsingParams, PRESETS,
                              build_ising, diagonalize, select_shell,
@@ -72,10 +72,13 @@ def test_shell_selection_examples():
     L = 10
     eig = EigenDecomposition(np.array([-3.0, -2.0, -0.5]), np.eye(3))
     shell = select_shell(eig, -0.25, -0.1, L)
-    assert shell.indices == (1,)
+    assert shell.indices.tolist() == [1]
+    assert shell.energies.tolist() == [-2.0]
+    assert_array_equal(shell.states, eig.states[:, [1]])
 
     empty = select_shell(eig, 5.0, 6.0, L)
-    assert empty.indices == () and empty.size == 0
+    assert empty.indices.tolist() == [] and empty.size == 0
+    assert empty.states.shape == (3, 0)
 
     with pytest.raises(ValueError):
         select_shell(eig, -0.1, -0.25, L)
@@ -86,7 +89,7 @@ def test_shell_bounds_closed():
     eig = EigenDecomposition(np.array([-1.0, -0.4, 0.0]), np.eye(3))
     shell = select_shell(eig, -0.25, -0.1, L)
     # -1.0/4 and -0.4/4 hit the boundaries exactly and are both kept.
-    assert shell.indices == (0, 1)
+    assert shell.indices.tolist() == [0, 1]
 
 
 def test_shell_membership_reproducible_from_energies():
@@ -94,9 +97,10 @@ def test_shell_membership_reproducible_from_energies():
     basis = build_sector_basis(L)
     eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     shell = select_shell(eig, -0.25, -0.1, L)
-    recomputed = tuple(int(i) for i in np.flatnonzero(
-        (eig.energies / L >= -0.25) & (eig.energies / L <= -0.1)))
-    assert shell.indices == recomputed
+    recomputed = np.flatnonzero((eig.energies / L >= -0.25) & (eig.energies / L <= -0.1))
+    assert_array_equal(shell.indices, recomputed)
+    assert_array_equal(shell.energies, eig.energies[recomputed])
+    assert_array_equal(shell.states, eig.states[:, recomputed])
 
 
 @pytest.mark.parametrize("L", [4, 6])

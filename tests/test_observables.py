@@ -6,12 +6,10 @@ from numpy.testing import assert_allclose
 
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.config import ConfigError
-from eigenwork.observables import (EERecord, Trajectory, d_pos, ee_records,
-                                   fig4_csv, half_chain_ee,
-                                   shell_mean_initial_ee)
+from eigenwork.observables import Trajectory, d_pos, ee_records, fig4_csv, half_chain_ee
 from eigenwork.operators import OperatorStack, build_basis, sum_x
-from eigenwork.propagate import ControlProtocol, StateBatch, evolve
-from eigenwork.sector import build_sector_basis, embed_state
+from eigenwork.propagate import ControlProtocol, evolve
+from eigenwork.sector import build_sector_basis
 
 
 def test_d_pos_examples():
@@ -85,9 +83,9 @@ def test_identity_protocol_gives_zero_deltaS():
     basis = build_sector_basis(L)
     eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     states = eig.states[:, 3:6]
-    records = ee_records(states, states, basis, [3, 4, 5])
-    assert all(abs(r.S0 - r.St) < 1e-12 for r in records)
-    assert np.isfinite(shell_mean_initial_ee(records))
+    ee = ee_records(states, states, basis)
+    assert ee.shape == (3, 2) and np.all(np.isfinite(ee))
+    assert np.abs(ee[:, 0] - ee[:, 1]).max() < 1e-12
 
 
 def test_deltaS_sign_convention_toy():
@@ -99,7 +97,6 @@ def test_deltaS_sign_convention_toy():
     s0 = int(np.searchsorted(basis.orbit_reps, 0))
     v = np.zeros((basis.dim, 1), dtype=complex)
     v[s0, 0] = 1.0
-    batch = StateBatch(v, np.array([4.0]))
 
     xx = next(i for i, op in enumerate(ops)
               if {(p.x_mask, p.z_mask) for _, p in op.terms}
@@ -107,14 +104,13 @@ def test_deltaS_sign_convention_toy():
     gamma = np.zeros((40, stack.n_ops))
     gamma[:, xx] = 1.0
     protocol = ControlProtocol(dt=0.02, gamma=gamma, kick_duration=0.001)
-    out = evolve(batch, protocol, stack,
+    out = evolve(v, protocol, stack,
                  kick_matrix=sum_x(L).sector_matrix(basis))
 
-    nrm = np.linalg.norm(out.states[:, 0])
-    St = half_chain_ee(embed_state(out.states[:, 0] / nrm, basis), L)
-    rec = EERecord(0, S0=0.0, St=St)
+    (S0, St), = ee_records(v, out, basis)
+    assert S0 == 0.0
     assert St > 0.05
-    assert rec.S0 - rec.St < 0
+    assert S0 - St < 0
 
 
 def _toy_trajectory():
@@ -122,7 +118,7 @@ def _toy_trajectory():
     traj.add_sample(0, 0.0, 0.1, 0.0, 0, [0.0, 0.0])
     traj.add_sample(10, 0.5, 0.8, 0.2, 1, [0.2, 0.01])
     traj.add_sample(20, 1.0, 1.5, 0.1, 2, [0.21, 0.152])
-    traj.ee = [EERecord(5, 0.3, 0.9), EERecord(9, 0.4, 0.35)]
+    traj.ee = np.array([[0.3, 0.9], [0.4, 0.35]])
     return traj
 
 

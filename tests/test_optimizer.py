@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.config import ExperimentConfig, RewardParams
-from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize, select_shell
+from eigenwork.model import (PRESETS, EnergyShell, IsingParams, build_ising, diagonalize,
+                             select_shell)
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
-from eigenwork.propagate import StateBatch, evolve, expm_step, kick_unitary
+from eigenwork.propagate import evolve, expm_step, kick_unitary
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_state
 from eigenwork.observables import work_density
 
@@ -30,11 +31,9 @@ def shell_setup_L8():
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
-    idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
-    return L, basis, H_op, H, batch, stack, kick
+    return L, basis, H_op, H, shell, stack, kick
 
 
 def test_reward_params_validation():
@@ -87,41 +86,41 @@ def test_solve_gamma_closed_form():
 
 
 def test_work_density_zero_at_start(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    w = work_density(batch.states, batch.origin_energies, H, L)
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    w = work_density(shell.states, shell.energies, H, L)
     assert np.abs(w).max() < 1e-12
 
 
 def test_work_density_conserved_under_target(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    states = expm_step(H, 0.7, batch.states)
-    w = work_density(states, batch.origin_energies, H, L)
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    states = expm_step(H, 0.7, shell.states)
+    w = work_density(states, shell.energies, H, L)
     assert np.abs(w).max() < 1e-10
 
 
 def test_Y_vanishes_for_unkicked_eigenstates(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    w = work_density(batch.states, batch.origin_energies, H, L)
-    Y = compute_Y(batch.states, H @ batch.states, stack, reward_grad(w, P), L)
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    w = work_density(shell.states, shell.energies, H, L)
+    Y = compute_Y(shell.states, H @ shell.states, stack, reward_grad(w, P), L)
     assert np.abs(Y).max() < 1e-12
 
 
 def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
     """[H, Q] = 0 when Q is proportional to the measured Hamiltonian."""
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     unit = tuple((c / np.sqrt(H_op.norm_sq), p) for c, p in H_op.terms)
     aligned = OperatorStack([SymmetrizedOperator("aligned", unit, L)], basis)
-    states = kick_unitary(kick, 0.05, batch.states)
-    w = work_density(states, batch.origin_energies, H, L)
+    states = kick_unitary(kick, 0.05, shell.states)
+    w = work_density(states, shell.energies, H, L)
     Y = compute_Y(states, H @ states, aligned, reward_grad(w, P), L)
     assert np.abs(Y).max() < 1e-10
 
 
 def test_Y_matches_dense_commutator_oracle(shell_setup_L8):
     """Brute-force trace evaluation in the full 2^L space."""
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    states = kick_unitary(kick, 0.05, batch.states)
-    w = work_density(states, batch.origin_energies, H, L)
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    states = kick_unitary(kick, 0.05, shell.states)
+    w = work_density(states, shell.energies, H, L)
     grad = reward_grad(w, P)
     Y = compute_Y(states, H @ states, stack, grad, L)
 
@@ -141,20 +140,20 @@ def test_Y_matches_dense_commutator_oracle(shell_setup_L8):
 
 
 def test_work_density_residue_guard(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     broken = H + 1e-6j * np.eye(basis.dim)
     with pytest.raises(NumericalConsistencyError):
-        work_density(batch.states, batch.origin_energies, broken, L)
-    states = batch.states.copy()
+        work_density(shell.states, shell.energies, broken, L)
+    states = shell.states.copy()
     states[0, 0] = np.nan
     with pytest.raises(NumericalConsistencyError):
-        work_density(states, batch.origin_energies, H, L)
+        work_density(states, shell.energies, H, L)
 
 
 def test_dw_dt_chain_rule_first_order_convergence(shell_setup_L8):
     """|finite difference - chain rule| must shrink linearly in dt."""
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    states = kick_unitary(kick, 0.05, batch.states)
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    states = kick_unitary(kick, 0.05, shell.states)
     gamma = np.zeros(stack.n_ops)
     gamma[1] = 1.1
     gamma[4] = -0.7
@@ -164,13 +163,13 @@ def test_dw_dt_chain_rule_first_order_convergence(shell_setup_L8):
     H_psi = H @ states
     Ht_psi = H_t @ states
     predicted = -(2.0 / L) * np.einsum("ia,ia->a", H_psi.conj(), Ht_psi).imag
-    w0 = work_density(states, batch.origin_energies, H, L)
+    w0 = work_density(states, shell.energies, H, L)
 
     errs = []
     dts = [4e-3, 2e-3, 1e-3]
     for dt in dts:
         stepped = expm_step(H_t, dt, states)
-        w1 = work_density(stepped, batch.origin_energies, H, L)
+        w1 = work_density(stepped, shell.energies, H, L)
         fd = (w1 - w0) / dt
         errs.append(np.abs(fd - predicted).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -179,12 +178,11 @@ def test_dw_dt_chain_rule_first_order_convergence(shell_setup_L8):
 
 def test_optimize_properties_short_run(shell_setup_L8):
     """dr/dt identity, constraint activity, and replayable protocol shape."""
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     d = 1 << L
     C = np.sqrt(2 * L * d)
     cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
-    protocol, traj, final = optimize(cfg, H, batch, stack, kick,
-                                     np.arange(batch.n_states))
+    protocol, traj, final = optimize(cfg, H, shell, stack, kick)
 
     assert protocol.n_steps == 50
     assert protocol.kick_duration == 0.001
@@ -203,36 +201,35 @@ def test_optimize_properties_short_run(shell_setup_L8):
 
 def test_replay_of_optimized_protocol_is_bit_identical(shell_setup_L8):
     """evolve of the protocol optimize returns reproduces its states and w exactly."""
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
-    protocol, traj, final = optimize(cfg, H, batch, stack, kick,
-                                     np.arange(batch.n_states))
+    protocol, traj, final = optimize(cfg, H, shell, stack, kick)
     replayed_w = []
 
     def observer(step, t, states):
-        replayed_w.append(work_density(states, batch.origin_energies, H, L))
+        replayed_w.append(work_density(states, shell.energies, H, L))
 
-    replayed = evolve(batch, protocol, stack, observer=observer,
+    replayed = evolve(shell.states, protocol, stack, observer=observer,
                       sample_steps=cfg.sample_steps, kick_matrix=kick)
-    assert_array_equal(replayed.states, final.states)
+    assert_array_equal(replayed, final)
     assert len(replayed_w) == len(traj.w_samples) == len(cfg.sample_steps)
     for w_replay, w_opt in zip(replayed_w, traj.w_samples):
         assert_array_equal(w_replay, w_opt)
 
 
 def test_optimize_requires_kick(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     cfg = optimize_config(L, 2, dt=0.002, duration=0.01, kick_duration=0.0)
     with pytest.raises(NumericalConsistencyError):
-        optimize(cfg, H, batch, stack, kick, np.arange(batch.n_states))
+        optimize(cfg, H, shell, stack, kick)
 
 
 def test_optimize_rejects_empty_shell(shell_setup_L8):
-    L, basis, H_op, H, batch, stack, kick = shell_setup_L8
-    empty = StateBatch(np.zeros((basis.dim, 0)), np.zeros(0))
+    L, basis, H_op, H, shell, stack, kick = shell_setup_L8
+    empty = EnergyShell(np.arange(0), np.zeros(0), np.zeros((basis.dim, 0)))
     cfg = optimize_config(L, 2, dt=0.002, duration=0.01)
     with pytest.raises(ValueError):
-        optimize(cfg, H, empty, stack, kick, np.arange(0))
+        optimize(cfg, H, empty, stack, kick)
 
 
 def test_reward_approximately_monotone_L10():
@@ -249,16 +246,13 @@ def test_reward_approximately_monotone_L10():
     H = H_op.sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, -0.25, -0.1, L)
-    idx = list(shell.indices)
-    batch = StateBatch(eig.states[:, idx], eig.energies[idx])
     stack = OperatorStack(build_basis(L, 4), basis)
     kick = sum_x(L).sector_matrix(basis)
 
     dents = {}
     for dt in (0.002, 0.001):
         cfg = optimize_config(L, 4, dt=dt, duration=1.0, sample_every=1)
-        protocol, traj, final = optimize(cfg, H, batch, stack, kick,
-                                         np.arange(batch.n_states))
+        protocol, traj, final = optimize(cfg, H, shell, stack, kick)
         diffs = np.diff(traj.reward)
         dents[dt] = max(0.0, -float(diffs.min()))
         assert traj.reward[-1] > traj.reward[0] + 1.0

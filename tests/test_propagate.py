@@ -12,8 +12,8 @@ from eigenwork import observables, operators, propagate, runner, sector
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
-from eigenwork.propagate import (ControlProtocol, StateBatch, _taylor_plan,
-                                 evolve, expm_step, step_unitary)
+from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
+                                 norm_drift, step_unitary)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_state, matmul, sparse_matrix)
 
@@ -149,8 +149,8 @@ def test_fixed_protocol_observer_uses_the_sparse_target(monkeypatch):
     assert len(seen) == len(config.sample_steps)
     for H, states in seen:
         assert scipy.sparse.issparse(H) and H.dtype == np.float64
-        assert_allclose(observables.work_density(states, ctx.batch.origin_energies, H, 8),
-                        observables.work_density(states, ctx.batch.origin_energies,
+        assert_allclose(observables.work_density(states, ctx.shell.energies, H, 8),
+                        observables.work_density(states, ctx.shell.energies,
                                                  ctx.H_target, 8), rtol=0, atol=1e-14)
 
 
@@ -207,26 +207,25 @@ def test_taylor_step_term_cap():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_check_norms_rejects_non_finite_states():
+def test_check_norms_rejects_non_finite_states(setup_L6):
+    """The norm check after a product rejects a NaN or inf column."""
+    basis, ops, stack, eig = setup_L6
+    protocol = ControlProtocol(dt=0.01, gamma=np.zeros((1, stack.n_ops)))
     for bad in (np.nan, np.inf):
-        batch = StateBatch(np.array([[1.0], [bad]]), np.zeros(1))
+        psi0 = eig.states[:, :2].copy()
+        psi0[0, 1] = bad
+        assert not norm_drift(psi0) <= 1e-8
         with pytest.raises(NumericalConsistencyError):
-            batch.check_norms()
-
-
-def test_batch_validation():
-    with pytest.raises(ValueError):
-        StateBatch(np.zeros((4, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        StateBatch(np.zeros(4), np.zeros(1))
+            evolve(psi0, protocol, stack)
 
 
 def test_empty_protocol_is_identity(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :3], eig.energies[:3])
+    psi0 = eig.states[:, :3]
     protocol = ControlProtocol(dt=0.01, gamma=np.zeros((0, stack.n_ops)))
-    out = evolve(batch, protocol, stack)
-    assert_allclose(out.states, batch.states, atol=0)
+    out = evolve(psi0, protocol, stack)
+    assert_array_equal(out, psi0)
+    assert out.flags.c_contiguous and not np.shares_memory(out, psi0)
 
 
 def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
@@ -243,29 +242,29 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
             gamma0[i] = coeffs[next(iter(keys))]
     assert abs(stack.frobenius_norm_sq(gamma0) - H_op.norm_sq) < 1e-9
 
-    batch = StateBatch(eig.states[:, 2:6], eig.energies[2:6])
+    psi0 = eig.states[:, 2:6]
     protocol = ControlProtocol(dt=0.02, gamma=np.tile(gamma0, (100, 1)))
-    out = evolve(batch, protocol, stack)
-    energy = np.einsum("ia,ia->a", out.states.conj(), H_sec @ out.states).real
-    assert np.abs(energy - batch.origin_energies).max() < 1e-10
+    out = evolve(psi0, protocol, stack)
+    energy = np.einsum("ia,ia->a", out.conj(), H_sec @ out).real
+    assert np.abs(energy - eig.energies[2:6]).max() < 1e-10
 
 
 def test_unitarity_accumulation(setup_L6, rng):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :2], eig.energies[:2])
+    psi0 = eig.states[:, :2]
     gamma = rng.normal(size=(1000, stack.n_ops)) * 0.3
     protocol = ControlProtocol(dt=0.002, gamma=gamma)
-    out = evolve(batch, protocol, stack, sample_steps=[1000])
-    assert out.norm_drift() < 1e-8
+    out = evolve(psi0, protocol, stack, sample_steps=[1000])
+    assert norm_drift(out) < 1e-8
 
 
 def test_time_reversal(setup_L6, rng):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :3], eig.energies[:3])
+    psi0 = eig.states[:, :3]
     gamma = rng.normal(size=(500, stack.n_ops)) * 0.5
-    forward = evolve(batch, ControlProtocol(dt=0.002, gamma=gamma), stack)
+    forward = evolve(psi0, ControlProtocol(dt=0.002, gamma=gamma), stack)
     back = evolve(forward, ControlProtocol(dt=-0.002, gamma=gamma[::-1]), stack)
-    assert np.abs(back.states - batch.states).max() < 1e-7
+    assert np.abs(back - psi0).max() < 1e-7
 
 
 def test_sector_step_commutes_with_full_space(rng):
@@ -286,20 +285,20 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
     a, b, c, d = (rng.normal(size=stack.n_ops) * 0.4 for _ in range(4))
     gamma = np.array([a, a, a, b, c, c, d, a])
     dt = 0.01
-    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
+    psi0 = eig.states[:, :4]
     built = []
     monkeypatch.setattr(propagate, "step_unitary",
                         lambda H, dt: built.append(dt) or step_unitary(H, dt))
-    out = evolve(batch, ControlProtocol(dt=dt, gamma=gamma), stack)
+    out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma), stack)
     assert len(built) == 2
 
-    taylor = exact = batch.states
+    taylor = exact = psi0
     for row in gamma:
         H = stack.assemble(row)
         taylor = expm_step(H, dt, taylor)
         exact = scipy.linalg.expm(-1j * dt * H) @ exact
-    assert_allclose(out.states, taylor, rtol=0, atol=1e-12)
-    assert_allclose(out.states, exact, rtol=0, atol=1e-12)
+    assert_allclose(out, taylor, rtol=0, atol=1e-12)
+    assert_allclose(out, exact, rtol=0, atol=1e-12)
 
 
 def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
@@ -307,7 +306,7 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
     basis, ops, stack, eig = setup_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, sample_steps = 0.01, [0, 10, 20, 23]
-    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
+    psi0 = eig.states[:, :4]
     built, powers, seen = [], [], []
     monkeypatch.setattr(propagate, "step_unitary",
                         lambda H, dt: built.append(dt) or step_unitary(H, dt))
@@ -319,25 +318,25 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
         assert not states.flags.writeable
         seen.append((step, t, states.copy()))
 
-    evolve(batch, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1))), stack,
+    evolve(psi0, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1))), stack,
            observer=observer, sample_steps=sample_steps)
     assert built == [dt]
     assert powers == [10, 3]
     assert [(n, t) for n, t, _ in seen] == [(n, n * dt) for n in sample_steps]
     H = stack.assemble(row)
     for n, _, states in seen:
-        assert_allclose(states, scipy.linalg.expm(-1j * n * dt * H) @ batch.states,
+        assert_allclose(states, scipy.linalg.expm(-1j * n * dt * H) @ psi0,
                         rtol=0, atol=1e-12)
 
 
 def test_held_row_runs_keep_the_norm_check(setup_L6, monkeypatch):
     """A merged run of a slightly non-unitary step still fails the norm check."""
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :2], eig.energies[:2])
+    psi0 = eig.states[:, :2]
     monkeypatch.setattr(propagate, "step_unitary", lambda H, dt: 1.0001 * step_unitary(H, dt))
     gamma = np.ones((20, stack.n_ops)) * 0.3
     with pytest.raises(NumericalConsistencyError):
-        evolve(batch, ControlProtocol(dt=0.01, gamma=gamma), stack,
+        evolve(psi0, ControlProtocol(dt=0.01, gamma=gamma), stack,
                observer=lambda *args: None, sample_steps=[0, 10, 20])
 
 
@@ -351,10 +350,10 @@ def test_quench_never_calls_the_eigensolver(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)))
-    out = evolve(ctx.batch, protocol, ctx.stack)
+    out = evolve(ctx.shell.states, protocol, ctx.stack)
     U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
-    exact = np.linalg.matrix_power(U, 20) @ ctx.batch.states
-    assert_allclose(out.states, exact, rtol=0, atol=1e-12)
+    exact = np.linalg.matrix_power(U, 20) @ ctx.shell.states
+    assert_allclose(out, exact, rtol=0, atol=1e-12)
 
 
 def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
@@ -362,7 +361,7 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
     basis, ops, stack, eig = setup_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, n_steps = 0.01, 6
-    batch = StateBatch(eig.states[:, :4], eig.energies[:4])
+    psi0 = eig.states[:, :4]
     built, asked = [], []
     monkeypatch.setattr(propagate, "step_unitary",
                         lambda H, dt: built.append(dt) or step_unitary(H, dt))
@@ -373,31 +372,31 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
         return row
 
     protocol = ControlProtocol(dt=dt, gamma=np.zeros((n_steps, stack.n_ops)))
-    out = evolve(batch, protocol, stack, controller=controller)
+    out = evolve(psi0, protocol, stack, controller=controller)
     assert built == []
     assert asked == list(range(n_steps))
     assert_array_equal(protocol.gamma, np.tile(row, (n_steps, 1)))
 
-    taylor = batch.states
+    taylor = psi0
     H = stack.assemble(row)
     for _ in range(n_steps):
         taylor = expm_step(H, dt, taylor)
-    assert_allclose(out.states, taylor, rtol=0, atol=1e-12)
+    assert_allclose(out, taylor, rtol=0, atol=1e-12)
 
 
 def test_evolve_rejects_non_finite_protocol(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
+    psi0 = eig.states[:, :1]
     for n_bad in (1, 3):
         gamma = np.zeros((4, stack.n_ops))
         gamma[1:1 + n_bad, 0] = np.nan
         with pytest.raises(NumericalConsistencyError):
-            evolve(batch, ControlProtocol(dt=0.1, gamma=gamma), stack)
+            evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma), stack)
 
 
 def test_observer_sampling_and_snapshots(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
+    psi0 = eig.states[:, :1]
     gamma = np.zeros((10, stack.n_ops))
     gamma[:, 0] = 1.0
     seen = []
@@ -406,33 +405,41 @@ def test_observer_sampling_and_snapshots(setup_L6):
         seen.append((step, t))
         assert not states.flags.writeable
 
-    evolve(batch, ControlProtocol(dt=0.1, gamma=gamma), stack,
+    evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma), stack,
            observer=observer, sample_steps=[0, 5, 10])
     assert seen == [(0, 0.0), (5, 0.5), (10, 1.0)]
 
 
 def test_manifest_mismatch_rejected(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
+    psi0 = eig.states[:, :1]
     protocol = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops)),
                                basis_checksum="deadbeef")
     with pytest.raises(ValueError):
-        evolve(batch, protocol, stack)
+        evolve(psi0, protocol, stack)
     wrong_width = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops + 1)))
     with pytest.raises(ValueError):
-        evolve(batch, wrong_width, stack)
+        evolve(psi0, wrong_width, stack)
 
 
 def test_kick_requires_generator(setup_L6):
     basis, ops, stack, eig = setup_L6
-    batch = StateBatch(eig.states[:, :1], eig.energies[:1])
+    psi0 = eig.states[:, :1]
     protocol = ControlProtocol(dt=0.1, gamma=np.zeros((1, stack.n_ops)),
                                kick_duration=0.001)
     with pytest.raises(ValueError):
-        evolve(batch, protocol, stack)
+        evolve(psi0, protocol, stack)
     kick = sum_x(6).sector_matrix(basis)
-    out = evolve(batch, protocol, stack, kick_matrix=kick)
-    assert out.norm_drift() < 1e-10
+    out = evolve(psi0, protocol, stack, kick_matrix=kick)
+    assert norm_drift(out) < 1e-10
+
+
+@pytest.mark.parametrize("kick", [np.nan, np.inf, -0.001])
+def test_protocol_rejects_a_non_finite_or_negative_kick(kick):
+    """evolve applies a kick only when its duration is > 0, so a NaN would pass
+    silently as no kick: the protocol refuses it where it is made or read."""
+    with pytest.raises(ValueError, match="kick duration"):
+        ControlProtocol(dt=0.002, gamma=np.zeros((1, 3)), kick_duration=kick)
 
 
 def test_protocol_file_roundtrip_exact(tmp_path, rng):
