@@ -56,7 +56,7 @@ def _cmd_diag(args):
     H = build_ising(IsingParams(cfg.h, cfg.g, cfg.L)).sector_matrix(basis)
     eig = diagonalize(H)
     shell = select_shell(eig, cfg.shell_lo, cfg.shell_hi, cfg.L)
-    Path(args.out).write_text(spectrum_csv(eig, shell, cfg.L))
+    Path(args.out).write_text(spectrum_csv(eig.energies, shell, cfg.L))
     print(f"sector dim {basis.dim}, shell size {shell.size}; spectrum at {args.out}")
 
 

@@ -77,7 +77,7 @@ def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
 
 def optimize(config: ExperimentConfig, H_target: np.ndarray, shell: EnergyShell,
              stack: OperatorStack,
-             kick_matrix: np.ndarray) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
+             kick_matrix: np.ndarray | None) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
     """Run the greedy controller on the shell's states through :func:`evolve`.
 
     Returns the replayable protocol, the trajectory and the final states.

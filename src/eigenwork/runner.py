@@ -29,13 +29,21 @@ from .sector import (SectorBasis, build_sector_basis, manifest_checksum,
 
 @dataclass
 class RunContext:
+    """What a run needs of its model past ``prepare``.
+
+    Of the eigendecomposition only the energies, the eigenvector checksum and
+    the shell's columns are kept. ``kick_matrix`` is None when the config sets
+    no kick.
+    """
+
     config: ExperimentConfig
     basis: SectorBasis
     H_target: np.ndarray
-    eig: "object"
+    energies: np.ndarray
+    eigenvector_checksum: str
     shell: EnergyShell
     stack: OperatorStack
-    kick_matrix: np.ndarray
+    kick_matrix: np.ndarray | None
 
 
 def prepare(config: ExperimentConfig) -> RunContext:
@@ -44,6 +52,8 @@ def prepare(config: ExperimentConfig) -> RunContext:
     H_target = model_op.sector_matrix(basis)
     eig = diagonalize(H_target)
     shell = select_shell(eig, config.shell_lo, config.shell_hi, config.L)
+    energies, checksum = eig.energies, eig.checksum()
+    del eig  # frees the full eigenvector matrix before the stack is built
 
     if config.mode == "optimize":
         ops = build_basis(config.L, config.k)
@@ -52,8 +62,10 @@ def prepare(config: ExperimentConfig) -> RunContext:
     else:
         ops = discrete_action_set(config.L)
     stack = OperatorStack(ops, basis)
-    kick_matrix = sum_x(config.L).sector_matrix(basis)
-    return RunContext(config, basis, H_target, eig, shell, stack, kick_matrix)
+    kick_matrix = (sum_x(config.L).sector_matrix(basis)
+                   if config.kick_duration > 0 else None)
+    return RunContext(config, basis, H_target, energies, checksum, shell, stack,
+                      kick_matrix)
 
 
 def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
@@ -113,7 +125,7 @@ def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
     (outdir / "basis_manifest.txt").write_text(ctx.stack.manifest)
     sect = sector_manifest(ctx.basis)
     (outdir / "sector_manifest.txt").write_text(sect)
-    (outdir / "spectrum.csv").write_text(spectrum_csv(ctx.eig, ctx.shell, cfg.L))
+    (outdir / "spectrum.csv").write_text(spectrum_csv(ctx.energies, ctx.shell, cfg.L))
     protocol.save(outdir / "protocol.txt")
     (outdir / "timeseries.csv").write_text(traj.timeseries_csv())
     (outdir / "per_state.csv").write_text(traj.per_state_csv())
@@ -135,7 +147,7 @@ def _archive(ctx: RunContext, protocol: ControlProtocol, traj: Trajectory,
         "initial_ee_std": float(np.std(traj.ee[:, 0])),
         "basis_checksum": ctx.stack.checksum,
         "sector_checksum": manifest_checksum(sect),
-        "eigenvector_checksum": ctx.eig.checksum(),
+        "eigenvector_checksum": ctx.eigenvector_checksum,
         "norm_drift": norm_drift(final),
     }
     with open(outdir / "run.json", "w") as fh:

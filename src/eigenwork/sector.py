@@ -12,8 +12,10 @@ imaginary part. Every Taylor term, and every H psi that
 :func:`observables.work_density` forms itself, goes through :func:`matmul`.
 Every Hermiticity check on sector matrices goes through
 :func:`check_hermiticity`, one rule relative to the scale of the matrix. All
-dynamics run in sector coordinates; the full 2^L space is touched only by
-:func:`embed_state` for entanglement diagnostics.
+dynamics and diagnostics run in sector coordinates: :func:`schmidt_maps` takes
+sector vectors straight to their half-chain Schmidt blocks, and no 2^L vector
+is formed. :func:`embed_state`, the map to the full space, stays as the test
+oracle for both.
 """
 
 from __future__ import annotations
@@ -90,6 +92,42 @@ def embed_state(v: np.ndarray, basis: SectorBasis) -> np.ndarray:
         raise ValueError(f"sector vector not normalized: max ||v| - 1| = {dev!r}")
     amp = basis.norms[basis.state_to_orbit]
     return v[basis.state_to_orbit] * (amp if v.ndim == 1 else amp[:, None])
+
+
+def schmidt_maps(basis: SectorBasis) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
+    """Real maps from sector coordinates to the flattened even and odd Schmidt blocks.
+
+    With n = L/2, a sector state's Schmidt matrix Psi[b, a] (a = bits 0..n-1,
+    the low half) is symmetric, since translation by n swaps the halves, and
+    commutes with the n-bit reversal P, since the reflection l -> n-1-l mod L
+    maps each half onto itself. In P's even/odd basis, palindromes and
+    (e_x +- e_Px)/sqrt2 for x < Px, Psi splits into two symmetric blocks of
+    sizes (2^n +- 2^ceil(n/2))/2; their singular values are Psi's. Each map
+    has (block size)^2 rows, the row-major block, and basis.dim columns. The
+    odd block is empty at L=2.
+    """
+    if basis.L % 2:
+        raise ValueError("half-chain cut needs even L")
+    n = basis.L // 2
+    x = np.arange(1 << n, dtype=np.int64)
+    px = reflect_bits(x, n)
+    pal, pair = np.flatnonzero(x == px), np.flatnonzero(x < px)
+    r, k = math.sqrt(0.5), np.arange(len(pair))
+
+    def pair_columns(sign):  # (e_x + sign e_Px)/sqrt2 for each pair x < Px
+        return scipy.sparse.csr_array(
+            (np.repeat([r, sign * r], len(pair)),
+             (np.concatenate([pair, px[pair]]), np.tile(k, 2))), shape=(1 << n, len(pair)))
+
+    palindromes = scipy.sparse.csr_array((np.ones(len(pal)), (pal, np.arange(len(pal)))),
+                                         shape=(1 << n, len(pal)))
+    even = scipy.sparse.hstack([palindromes, pair_columns(1)], format="csr")
+    # Psi.ravel() = embed @ v, and the block Q^T Psi Q ravels to kron(Q^T, Q^T) Psi.ravel().
+    embed = scipy.sparse.csr_array(
+        (basis.norms[basis.state_to_orbit], (np.arange(1 << basis.L), basis.state_to_orbit)),
+        shape=(1 << basis.L, basis.dim))
+    return tuple(scipy.sparse.kron(Q.T, Q.T, format="csr") @ embed
+                 for Q in (even, pair_columns(-1)))
 
 
 def check_hermiticity(dev: float, scale, what: str) -> None:

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenwork import runner
+from eigenwork import optimizer, runner
 from eigenwork.cli import main
 from eigenwork.config import ConfigError, ExperimentConfig
-from eigenwork.observables import d_pos
-from eigenwork.propagate import ControlProtocol
+from eigenwork.model import EnergyShell
+from eigenwork.observables import d_pos, work_density
+from eigenwork.operators import sum_x
+from eigenwork.propagate import ControlProtocol, evolve, kick_unitary
+from eigenwork.sector import NumericalConsistencyError
 
 
 def cfg_dict(**overrides):
@@ -146,11 +149,11 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8",
         "per_state.csv":
-            "f305c8efbe7a21bbeb1091bb255a1104d96397a0bbe96228a3141b6a7c4dd8f7",
+            "300f666c92dfdc05d1e6f0e5727867676825628e7297b3dd3a4b72883af42b7c",
         "protocol.txt":
             "b19bdd3133a0b2534b0851bd83ea03137552819f0377235d860833303d2984bc",
         "run.json":
-            "5de2e09481673c30c46fc8234d045da0a14d8016f52a2529e2700412965fd8d3",
+            "383eeaeae12c3fcd944978b534e41983a2f95e93a63f81b1e2d8136111de8815",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
@@ -162,11 +165,11 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "b62cf95327b315fd4b54ec700c48b7e7842d0f51abfd1d4f964aac4c9a9a648e",
         "per_state.csv":
-            "96eaf1f84e9272b5f933cdbf1a96abbd766045cbbf8263e2765249d5f396e34a",
+            "5c4b2b0c5d80752e468516d84dcbf4814b61138264d6ea320934d0af24f97cd1",
         "protocol.txt":
             "a907fd57cddc2af658ef1cc4a85e860a7ad6a48bebef0dfcf70e785327429999",
         "run.json":
-            "f0f090e505d64d12d62d528ed66a919c9d5ce2b521a69b2051d118d6ab29c1ee",
+            "978791d3c5d626e807d386cbabc76dba31bd3e5e70d82cdf2fb975b79369774f",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
@@ -178,7 +181,7 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "5ea44b0e6416ade37810f750a363a728b578533a8340b51f2a1a54e3918d7d72",
         "per_state.csv":
-            "74c6b2cc39692c8bdea562a33e99550d4e78186120ed3423fa2f27eb320cdccb",
+            "d598dcdab3ab4e1fd9a7110ebb8651295c397381a3eebba50c9bfae57f0db11d",
         "protocol.txt":
             "19e328cbb3c4fc81ac29c813053dfa9832599db9d91dfcd76bf6b11ee00ae693",
         "run.json":
@@ -198,9 +201,10 @@ def test_archive_bytes_frozen(roundtrip_run):
 
     Taken with numpy 2.4.6 on scipy-openblas 0.3.31; at L=8 these bytes are
     the same under 1 and 2 OpenBLAS threads. A refactor must leave them
-    alone. A deliberate change of the arithmetic (ROADMAP items 1, 6 and 7:
-    canonical shell eigenstates, batched entropies, a cheaper Taylor step)
-    updates the digests, with the evidence for it in CHANGES.md.
+    alone. A deliberate change of the arithmetic (as the Schmidt-block
+    entropies made, and ROADMAP items 1 and 7 will: canonical shell
+    eigenstates, a cheaper Taylor step) updates the digests, with the
+    evidence for it in CHANGES.md.
     """
     mode, run_dir = roundtrip_run
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -226,6 +230,32 @@ def test_replay_matches_archive(small_run):
 
 
 ARCHIVED_QUENCH = Path(__file__).parent / "data" / "quench_nonintegrable_L8"
+
+
+def test_kick_matrix_built_only_for_a_kick(tmp_path):
+    """prepare builds the sum_x kick generator only when the config sets a kick."""
+    for mode, data in ROUNDTRIP_CONFIGS.items():
+        ctx = runner.prepare(ExperimentConfig.from_dict(data))
+        assert (ctx.kick_matrix is None) == (mode != "optimize"), mode
+
+    cfg = ExperimentConfig.from_dict(cfg_dict(outdir=str(tmp_path / "r"), kick_duration=0.0,
+                                              duration=0.02))
+    ctx = runner.prepare(cfg)
+    assert ctx.kick_matrix is None
+    # Unkicked eigenstates still stop the run on the vanished gradient, as before.
+    with pytest.raises(NumericalConsistencyError, match="gradient vanished"):
+        runner.run(cfg)
+
+    # From states already off the eigenbasis, an unkicked optimize runs without
+    # the generator, and its protocol replays through evolve within 1e-9.
+    kicked = kick_unitary(sum_x(cfg.L).sector_matrix(ctx.basis), 0.001, ctx.shell.states)
+    shell = EnergyShell(ctx.shell.indices, ctx.shell.energies, kicked)
+    protocol, traj, _ = optimizer.optimize(cfg, ctx.H_target, shell, ctx.stack,
+                                           ctx.kick_matrix)
+    assert protocol.kick_duration == 0.0 and protocol.gamma.any()
+    final = evolve(shell.states, protocol, ctx.stack, kick_matrix=ctx.kick_matrix)
+    w = work_density(final, shell.energies, ctx.H_target, cfg.L)
+    assert np.abs(w - traj.final_w()).max() <= 1e-9
 
 
 def test_archived_quench_still_replays():

@@ -126,7 +126,7 @@ def test_spectrum_csv_roundtrip():
     basis = build_sector_basis(L)
     eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
     shell = select_shell(eig, -0.25, -0.1, L)
-    text = spectrum_csv(eig, shell, L)
+    text = spectrum_csv(eig.energies, shell, L)
     lines = text.strip().splitlines()
     assert lines[0] == "alpha,E,E_over_L,in_shell"
     assert len(lines) == basis.dim + 1

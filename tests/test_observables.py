@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from eigenwork import observables
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.config import ConfigError
-from eigenwork.observables import Trajectory, d_pos, ee_records, fig4_csv, half_chain_ee
+from eigenwork.observables import (Trajectory, d_pos, ee_records, fig4_csv, half_chain_ee,
+                                   half_chain_entropies)
 from eigenwork.operators import OperatorStack, build_basis, sum_x
+from eigenwork.pauli import reflect_bits
 from eigenwork.propagate import ControlProtocol, evolve
-from eigenwork.sector import build_sector_basis
+from eigenwork.sector import build_sector_basis, embed_state
 
 
 def test_d_pos_examples():
@@ -76,6 +79,74 @@ def test_ee_bounds_and_validation(rng):
         half_chain_ee(np.ones(8) / np.sqrt(8), 3)
     with pytest.raises(ValueError):
         half_chain_ee(np.ones(1 << L), L)
+
+
+def _random_batch(rng, dim, m, complex_):
+    v = rng.normal(size=(dim, m))
+    if complex_:
+        v = v + 1j * rng.normal(size=(dim, m))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _oracle_entropies(v, basis):
+    return np.array([half_chain_ee(embed_state(v[:, j], basis), basis.L)
+                     for j in range(v.shape[1])])
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-9], ids=["unit", "drift"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+def test_half_chain_entropies_match_full_space_oracle(rng, L, complex_, drift):
+    """The Schmidt-block kernel against one SVD per embedded unit state.
+
+    L=2 has an empty odd block. Columns off unit norm by the drift evolution
+    leaves give the entropies of the unit states.
+    """
+    basis = build_sector_basis(L)
+    v = _random_batch(rng, basis.dim, 6, complex_)
+    S = half_chain_entropies(v * (1.0 + drift * np.array([1, -1, 0.5, -0.5, 0, 1])), basis)
+    assert S.shape == (6,)
+    assert_allclose(S, _oracle_entropies(v, basis), rtol=0, atol=1e-12)
+
+
+def test_half_chain_entropies_chunk_the_columns(rng, monkeypatch):
+    """A chunk of one column gives the same entropies as one chunk of all of them."""
+    basis = build_sector_basis(8)
+    v = _random_batch(rng, basis.dim, 5, True)
+    whole = half_chain_entropies(v, basis)
+    monkeypatch.setattr(observables, "SCHMIDT_CHUNK_BYTES", 1)
+    assert_allclose(half_chain_entropies(v, basis), whole, rtol=0, atol=1e-14)
+
+
+def test_half_chain_entropies_of_a_product_state_are_zero():
+    basis = build_sector_basis(6)
+    v = np.zeros((basis.dim, 1), dtype=complex)
+    v[int(np.searchsorted(basis.orbit_reps, 0)), 0] = 1.0
+    assert half_chain_entropies(v, basis).tolist() == [0.0]
+    assert half_chain_entropies(v.real, basis).tolist() == [0.0]
+
+
+def test_half_chain_entropies_reject_odd_L():
+    basis = build_sector_basis(5)
+    with pytest.raises(ValueError):
+        half_chain_entropies(np.eye(basis.dim), basis)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10])
+def test_sector_schmidt_matrix_symmetric_and_reflection_even(rng, L):
+    """The invariant the block kernel rests on: Psi = Psi^T and P Psi P = Psi.
+
+    Psi[b, a] is an embedded sector vector with a the low L/2 bits; P reverses
+    the L/2 bits of a half.
+    """
+    basis = build_sector_basis(L)
+    half = 1 << (L // 2)
+    P = reflect_bits(np.arange(half), L // 2)
+    full = embed_state(_random_batch(rng, basis.dim, 4, True), basis)
+    for j in range(full.shape[1]):
+        psi = full[:, j].reshape(half, half)
+        assert_array_equal(psi, psi.T)
+        assert_array_equal(psi[np.ix_(P, P)], psi)
 
 
 def test_identity_protocol_gives_zero_deltaS():
