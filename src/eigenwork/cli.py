@@ -54,7 +54,7 @@ def _cmd_diag(args):
     cfg = _load_config(args.config)
     basis = build_sector_basis(cfg.L)
     H = build_ising(IsingParams(cfg.h, cfg.g, cfg.L)).sector_matrix(basis)
-    eig = diagonalize(H)
+    eig = diagonalize(H, basis)
     shell = select_shell(eig, cfg.shell_lo, cfg.shell_hi, cfg.L)
     Path(args.out).write_text(spectrum_csv(eig.energies, shell, cfg.L))
     print(f"sector dim {basis.dim}, shell size {shell.size}; spectrum at {args.out}")

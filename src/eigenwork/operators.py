@@ -334,6 +334,9 @@ class OperatorStack:
                                 for rows, data, indptr in parts)
         # CSR views of the transposes share the arrays; taken once, not per gather.
         self._real_T, self._imag_T = self.real.T, self.imag.T
+        # The gather's contiguous copy of Im K, then of Re K. Its pages are
+        # mapped by the first gather and reused by every later one.
+        self._part = np.empty(self.dim * self.dim)
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i, certified Hermitian.
@@ -356,9 +359,17 @@ class OperatorStack:
         return H
 
     def gather_quadratic(self, K: np.ndarray) -> np.ndarray:
-        """Im q, where q_i = sum_{r,c} Q_i[r,c] * K[r,c]."""
+        """Im q, where q_i = sum_{r,c} Q_i[r,c] * K[r,c].
+
+        The sparse products read Im K and Re K from one scratch vector the
+        stack keeps, instead of from a fresh copy of each part per call.
+        """
         K = K.ravel()
-        return self._real_T @ K.imag + self._imag_T @ K.real
+        np.copyto(self._part, K.imag)
+        q = self._real_T @ self._part
+        np.copyto(self._part, K.real)
+        q += self._imag_T @ self._part
+        return q
 
     def frobenius_norm_sq(self, gamma: np.ndarray) -> float:
         """Exact full-space ||sum_i gamma_i Q_i||_2^2 via string coefficients."""

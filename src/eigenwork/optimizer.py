@@ -47,15 +47,16 @@ def reward_grad(w: np.ndarray, p: RewardParams) -> np.ndarray:
 
 
 def compute_Y(states: np.ndarray, H_psi: np.ndarray, stack: OperatorStack,
-              grad: np.ndarray, L: int) -> np.ndarray:
+              grad: np.ndarray, L: int, out: np.ndarray | None = None) -> np.ndarray:
     """Y_i = i L^-1 sum_alpha grad_alpha <psi_alpha|[H, Q_i]|psi_alpha>.
 
     The commutator expectation of Hermitian operators in a pure state is
     purely imaginary, so Y is assembled directly from the imaginary part of
     the weighted quadratic form q_i = sum_alpha grad_alpha <psi|H Q_i|psi>,
-    which is what the stack's gather returns.
+    which is what the stack's gather returns. Its (dim x dim) kernel K is
+    written into ``out`` when given.
     """
-    K = (H_psi.conj() * grad) @ states.T
+    K = np.matmul(H_psi.conj() * grad, states.T, out=out)
     return -(2.0 / L) * stack.gather_quadratic(K)
 
 
@@ -96,11 +97,14 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, shell: EnergyShell,
                                kick_duration=config.kick_duration,
                                basis_checksum=stack.checksum)
     seen = {}  # the controller's w and Y, for the observer at the same step
+    # compute_Y's (dim x dim) kernel, one buffer for every step: a fresh one per
+    # step can land on newly mapped pages (a quarter of the step time at L=12).
+    kernel = np.empty((stack.dim, stack.dim), dtype=complex)
 
     def controller(step, states):
         H_psi = H_target @ states
         w = work_density(states, shell.energies, H_target, L, H_psi=H_psi)
-        Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L)
+        Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L, kernel)
         seen.update(step=step, w=w, Y=Y)
         return solve_gamma(Y, C, L, d, tol)[0]
 

@@ -50,7 +50,7 @@ def prepare(config: ExperimentConfig) -> RunContext:
     basis = build_sector_basis(config.L)
     model_op = build_ising(IsingParams(config.h, config.g, config.L))
     H_target = model_op.sector_matrix(basis)
-    eig = diagonalize(H_target)
+    eig = diagonalize(H_target, basis)
     shell = select_shell(eig, config.shell_lo, config.shell_hi, config.L)
     energies, checksum = eig.energies, eig.checksum()
     del eig  # frees the full eigenvector matrix before the stack is built

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenwork import optimizer, runner
+from eigenwork import model, optimizer, runner
 from eigenwork.cli import main
 from eigenwork.config import ConfigError, ExperimentConfig
 from eigenwork.model import EnergyShell
@@ -149,49 +149,49 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8",
         "per_state.csv":
-            "300f666c92dfdc05d1e6f0e5727867676825628e7297b3dd3a4b72883af42b7c",
+            "d2861de7d96fee39153e1cbb0bbae63016f2a5c0031f0244bd2350d4f6a58838",
         "protocol.txt":
             "b19bdd3133a0b2534b0851bd83ea03137552819f0377235d860833303d2984bc",
         "run.json":
-            "383eeaeae12c3fcd944978b534e41983a2f95e93a63f81b1e2d8136111de8815",
+            "0b3d99ad464d9b76d9caf1eced028990e9cad92372ec5f72e7fdef511412d78e",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
-            "fd7839c5b5ef8a6c06348559d7b931dacb4601f86594d953d6bfdcb6893dc872",
+            "8aa8a5fe2f7e3922dcb9af42cad60d3bee4a25c370229c2f22e522ef697fe000",
         "timeseries.csv":
-            "a023014835b28649db45ba16aad6a370b3a912881bf0aa00deba743cb6be5642",
+            "b774922ff76b743a5d3fa4d2dabb9778e482507c81e911b5336aa59cdfad0ab6",
     },
     "optimize": {
         "basis_manifest.txt":
             "b62cf95327b315fd4b54ec700c48b7e7842d0f51abfd1d4f964aac4c9a9a648e",
         "per_state.csv":
-            "5c4b2b0c5d80752e468516d84dcbf4814b61138264d6ea320934d0af24f97cd1",
+            "21c863631a0e35612ca310d7f10683f2d5d8cdec4317a06580e6f23b4f2ada2b",
         "protocol.txt":
-            "a907fd57cddc2af658ef1cc4a85e860a7ad6a48bebef0dfcf70e785327429999",
+            "57026f922048c30d0621f38184175df4c208f56716442c707bba15a40356d1c6",
         "run.json":
-            "978791d3c5d626e807d386cbabc76dba31bd3e5e70d82cdf2fb975b79369774f",
+            "b36db506d61fec5055896b9766e887f3ea8248789a66c7dcfd820cef0a2e9cb6",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
-            "fd7839c5b5ef8a6c06348559d7b931dacb4601f86594d953d6bfdcb6893dc872",
+            "8aa8a5fe2f7e3922dcb9af42cad60d3bee4a25c370229c2f22e522ef697fe000",
         "timeseries.csv":
-            "dcf3e61a92ad591ac0c62cd5d3e350462df65f84e9bf6c869d2b618d16e059ff",
+            "a9a09bfd1563c4aa3d12b35e1a8b7a7225b96aba8155a163293f18cee64d5930",
     },
     "quench": {
         "basis_manifest.txt":
             "5ea44b0e6416ade37810f750a363a728b578533a8340b51f2a1a54e3918d7d72",
         "per_state.csv":
-            "d598dcdab3ab4e1fd9a7110ebb8651295c397381a3eebba50c9bfae57f0db11d",
+            "ed6ab507607df2aadf60dbb7f86175321df6b40f53167f8ad35d5b330757cca4",
         "protocol.txt":
             "19e328cbb3c4fc81ac29c813053dfa9832599db9d91dfcd76bf6b11ee00ae693",
         "run.json":
-            "40122a93f766533c3636816e8c8f639af5df232b4c001eb397a43b0039d14623",
+            "d3210132c27a0ef16d5320c3f6782bf8bdfdd2ef5688da8e754d34cfe101aaad",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
-            "233235b7e45f5339ab848ff6a3b954a507aaacf05174b18800e41e0d188fc8d7",
+            "33b9cb25dcdf5ec062568eb5c6d6fa2fc8c2e0b1d2084be231d69d0b0cc7660c",
         "timeseries.csv":
-            "7efa7844bc18fcdb594f82101b7177933ab7cd756bd93e746184066ddd23ff5d",
+            "a530357dd3f1c1dfefc1994346a421bf49abdbecd38bb653411174ad73dc1b78",
     },
 }
 
@@ -202,9 +202,9 @@ def test_archive_bytes_frozen(roundtrip_run):
     Taken with numpy 2.4.6 on scipy-openblas 0.3.31; at L=8 these bytes are
     the same under 1 and 2 OpenBLAS threads. A refactor must leave them
     alone. A deliberate change of the arithmetic (as the Schmidt-block
-    entropies made, and ROADMAP items 1 and 7 will: canonical shell
-    eigenstates, a cheaper Taylor step) updates the digests, with the
-    evidence for it in CHANGES.md.
+    entropies and the real, gauge-fixed eigensolve made, and ROADMAP item 7
+    will: a cheaper Taylor step) updates the digests, with the evidence for
+    it in CHANGES.md.
     """
     mode, run_dir = roundtrip_run
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -348,6 +348,20 @@ def test_cli_basis_and_diag(tmp_path):
     spectrum = tmp_path / "spectrum.csv"
     assert main(["diag", "-c", str(cfg_path), "-o", str(spectrum)]) == 0
     assert spectrum.read_text().startswith("alpha,E,E_over_L,in_shell")
+
+
+def test_cli_gauge_leaving_a_block_degenerate_exits_3(tmp_path, monkeypatch):
+    """A gauge operator that leaves a degenerate block unsplit is a numerical
+    failure, never a silent fallback to the solver's basis for the block."""
+    # K = the h=0 target itself, constant on each of its blocks (one pair at L=8)
+    monkeypatch.setattr(model, "GAUGE_WORDS", ((1.0, "ZZ"), (0.5, "X")))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_dict(outdir=str(tmp_path / "run"))))
+    spectrum = tmp_path / "spectrum.csv"
+    assert main(["diag", "-c", str(cfg_path), "-o", str(spectrum)]) == 3
+    assert not spectrum.exists()
+    assert main(["optimize", "-c", str(cfg_path)]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 LARGE_FIELDS = {

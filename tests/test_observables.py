@@ -152,7 +152,8 @@ def test_sector_schmidt_matrix_symmetric_and_reflection_even(rng, L):
 def test_identity_protocol_gives_zero_deltaS():
     L = 6
     basis = build_sector_basis(L)
-    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis))
+    H = build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis)
+    eig = diagonalize(H, basis)
     states = eig.states[:, 3:6]
     ee = ee_records(states, states, basis)
     assert ee.shape == (3, 2) and np.all(np.isfinite(ee))

@@ -29,7 +29,7 @@ def shell_setup_L8():
     basis = build_sector_basis(L)
     H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
     H = H_op.sector_matrix(basis)
-    eig = diagonalize(H)
+    eig = diagonalize(H, basis)
     shell = select_shell(eig, -0.25, -0.1, L)
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
@@ -244,7 +244,7 @@ def test_reward_approximately_monotone_L10():
     basis = build_sector_basis(L)
     H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
     H = H_op.sector_matrix(basis)
-    eig = diagonalize(H)
+    eig = diagonalize(H, basis)
     shell = select_shell(eig, -0.25, -0.1, L)
     stack = OperatorStack(build_basis(L, 4), basis)
     kick = sum_x(L).sector_matrix(basis)

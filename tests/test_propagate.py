@@ -23,7 +23,8 @@ def setup_L6():
     basis = build_sector_basis(6)
     ops = build_basis(6, 2)
     stack = OperatorStack(ops, basis)
-    eig = diagonalize(build_ising(IsingParams(*PRESETS["integrable"], 6)).sector_matrix(basis))
+    H = build_ising(IsingParams(*PRESETS["integrable"], 6)).sector_matrix(basis)
+    eig = diagonalize(H, basis)
     return basis, ops, stack, eig
 
 
