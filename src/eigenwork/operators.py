@@ -296,8 +296,8 @@ class OperatorStack:
     sum_i |gamma_i| dev[i], and :meth:`assemble` checks that bound by
     :func:`sector.check_hermiticity` at H's scale; the assembled H
     differs from that sum only by the rounding of its sparse products. This
-    is the Hermiticity that :func:`propagate.expm_step` takes as a
-    precondition.
+    is the Hermiticity that :func:`propagate.expm_step` and
+    :func:`propagate.spectral_propagator` take as a precondition.
     """
 
     def __init__(self, ops, basis: SectorBasis):

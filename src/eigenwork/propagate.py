@@ -1,14 +1,13 @@
 """Discretized unitary evolution of sector-state batches, (dim x M) arrays.
 
 Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
-from an OperatorStack, to the batch of states. Every exponential is one
-truncated Taylor series with an a priori truncation bound, applied to the
-batch columns with no unitary formed; only a row held over consecutive steps
-is turned once into a dense unitary U, by the same series applied to the
-identity with H in the CSR form of :func:`sector.sparse_matrix` (real for a
-row with no Y strings), and each run of that row up to the next sample is one
-product with a cached power of U. Controller rows and the kick keep their
-dense complex H. Norms are checked after every product applied. Batches are
+from an OperatorStack, to the batch of states. Controller rows, single rows
+and the kick are each one truncated Taylor series with an a priori truncation
+bound, applied to the batch columns with no unitary formed. A fixed protocol's
+row held over consecutive steps is diagonalized once instead, H = V diag(E)
+V^dag by one eigh (real when H has no Y strings), and each later sample is
+V exp(-i dt (n - n0) E) c from the coefficients c = V^dag psi at the first
+step n0 of the row's run. Norms are checked after every product applied. Batches are
 never renormalized: column-norm drift is a monitored health signal, not
 something to hide.
 
@@ -18,8 +17,8 @@ generator, comes from :func:`operators.certified_entries`, which checks it
 once when it is formed. The OperatorStack certifies each assembled row by the
 bound max |H - H^dag| <= sum_i |gamma_i| dev_i (up to the rounding of the
 assembly's sums), which :func:`sector.check_hermiticity` checks at H's
-scale. Each step still checks that H is finite, and
-:func:`step_unitary` checks the unitarity of U.
+scale (eigh reads one triangle of H). Each step still checks that H is
+finite, and :func:`spectral_propagator` checks the orthonormality of V.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorStack
-from .sector import NumericalConsistencyError, matmul, sparse_matrix
+from .sector import NumericalConsistencyError, matmul
 
 NORM_DRIFT_TOL = 1e-8
 # Taylor step: substep bound on |dt| ||H||_1, truncation tolerance (the unit
@@ -131,7 +130,7 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 
 
 def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
-    """exp(-i dt H) @ states for Hermitian H, dense or CSR, by a truncated Taylor series.
+    """exp(-i dt H) @ states for Hermitian H by a truncated Taylor series.
 
     Hermiticity is a precondition, not checked here: it is certified where H
     is built, by :meth:`SymmetrizedOperator.sector_matrix` for fixed
@@ -140,9 +139,7 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     finite, which is checked. The term count is fixed a priori from ||H||_1,
     the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci. Comput.
     33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed: each
-    term is one :func:`sector.matmul` of H with the (dim x M) batch, a dense
-    complex product for a dense H and a sparse one, over the batch's float
-    view when H is real, for a CSR H.
+    term is one :func:`sector.matmul` of H with the (dim x M) batch.
     """
     norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
     if not np.isfinite(norm):
@@ -159,18 +156,19 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_unitary(H: np.ndarray, dt: float) -> np.ndarray:
-    """Dense exp(-i dt H): :func:`expm_step` applied to the identity.
+def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (E, V) of a held row's Hermitian H: exp(-i t H) = V e^{-i t E} V^dag.
 
-    H is recast once by :func:`sector.sparse_matrix`, so each term is a
-    sparse product with the (dim x dim) identity's images, real when H is.
-    Pays only for a Hamiltonian held over many consecutive steps.
+    A real eigh when H's imaginary part is exactly zero. H must be finite and
+    V orthonormal to 1e-11; both are checked.
     """
-    U = expm_step(sparse_matrix(H), dt, np.eye(len(H)))
-    dev = np.abs(U.conj().T @ U - np.eye(len(U))).max()
+    if not np.isfinite(H).all():
+        raise NumericalConsistencyError("held Hamiltonian has non-finite entries")
+    E, V = np.linalg.eigh(H if H.imag.any() else H.real)
+    dev = np.abs(V.conj().T @ V - np.eye(len(V))).max()
     if not dev <= 1e-11:
-        raise NumericalConsistencyError(f"step unitary deviates from unitarity by {dev:.3e}")
-    return U
+        raise NumericalConsistencyError(f"held eigenvectors off orthonormality by {dev:.3e}")
+    return E, V
 
 
 def kick_unitary(kick_op_matrix: np.ndarray, duration: float,
@@ -190,12 +188,11 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     before its step, into the preallocated ``protocol.gamma``. The
     ``observer(step, t, states)`` then sees the same read-only states at each
     sample step; step 0 follows the kick, where the protocol clock starts.
-    A row is one :func:`expm_step` on the states. A row of a fixed protocol
-    held over consecutive steps builds one :func:`step_unitary` U, the same
-    series on the identity, and each of its runs up to the next sample step
-    (or to the row's end) is one product with U^r, cached by the run length r;
-    controller rows are never merged. :func:`norm_drift` is checked after
-    every product.
+    A row is one :func:`expm_step` on the states. A fixed protocol's row held
+    over consecutive steps is one :func:`spectral_propagator`; each run of it
+    takes c = V^dag psi at its first step n0, and each stretch up to step n, the
+    next sample step or the run's end, is one product V (exp(-i dt (n - n0) E) c).
+    Controller rows are never merged. :func:`norm_drift` is checked after every product.
     """
     if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
@@ -214,7 +211,7 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     # Distinct keys for controller rows, whose successors are not known yet.
     keys = [*range(n_steps)] if controller else [row.tobytes() for row in gamma]
     keys.append(None)
-    held = powers = None  # the held row's key and its unitary's powers by exponent
+    held = V = None  # the held row's key and eigenvectors
     n = 0
     while True:
         view = out.view()  # products replace out, never write it
@@ -228,13 +225,13 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
         key, run = keys[n], 1
         if key == held or key == keys[n + 1]:
             if key != held:
-                held, powers = key, None  # the last row's powers go before U is built
-                powers = {1: step_unitary(stack.assemble(gamma[n]), dt)}
+                held, V = key, None  # the last row's V goes before the next eigh
+                E, V = spectral_propagator(stack.assemble(gamma[n]))
+            if keys[n - 1] != key:  # a run of the row starts (keys[-1] is None)
+                n0, c = n, matmul(V.conj().T, out)
             while keys[n + run] == key and n + run not in samples:
                 run += 1
-            if run not in powers:
-                powers[run] = np.linalg.matrix_power(powers[1], run)
-            out = powers[run] @ out
+            out = matmul(V, np.exp(-1j * dt * (n + run - n0) * E)[:, None] * c)
         else:
             out = expm_step(stack.assemble(gamma[n]), dt, out)
         drift = norm_drift(out)

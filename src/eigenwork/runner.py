@@ -100,6 +100,9 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
 
 def run(config: ExperimentConfig) -> Path:
     """Execute one experiment and archive it; returns the run directory."""
+    if config.mode == "optimize" and config.kick_duration == 0:
+        raise ConfigError("mode optimize needs kick_duration > 0: every gradient "
+                          "vanishes at an eigenstate, so the run could only fail")
     ctx = prepare(config)
     if ctx.shell.size == 0:
         raise ConfigError("empty energy shell for the requested model and bounds")

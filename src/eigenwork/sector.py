@@ -5,11 +5,11 @@ states: |s> = |orbit|^{-1/2} sum_{n in orbit} |n>. For the k=0, R=+1 sector
 every orbit survives (all group characters are +1), so the sector dimension
 equals the number of binary bracelets of length L.
 
-Sector matrices are complex ndarrays where they are formed. A matrix that
-multiplies many batches in a row, a held protocol row or a fixed target, is
-recast once by :func:`sparse_matrix` into CSR form, real when it has no
-imaginary part. Every Taylor term, and every H psi that
-:func:`observables.work_density` forms itself, goes through :func:`matmul`.
+Sector matrices are complex ndarrays where they are formed. A fixed target,
+which multiplies many batches in a row, is recast once by :func:`sparse_matrix`
+into CSR form, real when it has no imaginary part. Every Taylor term, product
+with a held row's eigenvectors, and H psi that :func:`observables.work_density`
+forms itself, goes through :func:`matmul`.
 Every Hermiticity check on sector matrices goes through
 :func:`check_hermiticity`, one rule relative to the scale of the matrix. All
 dynamics and diagnostics run in sector coordinates: :func:`schmidt_maps` takes

@@ -15,7 +15,6 @@ from eigenwork.model import EnergyShell
 from eigenwork.observables import d_pos, work_density
 from eigenwork.operators import sum_x
 from eigenwork.propagate import ControlProtocol, evolve, kick_unitary
-from eigenwork.sector import NumericalConsistencyError
 
 
 def cfg_dict(**overrides):
@@ -181,17 +180,17 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "5ea44b0e6416ade37810f750a363a728b578533a8340b51f2a1a54e3918d7d72",
         "per_state.csv":
-            "ed6ab507607df2aadf60dbb7f86175321df6b40f53167f8ad35d5b330757cca4",
+            "33e3e86f9f4433f508f33a797ee4bbe4b0375d5181cc0f3bd43610005fb7516a",
         "protocol.txt":
             "19e328cbb3c4fc81ac29c813053dfa9832599db9d91dfcd76bf6b11ee00ae693",
         "run.json":
-            "d3210132c27a0ef16d5320c3f6782bf8bdfdd2ef5688da8e754d34cfe101aaad",
+            "1b3fa50429bff9445936366f4cd633ea6efe2a24cc194d693d621d50f5166ef8",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
             "33b9cb25dcdf5ec062568eb5c6d6fa2fc8c2e0b1d2084be231d69d0b0cc7660c",
         "timeseries.csv":
-            "a530357dd3f1c1dfefc1994346a421bf49abdbecd38bb653411174ad73dc1b78",
+            "387f4500d0ad0f7f071237f8e18960dfb3ae8371708ad79edb0c59a0961aab24",
     },
 }
 
@@ -232,7 +231,7 @@ def test_replay_matches_archive(small_run):
 ARCHIVED_QUENCH = Path(__file__).parent / "data" / "quench_nonintegrable_L8"
 
 
-def test_kick_matrix_built_only_for_a_kick(tmp_path):
+def test_kick_matrix_built_only_for_a_kick(tmp_path, monkeypatch):
     """prepare builds the sum_x kick generator only when the config sets a kick."""
     for mode, data in ROUNDTRIP_CONFIGS.items():
         ctx = runner.prepare(ExperimentConfig.from_dict(data))
@@ -242,9 +241,12 @@ def test_kick_matrix_built_only_for_a_kick(tmp_path):
                                               duration=0.02))
     ctx = runner.prepare(cfg)
     assert ctx.kick_matrix is None
-    # Unkicked eigenstates still stop the run on the vanished gradient, as before.
-    with pytest.raises(NumericalConsistencyError, match="gradient vanished"):
-        runner.run(cfg)
+    # An unkicked optimize run is refused before prepare, not after its steps.
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "prepare", lambda config: pytest.fail("prepare called"))
+        with pytest.raises(ConfigError, match="kick_duration"):
+            runner.run(cfg)
+    assert not (tmp_path / "r").exists()
 
     # From states already off the eigenbasis, an unkicked optimize runs without
     # the generator, and its protocol replays through evolve within 1e-9.
@@ -449,6 +451,7 @@ BAD_TIME_GRIDS = {
     "quench_backwards": {"mode": "quench", "dt": -0.02, "duration": -1.0},
     "discrete_backwards": {"mode": "discrete", "actions": [0, 1], "dt": -0.04},
     "optimize_negative_kick": {"mode": "optimize", "k": 2, "kick_duration": -1.0},
+    "optimize_no_kick": {"mode": "optimize", "k": 2, "kick_duration": 0.0},
     "optimize_no_steps": {"mode": "optimize", "k": 2, "duration": 0.0},
     "quench_no_steps": {"mode": "quench", "duration": 0.0},
 }
@@ -456,7 +459,8 @@ BAD_TIME_GRIDS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_TIME_GRIDS))
 def test_cli_bad_time_grid_is_config_error(tmp_path, case):
-    """dt > 0, a whole number >= 1 of steps and a kick >= 0, else exit 2 and no run."""
+    """dt > 0, a whole number >= 1 of steps and a kick >= 0 (> 0 to optimize),
+    else exit 2 and no run."""
     data = dict(BAD_TIME_GRIDS[case], preset="integrable", L=8,
                 outdir=str(tmp_path / "run"))
     cfg_path = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
-                                 norm_drift, step_unitary)
+                                 norm_drift, spectral_propagator)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_state, matmul, sparse_matrix)
 
@@ -33,6 +33,20 @@ def random_hermitian(rng, n):
     return (A + A.conj().T) / 2
 
 
+def spectral_unitary(H, t):
+    """exp(-i t H) from the held-row eigenpairs, V e^{-i t E} V^dag."""
+    E, V = spectral_propagator(H)
+    return (V * np.exp(-1j * t * E)) @ V.conj().T
+
+
+def count_eigh(monkeypatch):
+    """Record the matrix size of every np.linalg.eigh call."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda H, *args: calls.append(len(H)) or eigh(H, *args))
+    return calls
+
+
 def test_expm_identity_cases():
     H = np.zeros((4, 4), dtype=complex)
     assert_allclose(expm_step(H, 0.5, np.eye(4)), np.eye(4), atol=1e-15)
@@ -50,7 +64,7 @@ def test_expm_half_step_composition(rng):
 def test_expm_matches_scipy(rng):
     H = random_hermitian(rng, 6)
     assert_allclose(expm_step(H, 0.3, np.eye(6)), scipy.linalg.expm(-0.3j * H), atol=1e-12)
-    assert_allclose(step_unitary(H, 0.3), scipy.linalg.expm(-0.3j * H), atol=1e-12)
+    assert_allclose(spectral_unitary(H, 0.3), scipy.linalg.expm(-0.3j * H), atol=1e-12)
 
 
 @pytest.mark.parametrize("n_cols,dt_norm,substeps", [
@@ -83,12 +97,15 @@ def held_rows_L8():
 
 @pytest.mark.parametrize("label", ["quench", "y", "xy + yx"])
 def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
+    """A held row's eigenvectors are real exactly when H is, and give its step unitary."""
     H = held_rows_L8[label]
     real = label == "quench"
     assert (np.abs(H.imag).max() == 0) == real and (np.abs(H.real).max() == 0) != real
-    assert np.iscomplexobj(sparse_matrix(H)) != real
-    assert_allclose(step_unitary(H, 0.002), scipy.linalg.expm(-0.002j * H),
-                    rtol=0, atol=1e-12)
+    E, V = spectral_propagator(H)
+    assert np.iscomplexobj(V) != real and E.dtype == np.float64
+    for t in (0.002, -0.3, 23 * 0.002):
+        assert_allclose(spectral_unitary(H, t), scipy.linalg.expm(-1j * t * H),
+                        rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("label", ["quench", "y"])
@@ -129,7 +146,7 @@ def test_optimize_never_builds_a_sparse_matrix(tmp_path, monkeypatch):
     def no_sparse(mat):
         raise AssertionError("sparse_matrix called during an optimize run")
 
-    for module in (sector, propagate, runner):
+    for module in (sector, runner):
         monkeypatch.setattr(module, "sparse_matrix", no_sparse)
     config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
                                          "k": 2, "outdir": str(tmp_path / "run")})
@@ -174,11 +191,8 @@ def test_taylor_step_zero_hamiltonian_returns_states_exactly(rng):
 
 
 def test_expm_rejects_nonhermitian(monkeypatch):
-    """A non-Hermitian H never reaches expm_step: the constructors that build
-    every H it is given reject it, and step_unitary checks unitarity."""
-    H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NumericalConsistencyError):
-        step_unitary(H, 0.1)
+    """A non-Hermitian H never reaches expm_step or eigh, which reads one
+    triangle of a held row: the constructors that build every H reject it."""
     basis = build_sector_basis(2)
     monkeypatch.setattr(operators, "sector_entries",
                         lambda terms, basis: (np.array([1]), np.array([1.0 + 0j])))
@@ -193,10 +207,21 @@ def test_step_rejects_non_finite_input(bad):
     H = np.diag([1.0, bad]).astype(complex)
     with pytest.raises(NumericalConsistencyError):
         expm_step(H, 0.1, np.eye(2))
-    with pytest.raises(NumericalConsistencyError):
-        step_unitary(H, 0.1)
+    with pytest.raises(NumericalConsistencyError, match="non-finite"):
+        spectral_propagator(H)
     with pytest.raises(NumericalConsistencyError):
         expm_step(np.eye(2, dtype=complex), bad, np.eye(2))
+
+
+def test_spectral_propagator_checks_orthonormality(monkeypatch):
+    """Eigenvectors off orthonormality by more than 1e-11 stop the run (exit 3)."""
+    H = np.diag([1.0, -2.0, 0.5])
+    E, V = np.linalg.eigh(H)
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: (E, (1 + 1e-12) * V))
+    spectral_propagator(H)
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: (E, (1 + 1e-9) * V))
+    with pytest.raises(NumericalConsistencyError, match="orthonormality"):
+        spectral_propagator(H)
 
 
 def test_taylor_step_term_cap():
@@ -280,18 +305,17 @@ def test_sector_step_commutes_with_full_space(rng):
                   - U_full @ embed_state(v, basis)).max() < 1e-9
 
 
-def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch):
-    """Runs of identical rows reuse one dense unitary; the rest are Taylor steps."""
+def test_evolve_mixes_held_eigenbases_and_taylor_steps(setup_L6, rng, monkeypatch):
+    """A held row is one eigh, also when its run recurs after a single row, and
+    takes fresh coefficients at each run; the other rows are Taylor steps."""
     basis, ops, stack, eig = setup_L6
     a, b, c, d = (rng.normal(size=stack.n_ops) * 0.4 for _ in range(4))
-    gamma = np.array([a, a, a, b, c, c, d, a])
+    gamma = np.array([a, a, a, b, a, a, c, c, d, a])
     dt = 0.01
     psi0 = eig.states[:, :4]
-    built = []
-    monkeypatch.setattr(propagate, "step_unitary",
-                        lambda H, dt: built.append(dt) or step_unitary(H, dt))
+    calls = count_eigh(monkeypatch)
     out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma), stack)
-    assert len(built) == 2
+    assert calls == [basis.dim] * 2
 
     taylor = exact = psi0
     for row in gamma:
@@ -303,17 +327,14 @@ def test_evolve_mixes_cached_unitary_and_taylor_steps(setup_L6, rng, monkeypatch
 
 
 def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
-    """A row held for 23 steps sampled at 0, 10, 20, 23: one unitary, runs 10, 10, 3."""
+    """A row held for 23 steps sampled at 0, 10, 20, 23: one eigh, and each
+    sample is e^{-i n dt H} psi0 from the coefficients taken at step 0."""
     basis, ops, stack, eig = setup_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, sample_steps = 0.01, [0, 10, 20, 23]
     psi0 = eig.states[:, :4]
-    built, powers, seen = [], [], []
-    monkeypatch.setattr(propagate, "step_unitary",
-                        lambda H, dt: built.append(dt) or step_unitary(H, dt))
-    matrix_power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda U, r: powers.append(r) or matrix_power(U, r))
+    calls = count_eigh(monkeypatch)
+    seen = []
 
     def observer(step, t, states):
         assert not states.flags.writeable
@@ -321,8 +342,7 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
 
     evolve(psi0, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1))), stack,
            observer=observer, sample_steps=sample_steps)
-    assert built == [dt]
-    assert powers == [10, 3]
+    assert calls == [basis.dim]
     assert [(n, t) for n, t, _ in seen] == [(n, n * dt) for n in sample_steps]
     H = stack.assemble(row)
     for n, _, states in seen:
@@ -331,30 +351,60 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
 
 
 def test_held_row_runs_keep_the_norm_check(setup_L6, monkeypatch):
-    """A merged run of a slightly non-unitary step still fails the norm check."""
+    """A held row whose eigenvectors are slightly too long still fails the norm check."""
     basis, ops, stack, eig = setup_L6
     psi0 = eig.states[:, :2]
-    monkeypatch.setattr(propagate, "step_unitary", lambda H, dt: 1.0001 * step_unitary(H, dt))
+    monkeypatch.setattr(propagate, "spectral_propagator",
+                        lambda H: (lambda E, V: (E, 1.0001 * V))(*spectral_propagator(H)))
     gamma = np.ones((20, stack.n_ops)) * 0.3
-    with pytest.raises(NumericalConsistencyError):
+    with pytest.raises(NumericalConsistencyError, match="norm drift"):
         evolve(psi0, ControlProtocol(dt=0.01, gamma=gamma), stack,
                observer=lambda *args: None, sample_steps=[0, 10, 20])
 
 
-def test_quench_never_calls_the_eigensolver(monkeypatch):
-    """A held row's dense unitary comes from the Taylor series, not from eigh."""
+def test_quench_calls_the_eigensolver_once(monkeypatch):
+    """A quench's one held row is diagonalized once, by a real eigh."""
     config = ExperimentConfig.from_dict({"L": 8, "preset": "nonintegrable", "mode": "quench"})
     ctx = runner.prepare(config)
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called during a quench")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.dtype) or eigh(H))
     protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)))
     out = evolve(ctx.shell.states, protocol, ctx.stack)
+    assert calls == [np.float64]
     U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
     exact = np.linalg.matrix_power(U, 20) @ ctx.shell.states
     assert_allclose(out, exact, rtol=0, atol=1e-12)
+
+
+def test_complex_and_degenerate_held_rows_match_taylor_steps(tmp_path, monkeypatch):
+    """An L=8 discrete run holding y, xy + yx and the degenerate gI x over
+    several steps each matches per-step Taylor steps, and replays within 1e-9."""
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "discrete",
+                                         "actions": [6, 6, 6, 2, 2, 4, 4, 4, 4, 0, 6, 6],
+                                         "outdir": str(tmp_path / "run")})
+    ctx = runner.prepare(config)
+    protocol = runner._constant_gamma_protocol(ctx)
+    E, V = spectral_propagator(ctx.stack.assemble(protocol.gamma[5]))
+    assert np.diff(E).min() < 1e-9 and not np.iscomplexobj(V)  # gI x is degenerate
+    assert np.iscomplexobj(spectral_propagator(ctx.stack.assemble(protocol.gamma[0]))[1])
+    calls = count_eigh(monkeypatch)
+    seen = []
+    out = evolve(ctx.shell.states, protocol, ctx.stack,
+                 observer=lambda n, t, states: seen.append((n, states.copy())),
+                 sample_steps=config.sample_steps)
+    assert calls == [ctx.basis.dim] * 4  # the runs of y, xy + yx, gI x and y again
+    taylor, steps = ctx.shell.states, {}
+    for n, row in enumerate(protocol.gamma):
+        steps[n] = taylor
+        taylor = expm_step(ctx.stack.assemble(row), config.dt, taylor)
+    steps[protocol.n_steps] = taylor
+    assert_allclose(out, taylor, rtol=0, atol=1e-12)
+    assert [n for n, _ in seen] == list(config.sample_steps)
+    for n, states in seen:
+        assert_allclose(states, steps[n], rtol=0, atol=1e-12)
+
+    result = runner.replay(runner.run(config))
+    assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
 
 
 def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
@@ -363,9 +413,8 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, n_steps = 0.01, 6
     psi0 = eig.states[:, :4]
-    built, asked = [], []
-    monkeypatch.setattr(propagate, "step_unitary",
-                        lambda H, dt: built.append(dt) or step_unitary(H, dt))
+    asked = []
+    calls = count_eigh(monkeypatch)
 
     def controller(step, states):
         asked.append(step)
@@ -374,7 +423,7 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
 
     protocol = ControlProtocol(dt=dt, gamma=np.zeros((n_steps, stack.n_ops)))
     out = evolve(psi0, protocol, stack, controller=controller)
-    assert built == []
+    assert calls == []
     assert asked == list(range(n_steps))
     assert_array_equal(protocol.gamma, np.tile(row, (n_steps, 1)))
 
