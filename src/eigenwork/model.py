@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SymmetrizedOperator, translation_sum
-from .sector import (NumericalConsistencyError, SectorBasis, require_hermitian,
-                     sparse_matrix)
+from .sector import NumericalConsistencyError, SectorBasis, require_hermitian
 
 PRESETS = {
     "nonintegrable": (0.9045, 0.809),
@@ -80,7 +79,7 @@ def canonicalize(energies: np.ndarray, states: np.ndarray, basis: SectorBasis) -
     """
     blocks = degenerate_blocks(energies)
     if blocks:
-        K = sparse_matrix(translation_sum("gauge K", GAUGE_WORDS, basis.L).sector_matrix(basis))
+        K = translation_sum("gauge K", GAUGE_WORDS, basis.L).sector_matrix(basis)
         for a, b in blocks:
             V = states[:, a:b]
             k, W = np.linalg.eigh(V.T @ (K @ V))
@@ -95,11 +94,12 @@ def canonicalize(energies: np.ndarray, states: np.ndarray, basis: SectorBasis) -
     return states
 
 
-def diagonalize(H: np.ndarray, basis: SectorBasis) -> EigenDecomposition:
+def diagonalize(H, basis: SectorBasis) -> EigenDecomposition:
     """Real symmetric eigendecomposition of a sector matrix, in a canonical gauge.
 
-    The Ising sector matrix is real, so ``H`` must have an imaginary part of
-    exactly zero; its real part is checked by :func:`require_hermitian` and
+    ``H`` is the real CSR array of :meth:`SymmetrizedOperator.sector_matrix`;
+    the Ising sector matrix has no imaginary part, so a complex ``H`` is
+    rejected. Its dense form is checked by :func:`require_hermitian` and
     solved by one real ``eigh``, which keeps the full spectrum. Energies
     ascend. A degenerate block is a run of consecutive energies within
     BLOCK_TOL * max(1, max |E|), BLOCK_TOL = 1e-9. :func:`canonicalize` takes
@@ -109,9 +109,9 @@ def diagonalize(H: np.ndarray, basis: SectorBasis) -> EigenDecomposition:
     then fixes every sign. So the states do not depend on which basis of a
     block the solver returns, which can change with the BLAS thread count.
     """
-    if np.iscomplexobj(H) and H.imag.any():
+    if np.iscomplexobj(H):
         raise ValueError("diagonalize takes a real sector matrix; this one has an imaginary part")
-    energies, states = np.linalg.eigh(require_hermitian(H.real))
+    energies, states = np.linalg.eigh(require_hermitian(H.toarray()))
     return EigenDecomposition(energies, canonicalize(energies, states, basis))
 
 

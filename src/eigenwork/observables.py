@@ -33,11 +33,11 @@ def work_density(states: np.ndarray, origin_energies: np.ndarray,
                  H_target, L: int, H_psi: np.ndarray | None = None) -> np.ndarray:
     """w_alpha = (E_alpha - <psi_alpha|H|psi_alpha>) / L per batch column.
 
-    ``H_target`` is dense or CSR (see :func:`sector.sparse_matrix`) and is
-    applied by :func:`sector.matmul`. A caller that already holds ``H_psi =
-    H_target @ states`` passes it to save the product. The imaginary parts,
-    rounding of order eps |H psi|, must stay within 1e-10 * max(1,
-    max_alpha |H psi_alpha|).
+    ``H_target`` is the CSR array of
+    :meth:`operators.SymmetrizedOperator.sector_matrix`, applied by
+    :func:`sector.matmul`; a caller that already holds the product ``H_psi``
+    passes it. The imaginary parts, rounding of order eps |H psi|, must stay
+    within 1e-10 * max(1, max_alpha |H psi_alpha|), which a NaN fails.
     """
     if states.shape[0] != H_target.shape[0]:
         raise ValueError("state and Hamiltonian dimensions differ")
@@ -46,7 +46,7 @@ def work_density(states: np.ndarray, origin_energies: np.ndarray,
     expect = np.einsum("ia,ia->a", states.conj(), H_psi)
     residue = float(np.abs(expect.imag).max(initial=0.0))
     scale = float(np.linalg.norm(H_psi, axis=0).max(initial=0.0))
-    if not residue <= 1e-10 * max(1.0, scale):
+    if not residue <= 1e-10 * np.maximum(1.0, scale):
         raise NumericalConsistencyError(
             f"energy expectation has imaginary part {residue:.3e} at |H psi| {scale:.3e}")
     return (origin_energies - expect.real) / L

@@ -107,17 +107,18 @@ class SymmetrizedOperator:
                     return False
         return True
 
-    def sector_matrix(self, basis: SectorBasis) -> np.ndarray:
-        """Dense Hermitian sector matrix <s|op|s'>, scattered from :func:`certified_entries`."""
+    def sector_matrix(self, basis: SectorBasis) -> scipy.sparse.csr_array:
+        """Hermitian sector matrix <s|op|s'> in the one form of a fixed sector matrix:
+        the CSR array of :func:`certified_entries`, real when no entry is imaginary."""
         if basis.L != self.L:
             raise ValueError("sector basis chain length mismatch")
         if not self.is_symmetric():
             raise ValueError(f"operator {self.label!r} is not "
                              "translation+inversion symmetric")
         flat, vals, _ = certified_entries(self, basis)
-        mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-        mat.flat[flat] = vals
-        return mat
+        rows, cols = np.array(divmod(flat, basis.dim), dtype=np.int32)  # as csr_array(dense) picks
+        return scipy.sparse.csr_array((vals if vals.imag.any() else vals.real, (rows, cols)),
+                                      shape=(basis.dim, basis.dim))
 
     def dense_matrix(self) -> np.ndarray:
         """Full 2^L matrix, the weighted sum of :func:`pauli.dense_matrix`; test-scale only."""
@@ -241,7 +242,7 @@ def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
 
 
 def operator_manifest(ops, L: int) -> str:
-    """Text manifest (label, terms, norm) consumed by optimizer and replay."""
+    """Text manifest (label, terms, norm); replay compares only its checksum."""
     lines = ["# eigenwork operator basis v1", f"L {L}", f"count {len(ops)}"]
     for i, op in enumerate(ops):
         lines.append(f"op {i} | {op.label} | norm_sq {op.norm_sq:.17g}")

@@ -22,7 +22,7 @@ from .observables import Trajectory, d_pos, work_density
 from .operators import OperatorStack
 from .propagate import ControlProtocol, evolve
 from .propagate import expm_step, kick_unitary  # noqa: F401  wrapped by bench/worker.py
-from .sector import NumericalConsistencyError
+from .sector import NumericalConsistencyError, matmul
 
 
 def _sigmoid(w: np.ndarray, p: RewardParams) -> np.ndarray:
@@ -76,15 +76,17 @@ def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
                     d_pos(w, config.dpos_epsilon), w)
 
 
-def optimize(config: ExperimentConfig, H_target: np.ndarray, shell: EnergyShell,
-             stack: OperatorStack,
-             kick_matrix: np.ndarray | None) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
+def optimize(config: ExperimentConfig, H_target, shell: EnergyShell, stack: OperatorStack,
+             kick_matrix) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
     """Run the greedy controller on the shell's states through :func:`evolve`.
 
-    Returns the replayable protocol, the trajectory and the final states.
-    The kick is recorded as a protocol prelude so replays are self-contained;
-    the protocol clock (t = 0) starts after it. Raises if every step saw a
-    vanished gradient, which is the unkicked-eigenstate degeneracy.
+    ``H_target`` and ``kick_matrix`` (None for no kick) are CSR sector
+    matrices. The controller records each sample step with its w and |Y|,
+    and the final states give the last sample. Returns the replayable
+    protocol, the trajectory and the final states. The kick is a protocol
+    prelude, so replays are self-contained; the clock (t = 0) starts after
+    it. Raises if every step saw a vanished gradient, which is the
+    unkicked-eigenstate degeneracy.
     """
     if shell.size == 0:
         raise ValueError("empty shell: nothing to optimize")
@@ -96,27 +98,24 @@ def optimize(config: ExperimentConfig, H_target: np.ndarray, shell: EnergyShell,
     protocol = ControlProtocol(dt=config.dt, gamma=np.zeros((config.n_steps, stack.n_ops)),
                                kick_duration=config.kick_duration,
                                basis_checksum=stack.checksum)
-    seen = {}  # the controller's w and Y, for the observer at the same step
+    samples = set(config.sample_steps)
     # compute_Y's (dim x dim) kernel, one buffer for every step: a fresh one per
     # step can land on newly mapped pages (a quarter of the step time at L=12).
     kernel = np.empty((stack.dim, stack.dim), dtype=complex)
 
     def controller(step, states):
-        H_psi = H_target @ states
+        H_psi = matmul(H_target, states)
         w = work_density(states, shell.energies, H_target, L, H_psi=H_psi)
         Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L, kernel)
-        seen.update(step=step, w=w, Y=Y)
+        if step in samples:
+            record(traj, config, step, step * config.dt, w, float(np.linalg.norm(Y)))
         return solve_gamma(Y, C, L, d, tol)[0]
 
-    def observer(step, t, states):
-        if seen.get("step") == step:
-            record(traj, config, step, t, seen["w"], float(np.linalg.norm(seen["Y"])))
-        else:  # the final state, which no step follows
-            record(traj, config, step, t, work_density(states, shell.energies, H_target, L))
-
-    final = evolve(shell.states, protocol, stack, observer=observer,
-                   sample_steps=config.sample_steps, kick_matrix=kick_matrix,
+    final = evolve(shell.states, protocol, stack, kick_matrix=kick_matrix,
                    controller=controller)
+    # sample_steps ends with n_steps: the final state, which no step follows
+    record(traj, config, config.n_steps, config.n_steps * config.dt,
+           work_density(final, shell.energies, H_target, L))
     if not protocol.gamma.any():  # every vanished gradient gave a zero row
         raise NumericalConsistencyError(
             "gradient vanished at every step; the run is degenerate "

@@ -12,13 +12,13 @@ never renormalized: column-norm drift is a monitored health signal, not
 something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
-Every sector matrix, a stack column or a fixed matrix such as the kick
-generator, comes from :func:`operators.certified_entries`, which checks it
-once when it is formed. The OperatorStack certifies each assembled row by the
-bound max |H - H^dag| <= sum_i |gamma_i| dev_i (up to the rounding of the
-assembly's sums), which :func:`sector.check_hermiticity` checks at H's
-scale (eigh reads one triangle of H). Each step still checks that H is
-finite, and :func:`spectral_propagator` checks the orthonormality of V.
+Every sector matrix, a stack column or the CSR kick generator, comes from
+:func:`operators.certified_entries`, which checks it once when it is formed.
+The OperatorStack certifies each assembled row by the bound max |H - H^dag|
+<= sum_i |gamma_i| dev_i (up to the rounding of the assembly's sums), which
+:func:`sector.check_hermiticity` checks at H's scale (eigh reads one triangle
+of H). Each step still checks that H is finite, and
+:func:`spectral_propagator` checks the orthonormality of V.
 """
 
 from __future__ import annotations
@@ -133,13 +133,14 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     """exp(-i dt H) @ states for Hermitian H by a truncated Taylor series.
 
     Hermiticity is a precondition, not checked here: it is certified where H
-    is built, by :meth:`SymmetrizedOperator.sector_matrix` for fixed
-    matrices and by :class:`OperatorStack` (each column once, then the bound
-    sum_i |gamma_i| dev_i per assembled row) for step Hamiltonians. H must be
-    finite, which is checked. The term count is fixed a priori from ||H||_1,
-    the largest column sum of |H| (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 488 (2011)); see :func:`_taylor_plan`. No unitary is formed: each
-    term is one :func:`sector.matmul` of H with the (dim x M) batch.
+    is built, by :meth:`SymmetrizedOperator.sector_matrix` for a CSR fixed
+    matrix such as the kick generator and by :class:`OperatorStack` (each
+    column once, then the bound sum_i |gamma_i| dev_i per assembled row) for
+    a dense step Hamiltonian. H must be finite, which is checked. The term
+    count is fixed a priori from ||H||_1, the largest column sum of |H|
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); see
+    :func:`_taylor_plan`. No unitary is formed: each term is one
+    :func:`sector.matmul` of H with the (dim x M) batch.
     """
     norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
     if not np.isfinite(norm):
@@ -171,14 +172,13 @@ def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E, V
 
 
-def kick_unitary(kick_op_matrix: np.ndarray, duration: float,
-                 states: np.ndarray) -> np.ndarray:
-    """The kick exp(-i duration K) applied to states, named apart from the steps."""
+def kick_unitary(kick_op_matrix, duration: float, states: np.ndarray) -> np.ndarray:
+    """The kick exp(-i duration K) of the CSR generator K, named apart from the steps."""
     return expm_step(kick_op_matrix, duration, states)
 
 
 def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
-           observer=None, sample_steps=None, kick_matrix: np.ndarray | None = None,
+           observer=None, sample_steps=None, kick_matrix=None,
            controller=None) -> np.ndarray:
     """Step a (dim x M) batch through a protocol: the one stepping loop of every run.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG
@@ -23,8 +24,7 @@ from .observables import Trajectory, d_pos, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
 from .propagate import ControlProtocol, evolve, norm_drift
-from .sector import (SectorBasis, build_sector_basis, manifest_checksum,
-                     sector_manifest, sparse_matrix)
+from .sector import SectorBasis, build_sector_basis, manifest_checksum, sector_manifest
 
 
 @dataclass
@@ -32,18 +32,19 @@ class RunContext:
     """What a run needs of its model past ``prepare``.
 
     Of the eigendecomposition only the energies, the eigenvector checksum and
-    the shell's columns are kept. ``kick_matrix`` is None when the config sets
-    no kick.
+    the shell's columns are kept. ``H_target`` and ``kick_matrix`` are the
+    real CSR sector matrices of the target and of sum X, which every run
+    applies; ``kick_matrix`` is None when the config sets no kick.
     """
 
     config: ExperimentConfig
     basis: SectorBasis
-    H_target: np.ndarray
+    H_target: scipy.sparse.csr_array
     energies: np.ndarray
     eigenvector_checksum: str
     shell: EnergyShell
     stack: OperatorStack
-    kick_matrix: np.ndarray | None
+    kick_matrix: scipy.sparse.csr_array | None
 
 
 def prepare(config: ExperimentConfig) -> RunContext:
@@ -83,15 +84,14 @@ def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
 def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Trajectory, np.ndarray]:
     """Evolve under a fixed protocol, recording the same aggregates as optimize.
 
-    The observer applies the target in its CSR form, built once here.
+    The observer applies the CSR target of ``prepare``, as the optimizer does.
     """
     cfg = ctx.config
     traj = Trajectory(ctx.shell.indices, ctx.shell.energies)
-    target = sparse_matrix(ctx.H_target)
 
     def observer(step, t, states):
         optimizer.record(traj, cfg, step, t, work_density(
-            states, ctx.shell.energies, target, cfg.L))
+            states, ctx.shell.energies, ctx.H_target, cfg.L))
 
     final = evolve(ctx.shell.states, protocol, ctx.stack, observer=observer,
                    sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
@@ -217,12 +217,15 @@ def load_run(run_dir) -> tuple[dict, Trajectory]:
 def run_scaling_sweep(template: dict, L_list, k_rule: str,
                       presets=("nonintegrable", "integrable"),
                       outdir="runs/sweep") -> list[dict]:
-    """Optimize across system sizes; per-run failures isolate, sweep continues."""
+    """Optimize across sizes and presets, which set h and g; per-run failures isolate."""
     if k_rule not in ("fixed", "half"):
         raise ConfigError("k rule must be 'fixed' or 'half'")
     unknown = [p for p in presets if p not in PRESETS]
     if unknown:
         raise ConfigError(f"unknown presets {unknown}; expected some of {sorted(PRESETS)}")
+    if {"h", "g"} & template.keys():
+        raise ConfigError("the template must not set h or g: they would override every "
+                          "preset's fields while the rows keep the preset's name")
     outdir = Path(outdir)
     rows = []
     for preset in presets:

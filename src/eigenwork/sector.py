@@ -5,11 +5,11 @@ states: |s> = |orbit|^{-1/2} sum_{n in orbit} |n>. For the k=0, R=+1 sector
 every orbit survives (all group characters are +1), so the sector dimension
 equals the number of binary bracelets of length L.
 
-Sector matrices are complex ndarrays where they are formed. A fixed target,
-which multiplies many batches in a row, is recast once by :func:`sparse_matrix`
-into CSR form, real when it has no imaginary part. Every Taylor term, product
-with a held row's eigenvectors, and H psi that :func:`observables.work_density`
-forms itself, goes through :func:`matmul`.
+A fixed sector matrix (the target, the kick generator, the gauge operator) has
+one form, the CSR array that :meth:`operators.SymmetrizedOperator.sector_matrix`
+returns, real when it has no imaginary part; an assembled step Hamiltonian is a
+dense complex ndarray. Every Taylor term, product with a held row's
+eigenvectors, and H psi of a run goes through :func:`matmul`.
 Every Hermiticity check on sector matrices goes through
 :func:`check_hermiticity`, one rule relative to the scale of the matrix. All
 dynamics and diagnostics run in sector coordinates: :func:`schmidt_maps` takes
@@ -153,13 +153,6 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     check_hermiticity(np.abs(diff).max(), lambda: np.abs(mat).max(),
                       "matrix fails hermiticity check: max |M - M^dag|")
     return mat
-
-
-def sparse_matrix(mat: np.ndarray) -> scipy.sparse.csr_array:
-    """CSR form of a dense sector matrix; real when its imaginary part is exactly zero."""
-    if np.iscomplexobj(mat) and not mat.imag.any():
-        mat = mat.real
-    return scipy.sparse.csr_array(mat)
 
 
 def matmul(H, X: np.ndarray) -> np.ndarray:

@@ -229,7 +229,7 @@ def test_criterion_7_spectral_sector_suite():
     for L in (4, 6):
         basis = build_sector_basis(L)
         op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
-        sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis))
+        sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis).toarray())
         full = list(np.linalg.eigvalsh(op.dense_matrix()))
         for ev in sector_eigs:
             j = int(np.argmin(np.abs(np.array(full) - ev)))
@@ -239,7 +239,7 @@ def test_criterion_7_spectral_sector_suite():
         ok &= np.abs(E.conj().T @ E - np.eye(basis.dim)).max() < 1e-12
 
     basis4 = build_sector_basis(4)
-    H4 = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis4)
+    H4 = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis4).toarray()
     ok &= np.allclose(np.sort(np.linalg.eigvalsh(H4)),
                       [-4.0, 0.0, 0.0, 0.0, 4.0, 4.0], atol=1e-12)
     _report("7 spectral/sector suite", ok)

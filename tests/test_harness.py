@@ -164,17 +164,17 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "b62cf95327b315fd4b54ec700c48b7e7842d0f51abfd1d4f964aac4c9a9a648e",
         "per_state.csv":
-            "21c863631a0e35612ca310d7f10683f2d5d8cdec4317a06580e6f23b4f2ada2b",
+            "55d0170f920a93285985cd2c6dd8008831570a7cf42be7f55a525d9616c319cd",
         "protocol.txt":
-            "57026f922048c30d0621f38184175df4c208f56716442c707bba15a40356d1c6",
+            "7f6a1e87b2841f851c7ce60f8008d97c04d913e311b2b0f08a6a5246e988ad45",
         "run.json":
-            "b36db506d61fec5055896b9766e887f3ea8248789a66c7dcfd820cef0a2e9cb6",
+            "984a5bd15b3d7f5cf90e8f8d1b54e7f19d5d6bb5a8394c2a07003a8ba294b488",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
             "8aa8a5fe2f7e3922dcb9af42cad60d3bee4a25c370229c2f22e522ef697fe000",
         "timeseries.csv":
-            "a9a09bfd1563c4aa3d12b35e1a8b7a7225b96aba8155a163293f18cee64d5930",
+            "8c8db4d11714d07cf01e39464e4bf6d3dde8db9730b5991a62976c530607a7e4",
     },
     "quench": {
         "basis_manifest.txt":
@@ -201,9 +201,10 @@ def test_archive_bytes_frozen(roundtrip_run):
     Taken with numpy 2.4.6 on scipy-openblas 0.3.31; at L=8 these bytes are
     the same under 1 and 2 OpenBLAS threads. A refactor must leave them
     alone. A deliberate change of the arithmetic (as the Schmidt-block
-    entropies and the real, gauge-fixed eigensolve made, and ROADMAP item 7
-    will: a cheaper Taylor step) updates the digests, with the evidence for
-    it in CHANGES.md.
+    entropies and the real, gauge-fixed eigensolve made, and the optimizer's
+    move to the one sparse real target and kick generator made for the
+    optimize digests; ROADMAP item 7's cheaper Taylor step will too) updates
+    the digests, with the evidence for it in CHANGES.md.
     """
     mode, run_dir = roundtrip_run
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -229,6 +230,7 @@ def test_replay_matches_archive(small_run):
 
 
 ARCHIVED_QUENCH = Path(__file__).parent / "data" / "quench_nonintegrable_L8"
+ARCHIVED_OPTIMIZE = Path(__file__).parent / "data" / "optimize_integrable_L8"
 
 
 def test_kick_matrix_built_only_for_a_kick(tmp_path, monkeypatch):
@@ -270,6 +272,18 @@ def test_archived_quench_still_replays():
     result = runner.replay(ARCHIVED_QUENCH)
     assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
     assert result["n_states"] == summary["shell"]["size"] == 2
+
+
+def test_archived_optimize_still_replays():
+    """An integrable L=8, k=2 optimize run archived while the controller applied
+    a dense complex target and kick generator still reads, and replays within 1e-9."""
+    summary, traj = runner.load_run(ARCHIVED_OPTIMIZE)
+    assert (summary["format"], summary["mode"], summary["L"], summary["k"]) == (
+        "eigenwork-run-v1", "optimize", 8, 2)
+    assert traj.steps == list(range(0, 501, 10)) and traj.dpos[-1] == 1
+    result = runner.replay(ARCHIVED_OPTIMIZE)
+    assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
+    assert result["n_states"] == summary["shell"]["size"] == 3
 
 
 def test_config_to_output_determinism(tmp_path):
@@ -335,6 +349,17 @@ def test_scaling_sweep_isolates_failures(tmp_path):
     assert by_L[8]["status"] == "ok"
     table = (tmp_path / "sweep" / "fig3_scaling.csv").read_text()
     assert len(table.strip().splitlines()) == 2  # header + the one good row
+
+
+@pytest.mark.parametrize("field", ["h", "g"])
+def test_cli_sweep_size_rejects_template_fields(tmp_path, field):
+    """A template's h or g would override every preset while the rows keep the
+    preset's name, so sweep-size exits 2 before any run."""
+    cfg = tmp_path / "template.json"
+    cfg.write_text(json.dumps({"mode": "optimize", "k": 2, field: 0.3}))
+    outdir = tmp_path / "sweep"
+    assert main(["sweep-size", "-c", str(cfg), "--L-list", "6", "--outdir", str(outdir)]) == 2
+    assert not outdir.exists()
 
 
 def test_cli_basis_and_diag(tmp_path):

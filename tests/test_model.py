@@ -47,7 +47,7 @@ def test_diagonalize_reconstruction_and_unitarity():
     basis = build_sector_basis(6)
     H = build_ising(IsingParams(*PRESETS["nonintegrable"], 6)).sector_matrix(basis)
     eig = diagonalize(H, basis)
-    V = eig.states
+    V, H = eig.states, H.toarray()
     assert np.abs(V.conj().T @ V - np.eye(basis.dim)).max() < 1e-10
     assert np.abs(H - (V * eig.energies) @ V.conj().T).max() < 1e-10
     resid = np.abs(H @ V - V * eig.energies).max()
@@ -72,7 +72,7 @@ def test_diagonalize_rejects_nonhermitian():
 
 def test_diagonalize_rejects_an_imaginary_part():
     basis = build_sector_basis(4)
-    H = build_ising(IsingParams(*PRESETS["integrable"], 4)).sector_matrix(basis)
+    H = build_ising(IsingParams(*PRESETS["integrable"], 4)).sector_matrix(basis).astype(complex)
     H[0, 1] += 1e-14j
     H[1, 0] -= 1e-14j
     with pytest.raises(ValueError, match="imaginary part"):
@@ -86,7 +86,7 @@ def test_real_solve_matches_complex_spectrum_and_shell(L, preset):
     basis = build_sector_basis(L)
     H = build_ising(IsingParams(*PRESETS[preset], L)).sector_matrix(basis)
     eig = diagonalize(H, basis)
-    reference = np.linalg.eigvalsh(H)
+    reference = np.linalg.eigvalsh(H.toarray())
     assert np.all(np.abs(eig.energies - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
     shell = select_shell(eig, *SHELL_DEFAULT, L)
     assert_array_equal(shell.indices,
@@ -175,7 +175,7 @@ def test_ground_state_density_monotone_in_g():
     densities = []
     for g in np.arange(0.1, 1.05, 0.1):
         H = build_ising(IsingParams(0.0, float(g), L)).sector_matrix(basis)
-        densities.append(np.linalg.eigvalsh(H)[0] / L)
+        densities.append(np.linalg.eigvalsh(H.toarray())[0] / L)
     assert np.all(np.diff(densities) < 0)
 
 

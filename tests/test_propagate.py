@@ -8,14 +8,13 @@ import scipy.linalg
 import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork import observables, operators, propagate, runner, sector
+from eigenwork import observables, operators, optimizer, propagate, runner, sector
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
                                  norm_drift, spectral_propagator)
-from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              embed_state, matmul, sparse_matrix)
+from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_state, matmul
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +82,26 @@ def test_taylor_step_matches_scipy(rng, n_cols, dt_norm, substeps, sign):
 
 @pytest.fixture(scope="module")
 def held_rows_L8():
-    """The real L=8 quench H and the imaginary discrete actions y and xy + yx."""
+    """The real L=8 quench H and the imaginary discrete actions y and xy + yx,
+    each as an assembled held row and as its CSR sector matrix."""
     basis = build_sector_basis(8)
     quench = runner.prepare(ExperimentConfig.from_dict(
         {"L": 8, "preset": "nonintegrable", "mode": "quench"}))
     actions = OperatorStack(discrete_action_set(8), basis)
     labels = [op.label for op in actions.ops]
-    rows = {"quench": quench.stack.assemble(np.ones(1))}
+    rows = {"quench": (quench.stack.assemble(np.ones(1)),
+                       quench.stack.ops[0].sector_matrix(basis))}
     for label in ("y", "xy + yx"):
-        rows[label] = actions.assemble(np.eye(actions.n_ops)[labels.index(label)])
+        i = labels.index(label)
+        rows[label] = (actions.assemble(np.eye(actions.n_ops)[i]),
+                       actions.ops[i].sector_matrix(basis))
     return rows
 
 
 @pytest.mark.parametrize("label", ["quench", "y", "xy + yx"])
 def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
     """A held row's eigenvectors are real exactly when H is, and give its step unitary."""
-    H = held_rows_L8[label]
+    H = held_rows_L8[label][0]
     real = label == "quench"
     assert (np.abs(H.imag).max() == 0) == real and (np.abs(H.real).max() == 0) != real
     E, V = spectral_propagator(H)
@@ -110,17 +113,18 @@ def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
 
 @pytest.mark.parametrize("label", ["quench", "y"])
 def test_expm_step_csr_matches_dense(held_rows_L8, rng, label):
-    H = held_rows_L8[label]
+    H, H_csr = held_rows_L8[label]
+    assert_array_equal(H_csr.toarray(), H)
     B = rng.normal(size=(len(H), 5)) + 1j * rng.normal(size=(len(H), 5))
     B /= np.linalg.norm(B, axis=0)
     for dt in (0.002, -0.3):
-        assert_allclose(expm_step(sparse_matrix(H), dt, B), expm_step(H, dt, B),
+        assert_allclose(expm_step(H_csr, dt, B), expm_step(H, dt, B),
                         rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expm_step_csr_rejects_non_finite_data(held_rows_L8, bad):
-    H = sparse_matrix(held_rows_L8["quench"])
+    H = held_rows_L8["quench"][1].copy()
     H.data[7] = bad
     with pytest.raises(NumericalConsistencyError):
         expm_step(H, 0.002, np.eye(H.shape[0]))
@@ -128,8 +132,7 @@ def test_expm_step_csr_rejects_non_finite_data(held_rows_L8, bad):
 
 def test_real_view_product_matches_complex(held_rows_L8, rng):
     """A real H multiplies a read-only or non-contiguous batch through its float view."""
-    H = held_rows_L8["quench"]
-    H_csr = sparse_matrix(H)
+    H, H_csr = held_rows_L8["quench"]
     assert H_csr.dtype == np.float64
     X = rng.normal(size=(len(H), 6)) + 1j * rng.normal(size=(len(H), 6))
     read_only = X.copy()
@@ -140,19 +143,33 @@ def test_real_view_product_matches_complex(held_rows_L8, rng):
     assert not read_only.flags.writeable
 
 
-def test_optimize_never_builds_a_sparse_matrix(tmp_path, monkeypatch):
-    """Optimize steps, kicks and observes with the dense complex matrices only,
-    so its arithmetic (and with it the D_pos pins) does not move."""
-    def no_sparse(mat):
-        raise AssertionError("sparse_matrix called during an optimize run")
-
-    for module in (sector, runner):
-        monkeypatch.setattr(module, "sparse_matrix", no_sparse)
+def test_optimize_applies_the_one_csr_target_and_kick(tmp_path, monkeypatch):
+    """The controller's H psi and w, the final sample, the kick and the replay
+    observer all apply the real CSR target and kick generator of ``prepare``."""
+    contexts, targets, kicks = [], [], []
+    prepare, kick, matmul = runner.prepare, propagate.kick_unitary, sector.matmul
+    monkeypatch.setattr(runner, "prepare",
+                        lambda config: contexts.append(prepare(config)) or contexts[-1])
+    monkeypatch.setattr(propagate, "kick_unitary",
+                        lambda K, duration, states: kicks.append(K) or kick(K, duration, states))
+    monkeypatch.setattr(optimizer, "matmul", lambda H, X: targets.append(H) or matmul(H, X))
+    for module in (optimizer, runner):
+        monkeypatch.setattr(module, "work_density", lambda states, E, H, L, H_psi=None: (
+            targets.append(H) or observables.work_density(states, E, H, L, H_psi=H_psi)))
     config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
-                                         "k": 2, "outdir": str(tmp_path / "run")})
-    runner.run(config)
-    with pytest.raises(AssertionError, match="sparse_matrix"):
-        runner.replay(tmp_path / "run")
+                                         "k": 2, "duration": 0.1,
+                                         "outdir": str(tmp_path / "run")})
+    assert runner.replay(runner.run(config))["within_tolerance"]
+
+    run, replay = contexts
+    for ctx in contexts:
+        for matrix in (ctx.H_target, ctx.kick_matrix):
+            assert isinstance(matrix, scipy.sparse.csr_array) and matrix.dtype == np.float64
+    assert len(kicks) == 2 and all(K is ctx.kick_matrix for K, ctx in zip(kicks, contexts))
+    n_run = 2 * config.n_steps + 1  # H psi and w per controller step, then the final w
+    assert len(targets) == n_run + len(config.sample_steps)
+    assert all(H is run.H_target for H in targets[:n_run])
+    assert all(H is replay.H_target for H in targets[n_run:])
 
 
 def test_fixed_protocol_observer_uses_the_sparse_target(monkeypatch):
@@ -166,10 +183,10 @@ def test_fixed_protocol_observer_uses_the_sparse_target(monkeypatch):
     runner._replay_trajectory(ctx, runner._constant_gamma_protocol(ctx))
     assert len(seen) == len(config.sample_steps)
     for H, states in seen:
-        assert scipy.sparse.issparse(H) and H.dtype == np.float64
+        assert H is ctx.H_target and H.dtype == np.float64
         assert_allclose(observables.work_density(states, ctx.shell.energies, H, 8),
                         observables.work_density(states, ctx.shell.energies,
-                                                 ctx.H_target, 8), rtol=0, atol=1e-14)
+                                                 H.toarray(), 8), rtol=0, atol=1e-14)
 
 
 def test_taylor_plan_bound():
@@ -258,7 +275,7 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
     """Driving with H(0) itself leaves every eigenstate expectation fixed."""
     basis, ops, stack, eig = setup_L6
     H_op = build_ising(IsingParams(*PRESETS["integrable"], 6))
-    H_sec = H_op.sector_matrix(basis)
+    H_sec = H_op.sector_matrix(basis).toarray()
     # H(0) expanded over the basis: coefficients on sum ZZ, sum Z, sum X.
     gamma0 = np.zeros(stack.n_ops)
     for i, op in enumerate(ops):
@@ -300,7 +317,7 @@ def test_sector_step_commutes_with_full_space(rng):
     U_full = scipy.linalg.expm(-0.2j * op.dense_matrix())
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
-    stepped = expm_step(op.sector_matrix(basis), 0.2, v)
+    stepped = expm_step(op.sector_matrix(basis), 0.2, v[:, None])[:, 0]
     assert np.abs(embed_state(stepped / np.linalg.norm(stepped), basis)
                   - U_full @ embed_state(v, basis)).max() < 1e-9
 

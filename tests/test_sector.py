@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+import scipy.sparse
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
 from eigenwork.model import PRESETS, IsingParams, build_ising
-from eigenwork.operators import SymmetrizedOperator
+from eigenwork.operators import (SymmetrizedOperator, certified_entries, discrete_action_set,
+                                 sum_x)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               embed_state, manifest_checksum,
                               require_hermitian, sector_manifest)
@@ -116,7 +118,7 @@ def classical_ising_orbit_energies(L):
 
 def test_classical_ising_projection_frozen():
     basis = build_sector_basis(4)
-    H = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis)
+    H = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis).toarray()
     assert np.abs(H - np.diag(np.diag(H))).max() < 1e-14
     diag = sorted(np.round(np.diag(H).real).astype(int))
     assert diag == sorted([4, 4, 0, 0, 0, -4])
@@ -128,7 +130,7 @@ def test_magnetization_projection_traceless():
     basis = build_sector_basis(L)
     op = SymmetrizedOperator(
         "sum Z", tuple((1.0, pauli.make_pauli([(l, "Z")], L)) for l in range(L)), L)
-    M = op.sector_matrix(basis)
+    M = op.sector_matrix(basis).toarray()
     assert np.abs(M - np.diag(np.diag(M))).max() < 1e-14
     assert abs(np.trace(M)) < 1e-12
 
@@ -144,11 +146,29 @@ def test_asymmetric_operator_rejected():
         lone.sector_matrix(basis)
 
 
+def test_sector_matrix_is_real_exactly_without_an_imaginary_entry():
+    """A fixed sector matrix is the CSR array of its entries, real unless an
+    entry is imaginary: the target and sum X are real, Y-string actions complex."""
+    L = 8
+    basis = build_sector_basis(L)
+    actions = {op.label: op for op in discrete_action_set(L)}
+    for op, real in ((build_ising(IsingParams(*PRESETS["nonintegrable"], L)), True),
+                     (sum_x(L), True), (actions["y"], False), (actions["xy + yx"], False)):
+        M = op.sector_matrix(basis)
+        assert isinstance(M, scipy.sparse.csr_array) and M.has_canonical_format
+        assert M.dtype == (np.float64 if real else np.complex128), op.label
+        assert real or M.data.imag.any()
+        flat, vals, _ = certified_entries(op, basis)
+        dense = np.zeros(basis.dim * basis.dim, dtype=complex)
+        dense[flat] = vals
+        assert_array_equal(M.toarray().ravel(), dense)
+
+
 @pytest.mark.parametrize("L", [4, 6])
 def test_sector_spectrum_subset_of_full(L):
     op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     basis = build_sector_basis(L)
-    sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis))
+    sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis).toarray())
     full_eigs = list(np.linalg.eigvalsh(op.dense_matrix()))
     for ev in sector_eigs:
         j = int(np.argmin(np.abs(np.array(full_eigs) - ev)))
@@ -161,7 +181,7 @@ def test_sector_dynamics_closure(rng):
     L = 4
     basis = build_sector_basis(L)
     op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
-    H_sec = op.sector_matrix(basis)
+    H_sec = op.sector_matrix(basis).toarray()
     H_full = op.dense_matrix()
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
