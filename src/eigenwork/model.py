@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SymmetrizedOperator, translation_sum
-from .sector import NumericalConsistencyError, SectorBasis, require_hermitian
+from .sector import NumericalConsistencyError, SectorBasis, check_hermiticity
 
 PRESETS = {
     "nonintegrable": (0.9045, 0.809),
@@ -99,10 +99,12 @@ def diagonalize(H, basis: SectorBasis) -> EigenDecomposition:
 
     ``H`` is the real CSR array of :meth:`SymmetrizedOperator.sector_matrix`;
     the Ising sector matrix has no imaginary part, so a complex ``H`` is
-    rejected. Its dense form is checked by :func:`require_hermitian` and
-    solved by one real ``eigh``, which keeps the full spectrum. Energies
-    ascend. A degenerate block is a run of consecutive energies within
-    BLOCK_TOL * max(1, max |E|), BLOCK_TOL = 1e-9. :func:`canonicalize` takes
+    rejected. The CSR itself is checked, max |H - H^T| by
+    :func:`sector.check_hermiticity` at scale max |H|, which a non-finite
+    entry fails; then its dense form is solved by one real ``eigh``, which
+    keeps the full spectrum. Energies ascend. A degenerate block is a run of
+    consecutive energies within BLOCK_TOL * max(1, max |E|), BLOCK_TOL =
+    1e-9. :func:`canonicalize` takes
     the real eigenvectors inside each block to the eigenvectors of the gauge
     operator K = sum_l T^l(0.618 Z + 0.414 XX + 0.3 (XZ + ZX) + 0.2 ZXZ +
     0.17 XZX + 0.13 ZZZ + 0.11 XXXX) (GAUGE_WORDS) restricted to the block,
@@ -111,7 +113,9 @@ def diagonalize(H, basis: SectorBasis) -> EigenDecomposition:
     """
     if np.iscomplexobj(H):
         raise ValueError("diagonalize takes a real sector matrix; this one has an imaginary part")
-    energies, states = np.linalg.eigh(require_hermitian(H.toarray()))
+    check_hermiticity(abs(H - H.T).max(), lambda: abs(H).max(),
+                      "matrix fails hermiticity check: max |H - H^T|")
+    energies, states = np.linalg.eigh(H.toarray())
     return EigenDecomposition(energies, canonicalize(energies, states, basis))
 
 

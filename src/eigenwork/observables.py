@@ -5,10 +5,11 @@ E_alpha - <psi_alpha(t)|H|psi_alpha(t)>, with density w = W / L. D_pos counts
 shell states with w >= epsilon (inclusive). Entanglement entropies are von
 Neumann entropies in nats of the reduced state on sites 0..L/2-1;
 :func:`half_chain_entropies` computes them for a whole batch from the
-sector's two symmetric Schmidt blocks, without forming a 2^L vector, and
-:func:`half_chain_ee` of :func:`sector.embed_state` is its full-space test
-oracle. The thermal reference reported alongside is the in-shell mean of
-the initial entropies, a deliberate stand-in for an ensemble calculation.
+sector's two symmetric Schmidt blocks, without forming a 2^L vector; its
+full-space test oracle, ``half_chain_ee`` of ``embed_state``, is in
+``tests/oracles.py``. The thermal reference reported alongside is the
+in-shell mean of the initial entropies, a deliberate stand-in for an
+ensemble calculation.
 """
 
 from __future__ import annotations
@@ -55,24 +56,6 @@ def work_density(states: np.ndarray, origin_energies: np.ndarray,
 def d_pos(w: np.ndarray, epsilon: float) -> int:
     """Count of shell states with work density at least epsilon (inclusive)."""
     return int(np.count_nonzero(np.asarray(w) >= epsilon))
-
-
-def half_chain_ee(state: np.ndarray, L: int) -> float:
-    """Half-chain von Neumann entropy in nats of a unit full-space vector."""
-    if L % 2:
-        raise ValueError("half-chain cut needs even L")
-    state = np.asarray(state)
-    if state.shape != (1 << L,):
-        raise ValueError("state length does not match 2^L")
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state not normalized: |psi| = {nrm!r}")
-    half = L // 2
-    # bit l = site l, so block A = sites 0..L/2-1 lives in the low bits (columns).
-    amp = state.reshape(1 << half, 1 << half)
-    lam = np.linalg.svd(amp, compute_uv=False) ** 2
-    lam = lam[lam > SCHMIDT_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
 
 
 def half_chain_entropies(states: np.ndarray, basis: SectorBasis) -> np.ndarray:

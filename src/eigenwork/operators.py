@@ -8,7 +8,9 @@ of a few words (the Ising target, ``sum X``, the discrete actions), and
 :func:`_dihedral_orbit` gives the control basis for locality k one element
 per dihedral orbit of the strings on at most k contiguous sites. These are
 normalized to Frobenius norm sqrt(L * 2^L), which makes them pairwise
-orthogonal with Tr[Q_a^dag Q_b] = L * 2^L * delta_ab.
+orthogonal with Tr[Q_a^dag Q_b] = L * 2^L * delta_ab. The string-level
+Gram matrix and the full-space matrices that check this are test oracles, in
+``tests/oracles.py``.
 
 For k <= L/2 every translation orbit has full length L and the normalization
 is automatic; for larger windows (e.g. k=8 on L=12) orbits can be shorter and
@@ -119,13 +121,6 @@ class SymmetrizedOperator:
         rows, cols = np.array(divmod(flat, basis.dim), dtype=np.int32)  # as csr_array(dense) picks
         return scipy.sparse.csr_array((vals if vals.imag.any() else vals.real, (rows, cols)),
                                       shape=(basis.dim, basis.dim))
-
-    def dense_matrix(self) -> np.ndarray:
-        """Full 2^L matrix, the weighted sum of :func:`pauli.dense_matrix`; test-scale only."""
-        mat = np.zeros((1 << self.L, 1 << self.L), dtype=complex)
-        for c, p in self.terms:
-            mat += c * pauli.dense_matrix(p)
-        return mat
 
     def __repr__(self):
         return f"SymmetrizedOperator({self.label!r}, {len(self.terms)} strings, L={self.L})"
@@ -251,25 +246,6 @@ def operator_manifest(ops, L: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def string_coefficients(ops) -> scipy.sparse.csr_matrix:
-    """(ops x distinct string masks) table of string coefficients, masks sorted."""
-    keys = sorted({(p.x_mask, p.z_mask) for op in ops for _, p in op.terms})
-    index = {k: i for i, k in enumerate(keys)}
-    data, si, sj = [], [], []
-    for i, op in enumerate(ops):
-        for c, p in op.terms:
-            si.append(i)
-            sj.append(index[(p.x_mask, p.z_mask)])
-            data.append(c)
-    return scipy.sparse.csr_matrix((data, (si, sj)), shape=(len(ops), len(keys)))
-
-
-def symbolic_gram(ops, L: int) -> np.ndarray:
-    """Gram matrix Tr[Q_a^dag Q_b] from string-level trace orthogonality."""
-    coef = string_coefficients(ops)
-    return float(1 << L) * (coef @ coef.T).toarray()
-
-
 class OperatorStack:
     """Sector representation of an operator list, packed for per-step work.
 
@@ -286,8 +262,9 @@ class OperatorStack:
     Each column lies wholly in A or wholly in B for the operators used here
     (see the module docstring), so both products add the same terms in the
     same order as the complex products with A + iB, bit for bit. The exact
-    full-space Frobenius norm of any coefficient combination is kept as a
-    test oracle.
+    full-space Frobenius norm of any coefficient combination, the test
+    oracle of the norm constraint, is ``frobenius_norm_sq`` in
+    ``tests/oracles.py``.
 
     Hermiticity is proven once per column, and not per step: each column
     comes from :func:`certified_entries`, the path that
@@ -371,8 +348,3 @@ class OperatorStack:
         np.copyto(self._part, K.real)
         q += self._imag_T @ self._part
         return q
-
-    def frobenius_norm_sq(self, gamma: np.ndarray) -> float:
-        """Exact full-space ||sum_i gamma_i Q_i||_2^2 via string coefficients."""
-        combined = string_coefficients(self.ops).T @ np.asarray(gamma, dtype=float)
-        return float((1 << self.L) * np.dot(combined, combined))

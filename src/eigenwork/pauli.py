@@ -127,16 +127,6 @@ def apply_to_basis_indices(p: PauliString, n: np.ndarray) -> tuple[np.ndarray, n
     return m, coeff
 
 
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """Full 2^L x 2^L matrix assembled column by column. Test-scale only."""
-    d = 1 << p.n_sites
-    cols = np.arange(d, dtype=np.int64)
-    rows, coeffs = apply_to_basis_indices(p, cols)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[rows, cols] = coeffs
-    return mat
-
-
 def window_span(p: PauliString) -> int:
     """Length of the smallest contiguous window (no wraparound) holding the support.
 
@@ -165,11 +155,3 @@ def to_text(p: PauliString) -> str:
     body = " ".join(parts) if parts else "I"
     return f"{body} @L={p.n_sites} *i^0"
 
-
-def from_text(text: str) -> PauliString:
-    """Parse the canonical text form produced by :func:`to_text`."""
-    tokens = text.split()
-    if len(tokens) < 3 or not tokens[-2].startswith("@L=") or tokens[-1] != "*i^0":
-        raise ValueError(f"malformed pauli text {text!r}")
-    axes = [(int(tok[1:]), tok[0]) for tok in tokens[:-2] if tok != "I"]
-    return make_pauli(axes, int(tokens[-2][3:]))

@@ -84,25 +84,21 @@ class ControlProtocol:
     @classmethod
     def load(cls, path) -> "ControlProtocol":
         header = {}
-        rows = []
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        it = iter(lines)
-        for line in it:
-            if line.startswith("#"):
-                continue
-            if line == "gamma":
-                break
-            key, _, value = line.partition(" ")
-            header[key] = value
+            for line in fh:
+                line = line.strip()
+                if line == "gamma":
+                    break
+                if line and not line.startswith("#"):
+                    key, _, value = line.partition(" ")
+                    header[key] = value
+            block = fh.read()
         if header.get("kick_generator") != KICK_GENERATOR:
             raise ValueError(f"kick generator {header.get('kick_generator')!r} "
                              f"is not {KICK_GENERATOR!r}")
-        for line in it:
-            rows.append([float(tok) for tok in line.split()])
-        n_steps = int(header["n_steps"])
-        n_ops = int(header["n_ops"])
-        gamma = np.array(rows, dtype=float).reshape(n_steps, n_ops)
+        # loadtxt warns on a block with no rows, which a zero-step protocol has
+        gamma = np.loadtxt(block.splitlines(), ndmin=2) if block.strip() else np.empty((0, 0))
+        gamma = gamma.reshape(int(header["n_steps"]), int(header["n_ops"]))
         return cls(dt=float(header["dt"]), gamma=gamma,
                    kick_duration=float(header["kick_duration"]),
                    basis_checksum=header.get("basis_checksum", ""))

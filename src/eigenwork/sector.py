@@ -14,8 +14,8 @@ Every Hermiticity check on sector matrices goes through
 :func:`check_hermiticity`, one rule relative to the scale of the matrix. All
 dynamics and diagnostics run in sector coordinates: :func:`schmidt_maps` takes
 sector vectors straight to their half-chain Schmidt blocks, and no 2^L vector
-is formed. :func:`embed_state`, the map to the full space, stays as the test
-oracle for both.
+is formed. The map to the full space, their test oracle, is ``embed_state`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -80,20 +80,6 @@ def build_sector_basis(L: int) -> SectorBasis:
                        state_to_orbit.astype(np.int64))
 
 
-def embed_state(v: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Map sector coordinates to the unit full-space vector they represent.
-
-    ``v`` is one sector vector or a (dim x M) matrix of them, one per column,
-    and every column must be unit.
-    """
-    v = np.asarray(v)
-    dev = np.abs(np.linalg.norm(v, axis=0) - 1.0).max(initial=0.0)
-    if not dev <= 1e-10:
-        raise ValueError(f"sector vector not normalized: max ||v| - 1| = {dev!r}")
-    amp = basis.norms[basis.state_to_orbit]
-    return v[basis.state_to_orbit] * (amp if v.ndim == 1 else amp[:, None])
-
-
 def schmidt_maps(basis: SectorBasis) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """Real maps from sector coordinates to the flattened even and odd Schmidt blocks.
 
@@ -146,21 +132,15 @@ def check_hermiticity(dev: float, scale, what: str) -> None:
         raise NumericalConsistencyError(f"{what} = {dev:.3e} > {tol:.3e}")
 
 
-def require_hermitian(mat: np.ndarray) -> np.ndarray:
-    """``mat``, after checking max |M - M^dag| by :func:`check_hermiticity`."""
-    diff = np.conjugate(mat).T  # a fresh array, so the subtraction can reuse it
-    np.subtract(mat, diff, out=diff)
-    check_hermiticity(np.abs(diff).max(), lambda: np.abs(mat).max(),
-                      "matrix fails hermiticity check: max |M - M^dag|")
-    return mat
-
-
 def matmul(H, X: np.ndarray) -> np.ndarray:
     """H @ X for a dense or CSR sector matrix H and a (dim x M) batch X.
 
     A real H times a complex X multiplies X's float view, (dim x 2M), so H
-    is never upcast to complex; each product adds the same real terms.
+    is never upcast to complex; each product adds the same real terms. Any
+    other shape of X is rejected with ValueError.
     """
+    if np.ndim(X) != 2:
+        raise ValueError(f"matmul takes a (dim x M) batch, got shape {np.shape(X)}")
     if np.iscomplexobj(X) and not np.iscomplexobj(H):
         return (H @ np.ascontiguousarray(X).view(float)).view(complex)
     return H @ X

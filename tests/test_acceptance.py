@@ -26,7 +26,8 @@ from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
 from eigenwork.optimizer import compute_Y, reward, reward_grad, solve_gamma
 from eigenwork.propagate import expm_step, kick_unitary
-from eigenwork.sector import build_sector_basis, embed_state
+from eigenwork.sector import build_sector_basis
+from oracles import embed_state, operator_dense_matrix
 
 BASELINE_PATH = Path(__file__).parent / "baselines.json"
 
@@ -216,7 +217,7 @@ def test_criterion_6_operator_set_suite():
     for L in (4, 6, 8):
         for k in (2, 3, 4):
             ops = build_basis(L, k)
-            flat = np.stack([op.dense_matrix().ravel() for op in ops])
+            flat = np.stack([operator_dense_matrix(op).ravel() for op in ops])
             gram = flat.conj() @ flat.T
             target = float(L * (1 << L))
             ok &= np.abs(gram - target * np.eye(len(ops))).max() < 1e-9 * target
@@ -230,7 +231,7 @@ def test_criterion_7_spectral_sector_suite():
         basis = build_sector_basis(L)
         op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
         sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis).toarray())
-        full = list(np.linalg.eigvalsh(op.dense_matrix()))
+        full = list(np.linalg.eigvalsh(operator_dense_matrix(op)))
         for ev in sector_eigs:
             j = int(np.argmin(np.abs(np.array(full) - ev)))
             ok &= abs(full[j] - ev) < 1e-9

@@ -8,6 +8,7 @@ from eigenwork.model import (SHELL_DEFAULT, EigenDecomposition, IsingParams, PRE
                              build_ising, canonicalize, degenerate_blocks, diagonalize,
                              select_shell, spectrum_csv)
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis
+from oracles import operator_dense_matrix
 
 
 def test_preset_values():
@@ -27,7 +28,7 @@ def test_params_validation():
 
 def test_classical_L2_full_spectrum():
     # Both bonds coincide on two sites, so H = 2 Z_0 Z_1.
-    H = build_ising(IsingParams(0.0, 0.0, 2)).dense_matrix()
+    H = operator_dense_matrix(build_ising(IsingParams(0.0, 0.0, 2)))
     assert_allclose(np.linalg.eigvalsh(H), [-2.0, -2.0, 2.0, 2.0], atol=1e-14)
 
 

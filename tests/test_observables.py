@@ -7,12 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eigenwork import observables
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.config import ConfigError
-from eigenwork.observables import (Trajectory, d_pos, ee_records, fig4_csv, half_chain_ee,
+from eigenwork.observables import (Trajectory, d_pos, ee_records, fig4_csv,
                                    half_chain_entropies)
 from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.pauli import reflect_bits
 from eigenwork.propagate import ControlProtocol, evolve
-from eigenwork.sector import build_sector_basis, embed_state
+from eigenwork.sector import build_sector_basis
+from oracles import embed_state, half_chain_ee
 
 
 def test_d_pos_examples():

@@ -10,9 +10,10 @@ from eigenwork.model import PRESETS, IsingParams, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
-                                 sum_x, symbolic_gram, translation_sum)
+                                 sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               manifest_checksum, sector_manifest, sector_triplets)
+from oracles import frobenius_norm_sq, operator_dense_matrix, symbolic_gram
 
 
 def term_dict(op):
@@ -20,7 +21,7 @@ def term_dict(op):
 
 
 def dense_gram(ops):
-    flat = np.stack([op.dense_matrix().ravel() for op in ops])
+    flat = np.stack([operator_dense_matrix(op).ravel() for op in ops])
     return flat.conj() @ flat.T
 
 
@@ -267,8 +268,8 @@ def test_stack_frobenius_matches_dense(rng):
     ops = build_basis(L, 2)
     stack = OperatorStack(ops, basis)
     gamma = rng.normal(size=len(ops))
-    dense = sum(g * op.dense_matrix() for g, op in zip(gamma, ops))
-    assert abs(stack.frobenius_norm_sq(gamma) - np.linalg.norm(dense) ** 2) < 1e-9
+    dense = sum(g * operator_dense_matrix(op) for g, op in zip(gamma, ops))
+    assert abs(frobenius_norm_sq(stack, gamma) - np.linalg.norm(dense) ** 2) < 1e-9
 
 
 @STACK_CASES

@@ -11,8 +11,9 @@ from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis,
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
 from eigenwork.propagate import evolve, expm_step, kick_unitary
-from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_state
+from eigenwork.sector import NumericalConsistencyError, build_sector_basis
 from eigenwork.observables import work_density
+from oracles import embed_state, frobenius_norm_sq, operator_dense_matrix
 
 P = RewardParams()
 
@@ -124,11 +125,11 @@ def test_Y_matches_dense_commutator_oracle(shell_setup_L8):
     grad = reward_grad(w, P)
     Y = compute_Y(states, H @ states, stack, grad, L)
 
-    H_full = H_op.dense_matrix()
+    H_full = operator_dense_matrix(H_op)
     full_states = embed_state(states, basis)
     Y_dense = np.zeros(stack.n_ops)
     for i, op in enumerate(stack.ops):
-        comm = H_full @ op.dense_matrix() - op.dense_matrix() @ H_full
+        comm = H_full @ operator_dense_matrix(op) - operator_dense_matrix(op) @ H_full
         acc = 0.0 + 0.0j
         for a in range(full_states.shape[1]):
             psi = full_states[:, a]
@@ -191,7 +192,7 @@ def test_optimize_properties_short_run(shell_setup_L8):
     sums = (protocol.gamma[active] ** 2).sum(axis=1)
     assert np.abs(sums - 2.0).max() < 1e-9
     for row in protocol.gamma[active]:
-        norm = np.sqrt(stack.frobenius_norm_sq(row))
+        norm = np.sqrt(frobenius_norm_sq(stack, row))
         assert abs(norm - C) / C < 1e-10
 
     # recorded y_norm gives dr/dt = C ||Y|| / sqrt(Ld) >= 0

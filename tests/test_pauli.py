@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from eigenwork.pauli import (PauliString, apply_to_basis_indices, dense_matrix,
-                             from_text, invert, make_pauli, to_text, translate,
-                             window_span)
+from eigenwork.pauli import (PauliString, apply_to_basis_indices, invert, make_pauli,
+                             to_text, translate, window_span)
+from oracles import dense_matrix, from_text
 
 SIGMA = {
     "I": np.eye(2),

@@ -1,6 +1,7 @@
 """Discretized evolution: exactness, drift accounting, protocol persistence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
                                  norm_drift, spectral_propagator)
-from eigenwork.sector import NumericalConsistencyError, build_sector_basis, embed_state, matmul
+from eigenwork.sector import NumericalConsistencyError, build_sector_basis, matmul
+from oracles import embed_state, frobenius_norm_sq, operator_dense_matrix
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,18 @@ def test_real_view_product_matches_complex(held_rows_L8, rng):
         for real_H in (H_csr, H.real):
             assert_allclose(matmul(real_H, batch), H @ batch, rtol=0, atol=1e-14)
     assert not read_only.flags.writeable
+
+
+def test_matmul_rejects_a_vector(rng):
+    """matmul takes a (dim x M) batch; a 1-D state is refused by name, not by
+    the core-dimension error of the real target's float-view product."""
+    basis = build_sector_basis(6)
+    H = build_ising(IsingParams(*PRESETS["nonintegrable"], 6)).sector_matrix(basis)
+    assert H.dtype == np.float64
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    with pytest.raises(ValueError, match=r"\(dim x M\) batch"):
+        matmul(H, v)
+    assert_array_equal(matmul(H, v[:, None])[:, 0], H @ v)
 
 
 def test_optimize_applies_the_one_csr_target_and_kick(tmp_path, monkeypatch):
@@ -283,7 +297,7 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
         coeffs = {(p.x_mask, p.z_mask): c for c, p in H_op.terms}
         if keys <= coeffs.keys():
             gamma0[i] = coeffs[next(iter(keys))]
-    assert abs(stack.frobenius_norm_sq(gamma0) - H_op.norm_sq) < 1e-9
+    assert abs(frobenius_norm_sq(stack, gamma0) - H_op.norm_sq) < 1e-9
 
     psi0 = eig.states[:, 2:6]
     protocol = ControlProtocol(dt=0.02, gamma=np.tile(gamma0, (100, 1)))
@@ -314,7 +328,7 @@ def test_sector_step_commutes_with_full_space(rng):
     L = 4
     basis = build_sector_basis(L)
     op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
-    U_full = scipy.linalg.expm(-0.2j * op.dense_matrix())
+    U_full = scipy.linalg.expm(-0.2j * operator_dense_matrix(op))
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     stepped = expm_step(op.sector_matrix(basis), 0.2, v[:, None])[:, 0]
@@ -510,11 +524,13 @@ def test_protocol_rejects_a_non_finite_or_negative_kick(kick):
 
 
 def test_protocol_file_roundtrip_exact(tmp_path, rng):
+    """Also for no rows, which must read without loadtxt's no-data warning
+    (warnings are errors), one row and one column."""
     gamma = rng.normal(size=(7, 5)) * np.pi
     gamma[0, 0] = 1.0 / 3.0
     awkward = np.array([[-0.0, 5e-324, 1e300, -1e300],
                         [1e-300, -1e-300, 0.1 + 0.2, -5e-324]])
-    for values in (gamma, awkward):
+    for values in (gamma, awkward, np.zeros((0, 0)), gamma[:1], gamma[:, :1]):
         protocol = ControlProtocol(dt=0.002, gamma=values, kick_duration=0.001,
                                    basis_checksum="abc123")
         path = tmp_path / "protocol.txt"
@@ -531,3 +547,11 @@ def test_protocol_file_roundtrip_exact(tmp_path, rng):
         assert loaded.basis_checksum == "abc123"
         assert np.array_equal(loaded.gamma, protocol.gamma)
         assert np.array_equal(np.signbit(loaded.gamma), np.signbit(protocol.gamma))
+
+
+def test_archived_protocol_reads_as_its_tokens():
+    """The committed optimize protocol's gamma reads exactly as float() of each token."""
+    path = Path(__file__).parent / "data" / "optimize_integrable_L8" / "protocol.txt"
+    lines = path.read_text().splitlines()
+    tokens = [[float(tok) for tok in line.split()] for line in lines[lines.index("gamma") + 1:]]
+    assert ControlProtocol.load(path).gamma.tobytes() == np.array(tokens).tobytes()

@@ -7,12 +7,12 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
-from eigenwork.model import PRESETS, IsingParams, build_ising
+from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.operators import (SymmetrizedOperator, certified_entries, discrete_action_set,
                                  sum_x)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              embed_state, manifest_checksum,
-                              require_hermitian, sector_manifest)
+                              manifest_checksum, sector_manifest)
+from oracles import embed_state, operator_dense_matrix
 
 
 def translation_matrix(L):
@@ -169,7 +169,7 @@ def test_sector_spectrum_subset_of_full(L):
     op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     basis = build_sector_basis(L)
     sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis).toarray())
-    full_eigs = list(np.linalg.eigvalsh(op.dense_matrix()))
+    full_eigs = list(np.linalg.eigvalsh(operator_dense_matrix(op)))
     for ev in sector_eigs:
         j = int(np.argmin(np.abs(np.array(full_eigs) - ev)))
         assert abs(full_eigs[j] - ev) < 1e-9
@@ -182,7 +182,7 @@ def test_sector_dynamics_closure(rng):
     basis = build_sector_basis(L)
     op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
     H_sec = op.sector_matrix(basis).toarray()
-    H_full = op.dense_matrix()
+    H_full = operator_dense_matrix(op)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
     dt = 0.3
@@ -202,28 +202,34 @@ def test_manifest_contents_and_checksum():
     assert manifest_checksum(text) == manifest_checksum(sector_manifest(build_sector_basis(4)))
 
 
+def ising_csr_L4(max_abs=None):
+    """The integrable L=4 target's real CSR, rescaled to max |H| = max_abs if given."""
+    H = build_ising(IsingParams(*PRESETS["integrable"], 4)).sector_matrix(build_sector_basis(4))
+    return H if max_abs is None else H * (max_abs / abs(H).max())
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_require_hermitian_rejects_non_finite(bad):
-    mat = np.eye(3, dtype=complex)
-    require_hermitian(mat)
-    mat[1, 1] = bad
+def test_hermiticity_check_rejects_non_finite(bad):
+    """diagonalize checks its real CSR by check_hermiticity, which a NaN or inf fails."""
+    H = ising_csr_L4()
+    diagonalize(H, build_sector_basis(4))
+    H[0, 0] = bad
     with pytest.raises(NumericalConsistencyError):
-        require_hermitian(mat)
+        diagonalize(H, build_sector_basis(4))
 
 
 def test_hermiticity_rule_is_relative_to_scale():
-    """Deviations are judged against HERMITICITY_TOL * max(1, max |M|)."""
-    small = np.array([[0.5, 0.1], [0.1 + 5e-13, 0.0]], dtype=complex)
-    require_hermitian(small)
-    small[1, 0] = 0.1 + 2e-12
+    """Deviations are judged against HERMITICITY_TOL * max(1, max |H|)."""
+    basis = build_sector_basis(4)
+    for max_abs, within, beyond in ((0.5, 5e-13, 2e-12), (1e6, 5e-7, 2e-6)):
+        H = ising_csr_L4(max_abs)
+        H[1, 0] += within
+        diagonalize(H, basis)
+        H[1, 0] += beyond
+        with pytest.raises(NumericalConsistencyError):
+            diagonalize(H, basis)
+    lone = ising_csr_L4()
+    lone[0, 1] = np.inf  # max |H - H^T| = inf
     with pytest.raises(NumericalConsistencyError):
-        require_hermitian(small)
-    big = np.array([[1e6, 1.0], [1.0 + 5e-7, 0.0]], dtype=complex)
-    require_hermitian(big)
-    big[1, 0] = 1.0 + 2e-6
-    with pytest.raises(NumericalConsistencyError):
-        require_hermitian(big)
-    lone = np.array([[0.0, np.inf], [0.0, 0.0]], dtype=complex)  # max |M - M^dag| = inf
-    with pytest.raises(NumericalConsistencyError):
-        require_hermitian(lone)
+        diagonalize(lone, basis)
