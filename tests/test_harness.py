@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,43 @@ def test_replay_matches_archive(small_run):
 
 ARCHIVED_QUENCH = Path(__file__).parent / "data" / "quench_nonintegrable_L8"
 ARCHIVED_OPTIMIZE = Path(__file__).parent / "data" / "optimize_integrable_L8"
+
+
+@pytest.fixture(scope="module")
+def report_set(tmp_path_factory):
+    """A sweep's two L=8, k=4 archives and copies of both committed archives:
+    four distinct report labels and no special character in any path."""
+    root = tmp_path_factory.mktemp("report_set")
+    rows = runner.run_scaling_sweep({"mode": "optimize", "duration": 0.1}, [8], "half",
+                                    outdir=str(root / "sweep"))
+    runs = [Path(r["run_dir"]) for r in rows]
+    runs += [Path(shutil.copytree(a, root / a.name)) for a in (ARCHIVED_QUENCH, ARCHIVED_OPTIMIZE)]
+    return root, runs
+
+
+FROZEN_REPORTS = {
+    "fig2_dpos_vs_t.csv": "b996ac86add62280bbe544f83eda64290bd774e1ee784229af8e2eb377cc8a1b",
+    "fig3_scaling.csv": "9ccad4a22643464657c4d27e8c9f81d0ecce2a998cfd7eabf250ee627163f5a5",
+    "fig4_deltaS_vs_w.csv": "989a37d1dbc729c35daebc5b02390bb5a158883727f0b9b2f3eea4132a662389",
+    "sweep/fig3_scaling.csv": "ba24b7890d5ce04eef43b69867157cede0c89d3e9b13059af307b8eaaa1fae36",
+    "thresholds.csv": "d7c106efedd8b245f84569bf6c2f6aaf7ad17346d3f8bd3e2ec2f8445fceb5eb",
+}
+
+
+def test_report_tables_frozen(report_set):
+    """sha256 of the report's three tables, the sweep's fig3 and the threshold
+    table over ``report_set``, the last with its tmp root replaced. A change of
+    how tables are written must leave these bytes alone."""
+    root, runs = report_set
+    report = runner.write_report(runs, root / "report")
+    runner.run_threshold_sweep(runs, [0.1, 0.15, 0.2], out_path=root / "thresholds.csv")
+    tables = {name: (report / name).read_bytes() for name in
+              ("fig2_dpos_vs_t.csv", "fig3_scaling.csv", "fig4_deltaS_vs_w.csv")}
+    tables["sweep/fig3_scaling.csv"] = (root / "sweep" / "fig3_scaling.csv").read_bytes()
+    tables["thresholds.csv"] = (root / "thresholds.csv").read_bytes().replace(
+        str(root).encode(), b"<root>")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tables.items()}
+    assert digests == FROZEN_REPORTS
 
 
 def test_kick_matrix_built_only_for_a_kick(tmp_path, monkeypatch):
