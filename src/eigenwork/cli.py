@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, read_config
-from .model import IsingParams, build_ising, diagonalize, select_shell, spectrum_csv
+from .model import IsingParams, build_ising, diagonalize, select_shell
 from .operators import build_basis, operator_manifest
 from .sector import (L_MAX, L_MIN, NumericalConsistencyError, build_sector_basis,
                      sector_manifest)
-from . import runner
+from . import observables, runner
 
 
 def _number_list(text: str, kind) -> list:
@@ -56,7 +56,7 @@ def _cmd_diag(args):
     H = build_ising(IsingParams(cfg.h, cfg.g, cfg.L)).sector_matrix(basis)
     eig = diagonalize(H, basis)
     shell = select_shell(eig, cfg.shell_lo, cfg.shell_hi, cfg.L)
-    Path(args.out).write_text(spectrum_csv(eig.energies, shell, cfg.L))
+    Path(args.out).write_text(observables.spectrum_csv(eig.energies, shell, cfg.L))
     print(f"sector dim {basis.dim}, shell size {shell.size}; spectrum at {args.out}")
 
 

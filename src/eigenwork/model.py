@@ -140,10 +140,3 @@ def select_shell(eig: EigenDecomposition, lo: float, hi: float, L: int) -> Energ
     members = np.flatnonzero((density >= lo) & (density <= hi))
     return EnergyShell(members, eig.energies[members], eig.states[:, members])
 
-
-def spectrum_csv(energies: np.ndarray, shell: EnergyShell, L: int) -> str:
-    lines = ["alpha,E,E_over_L,in_shell"]
-    in_shell = set(shell.indices.tolist())
-    for a, E in enumerate(energies):
-        lines.append(f"{a},{E:.17g},{E / L:.17g},{int(a in in_shell)}")
-    return "\n".join(lines) + "\n"

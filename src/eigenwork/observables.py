@@ -14,6 +14,8 @@ ensemble calculation.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +30,25 @@ SCHMIDT_CHUNK_BYTES = 8_000_000  # one chunk's largest complex block plus its Gr
 TIMESERIES_HEADER = "step,t,r,y_norm,d_pos"
 PER_STATE_HEADER = "alpha,E,t,w,S"
 FIG4_HEADER = "alpha,E,w,S0,St,dS_final_minus_initial,dS_initial_minus_final,in_dpos"
+
+
+def csv_text(header: str, rows) -> str:
+    """The one table writer: the ``header`` line, then a line per row of ``rows``.
+    An int or a float, numpy numbers and bools included, is written as %.17g, which
+    reads back to the same float; any other cell as str(cell), quoted only when needed."""
+    out = io.StringIO()
+    out.write(f"{header}\n")
+    csv.writer(out, lineterminator="\n").writerows(
+        [f"{c:.17g}" if isinstance(c, (float, int, np.number, np.bool_)) else str(c) for c in row]
+        for row in rows)
+    return out.getvalue()
+
+
+def spectrum_csv(energies: np.ndarray, shell, L: int) -> str:
+    """alpha, E, E/L and membership of the model.EnergyShell ``shell`` of every eigenvalue."""
+    in_shell = set(shell.indices.tolist())
+    return csv_text("alpha,E,E_over_L,in_shell",
+                    ((a, E, E / L, a in in_shell) for a, E in enumerate(energies)))
 
 
 def work_density(states: np.ndarray, origin_energies: np.ndarray,
@@ -155,40 +176,20 @@ class Trajectory:
         return self.w_samples[-1]
 
     def timeseries_csv(self) -> str:
-        lines = [TIMESERIES_HEADER]
-        for s, t, r, y, dp in zip(self.steps, self.times, self.reward,
-                                  self.y_norm, self.dpos):
-            lines.append(f"{s},{t:.17g},{r:.17g},{y:.17g},{dp}")
-        return "\n".join(lines) + "\n"
+        return csv_text(TIMESERIES_HEADER, zip(self.steps, self.times, self.reward,
+                                               self.y_norm, self.dpos))
 
     def per_state_csv(self) -> str:
         """Long-format per-state series; S only at the entropy sample times."""
-        last = len(self.times) - 1
-        lines = [PER_STATE_HEADER]
-        for s_idx, t in enumerate(self.times):
-            S = self.ee[:, 0] if s_idx == 0 else self.ee[:, 1] if s_idx == last else None
-            for j, alpha in enumerate(self.alphas):
-                w = self.w_samples[s_idx][j]
-                S_j = "" if S is None else f"{S[j]:.17g}"
-                lines.append(f"{alpha},{self.origin_energies[j]:.17g},{t:.17g},{w:.17g},{S_j}")
-        return "\n".join(lines) + "\n"
+        S = {len(self.times) - 1: self.ee[:, 1].tolist(), 0: self.ee[:, 0].tolist()}
+        alphas, energies = self.alphas.tolist(), self.origin_energies.tolist()
+        blank = [""] * len(alphas)
+        return csv_text(PER_STATE_HEADER, (
+            (a, E, t, w_a, S_a) for i, (t, w) in enumerate(zip(self.times, self.w_samples))
+            for a, E, w_a, S_a in zip(alphas, energies, w.tolist(), S.get(i, blank))))
 
 
-def fig3_csv(rows) -> str:
-    """Rows of (L, k, preset, d_pos at t=1, shell_size)."""
-    lines = ["L,k,preset,d_pos_t1,shell_size"]
-    for L, k, preset, dp, size in rows:
-        lines.append(f"{L},{k},{preset},{dp},{size}")
-    return "\n".join(lines) + "\n"
-
-
-def fig4_csv(traj: Trajectory, dpos_epsilon: float) -> str:
-    """Per-state work density against both entropy-change conventions."""
-    w_final = traj.final_w()
-    lines = [FIG4_HEADER]
-    for j, alpha in enumerate(traj.alphas):
-        w, (S0, St) = w_final[j], traj.ee[j]
-        lines.append(
-            f"{alpha},{traj.origin_energies[j]:.17g},{w:.17g},{S0:.17g},{St:.17g},"
-            f"{St - S0:.17g},{S0 - St:.17g},{int(w >= dpos_epsilon)}")
-    return "\n".join(lines) + "\n"
+def fig4_rows(traj: Trajectory, dpos_epsilon: float):
+    """One FIG4_HEADER row per state: work density and both entropy-change conventions."""
+    for alpha, E, w, (S0, St) in zip(traj.alphas, traj.origin_energies, traj.final_w(), traj.ee):
+        yield alpha, E, w, S0, St, St - S0, S0 - St, w >= dpos_epsilon

@@ -39,8 +39,11 @@ from .pauli import PauliString, window_span
 from .sector import (NumericalConsistencyError, SectorBasis, check_hermiticity,
                      manifest_checksum, sector_entries)
 
+TERM_DROP_TOL = 1e-14  # a summed coefficient at most this large is dropped
+SYMMETRY_TOL = 1e-12  # largest coefficient change a translation or reflection may make
 
-def _combine_terms(raw_terms, L, tol=1e-14):
+
+def _combine_terms(raw_terms, L):
     """Sum the coefficients of same-mask strings; drop zeros; sort by masks."""
     acc: dict[tuple[int, int], list] = {}  # masks -> [summed coefficient, first string]
     for coeff, p in raw_terms:
@@ -48,7 +51,7 @@ def _combine_terms(raw_terms, L, tol=1e-14):
             raise ValueError("term chain length mismatch")
         entry = acc.setdefault((p.x_mask, p.z_mask), [0.0, p])
         entry[0] += coeff
-    return tuple((float(c), p) for _, (c, p) in sorted(acc.items()) if abs(c) > tol)
+    return tuple((float(c), p) for _, (c, p) in sorted(acc.items()) if abs(c) > TERM_DROP_TOL)
 
 
 def _asymmetry(flat, values, combine, mirror, dim) -> float:
@@ -100,12 +103,12 @@ class SymmetrizedOperator:
         d = float(1 << self.L)
         self.norm_sq = d * sum(c * c for c, _ in self.terms)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         ref = {(p.x_mask, p.z_mask): c for c, p in self.terms}
         for image in (lambda p: pauli.translate(p, 1), pauli.invert):
             for c, p in self.terms:
                 q = image(p)
-                if abs(ref.get((q.x_mask, q.z_mask), 0.0) - c) > tol:
+                if abs(ref.get((q.x_mask, q.z_mask), 0.0) - c) > SYMMETRY_TOL:
                     return False
         return True
 

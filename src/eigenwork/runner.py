@@ -18,9 +18,8 @@ import scipy.sparse
 
 from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG
-from .model import (PRESETS, EnergyShell, IsingParams, build_ising,
-                    diagonalize, select_shell, spectrum_csv)
-from .observables import Trajectory, d_pos, work_density
+from .model import PRESETS, EnergyShell, IsingParams, build_ising, diagonalize, select_shell
+from .observables import Trajectory, csv_text, d_pos, spectrum_csv, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
 from .propagate import ControlProtocol, evolve, norm_drift
@@ -214,6 +213,12 @@ def load_run(run_dir) -> tuple[dict, Trajectory]:
     return summary, traj
 
 
+def _fig3_table(summaries) -> str:
+    """D_pos at the final time against L, k and preset, of optimize runs' summaries."""
+    return csv_text("L,k,preset,d_pos_t1,shell_size", (
+        (s["L"], s["k"], s["preset"], s["dpos_final"], s["shell"]["size"]) for s in summaries))
+
+
 def run_scaling_sweep(template: dict, L_list, k_rule: str,
                       presets=("nonintegrable", "integrable"),
                       outdir="runs/sweep") -> list[dict]:
@@ -227,7 +232,7 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
         raise ConfigError("the template must not set h or g: they would override every "
                           "preset's fields while the rows keep the preset's name")
     outdir = Path(outdir)
-    rows = []
+    rows, summaries = [], []
     for preset in presets:
         for L in L_list:
             data = dict(template)
@@ -244,13 +249,12 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
                 row.update(status="ok", d_pos=summary["dpos_final"],
                            shell_size=summary["shell"]["size"],
                            run_dir=str(run_dir))
+                summaries.append(summary)
             except Exception as exc:  # isolate per-run failures
                 row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             rows.append(row)
     outdir.mkdir(parents=True, exist_ok=True)
-    ok = [(r["L"], r["k"], r["preset"], r["d_pos"], r["shell_size"])
-          for r in rows if r["status"] == "ok"]
-    (outdir / "fig3_scaling.csv").write_text(observables.fig3_csv(ok))
+    (outdir / "fig3_scaling.csv").write_text(_fig3_table(summaries))
     with open(outdir / "sweep.json", "w") as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")
@@ -283,42 +287,38 @@ def run_threshold_sweep(run_dirs, eps_list, out_path=None) -> list[dict]:
                       f"{shell_width:.6g}; the greedy protocol is not expected "
                       f"to target work beyond the shell")
     if out_path is not None:
-        lines = ["run,preset,L,k,epsilon,d_pos_final,exceeds_shell_width"]
-        for r in rows:
-            lines.append(f"{r['run']},{r['preset']},{r['L']},{r['k']},"
-                         f"{r['epsilon']:.17g},{r['d_pos_final']},"
-                         f"{int(r['exceeds_shell_width'])}")
-        Path(out_path).write_text("\n".join(lines) + "\n")
+        Path(out_path).write_text(csv_text(
+            "run,preset,L,k,epsilon,d_pos_final,exceeds_shell_width", (r.values() for r in rows)))
     return rows
 
 
 def write_report(run_dirs, outdir) -> Path:
-    """Collect archived runs into the figure-data CSV exports."""
+    """Collect archived runs into the figure-data CSV exports. A run's label, taken
+    already, gains ``_{run directory name}``, then ``_2``, ``_3``, ... until unique."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    fig2_lines = ["label,t,d_pos,shell_size"]
-    fig3_rows = []
-    fig4_lines = [f"label,{observables.FIG4_HEADER}"]
+    fig2, fig3, fig4 = [], [], []
     seen_labels = set()
     for run_dir in map(Path, run_dirs):
         summary, traj = load_run(run_dir)
         label = summary["mode"] if summary["mode"] != "optimize" \
             else f"optimize_k{summary['k']}"
         label = f"{summary['preset']}_{label}_L{summary['L']}"
-        if label in seen_labels:
-            label = f"{label}_{run_dir.name}"
+        stem, n = label, 1
+        while label in seen_labels:
+            label = f"{stem}_{run_dir.name}" + (f"_{n}" if n > 1 else "")
+            n += 1
         seen_labels.add(label)
         size = summary["shell"]["size"]
-        fig2_lines.extend(f"{label},{t:.17g},{dp},{size}"
-                          for t, dp in zip(traj.times, traj.dpos))
+        fig2 += ((label, t, dp, size) for t, dp in zip(traj.times, traj.dpos))
         if summary["mode"] == "optimize":
-            fig3_rows.append((summary["L"], summary["k"], summary["preset"],
-                              summary["dpos_final"], size))
-            body = observables.fig4_csv(traj, summary["dpos_epsilon"]).splitlines()[1:]
-            fig4_lines.extend(f"{label},{row}" for row in body)
+            fig3.append(summary)
+            fig4 += ((label, *row)
+                     for row in observables.fig4_rows(traj, summary["dpos_epsilon"]))
 
-    (outdir / "fig2_dpos_vs_t.csv").write_text("\n".join(fig2_lines) + "\n")
-    (outdir / "fig3_scaling.csv").write_text(observables.fig3_csv(fig3_rows))
-    (outdir / "fig4_deltaS_vs_w.csv").write_text("\n".join(fig4_lines) + "\n")
+    (outdir / "fig2_dpos_vs_t.csv").write_text(csv_text("label,t,d_pos,shell_size", fig2))
+    (outdir / "fig3_scaling.csv").write_text(_fig3_table(fig3))
+    (outdir / "fig4_deltaS_vs_w.csv").write_text(
+        csv_text(f"label,{observables.FIG4_HEADER}", fig4))
     return outdir

@@ -21,7 +21,7 @@ import eigenwork
 from eigenwork import runner
 from eigenwork.config import ExperimentConfig, RewardParams
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize, select_shell
-from eigenwork.observables import fig4_csv, work_density
+from eigenwork.observables import FIG4_HEADER, csv_text, fig4_rows, work_density
 from eigenwork.operators import (OperatorStack, build_basis,
                                  enumerate_window_paulis, sum_x)
 from eigenwork.optimizer import compute_Y, reward, reward_grad, solve_gamma
@@ -111,7 +111,7 @@ def test_criterion_3_global_control_growth(run_cache):
 def test_criterion_4_ee_mechanism(run_cache):
     """Work-extractable states under local control gain entanglement."""
     summary, traj = runner.load_run(run_cache("integrable", 12, 4))
-    rows = fig4_csv(traj, summary["dpos_epsilon"]).splitlines()[1:]
+    rows = csv_text(FIG4_HEADER, fig4_rows(traj, summary["dpos_epsilon"])).splitlines()[1:]
     counted = [row.split(",") for row in rows if row.endswith(",1")]
     assert counted, "no D_pos states to examine"
     increased = sum(float(row[5]) > 0 for row in counted)  # St - S0

@@ -1,5 +1,6 @@
 """Config schema, run archiving, replay, sweeps, and the CLI surface."""
 
+import csv
 import hashlib
 import json
 import re
@@ -269,6 +270,41 @@ def test_report_tables_frozen(report_set):
         str(root).encode(), b"<root>")
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in tables.items()}
     assert digests == FROZEN_REPORTS
+
+
+def _read_table(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(None not in row for row in rows), f"{path} has a row longer than its header"
+    return rows
+
+
+def test_report_labels_unique(tmp_path):
+    """Four copies of one archive, three in directories named run, get four
+    labels, the first collision's the same as when it was the only one."""
+    runs = [Path(shutil.copytree(ARCHIVED_OPTIMIZE, tmp_path / n))
+            for n in ("first", "a/run", "b/run", "c/run")]
+    report = runner.write_report(runs, tmp_path / "report")
+    stem = "integrable_optimize_k2_L8"
+    labels = [stem, f"{stem}_run", f"{stem}_run_2", f"{stem}_run_3"]
+    summary, traj = runner.load_run(ARCHIVED_OPTIMIZE)
+    for table, per_run in (("fig2_dpos_vs_t.csv", len(traj.times)),
+                           ("fig4_deltaS_vs_w.csv", summary["shell"]["size"])):
+        assert [row["label"] for row in _read_table(report / table)] == \
+            [label for label in labels for _ in range(per_run)], table
+
+
+def test_text_cells_quoted(tmp_path):
+    """A run directory named a,b reads back as one cell of the threshold table
+    and of a report label taken from it."""
+    runs = [Path(shutil.copytree(ARCHIVED_OPTIMIZE, tmp_path / n)) for n in ("x", "a,b")]
+    report = runner.write_report(runs, tmp_path / "report")
+    labels = {row["label"] for row in _read_table(report / "fig4_deltaS_vs_w.csv")}
+    assert labels == {"integrable_optimize_k2_L8", "integrable_optimize_k2_L8_a,b"}
+
+    runner.run_threshold_sweep(runs[1:], [0.15], out_path=tmp_path / "thresholds.csv")
+    (row,) = _read_table(tmp_path / "thresholds.csv")
+    assert (row["run"], row["preset"], row["L"]) == (str(runs[1]), "integrable", "8")
 
 
 def test_kick_matrix_built_only_for_a_kick(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.model import (SHELL_DEFAULT, EigenDecomposition, IsingParams, PRESETS,
                              build_ising, canonicalize, degenerate_blocks, diagonalize,
-                             select_shell, spectrum_csv)
+                             select_shell)
+from eigenwork.observables import spectrum_csv
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis
 from oracles import operator_dense_matrix
 

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eigenwork import observables
 from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
 from eigenwork.config import ConfigError
-from eigenwork.observables import (Trajectory, d_pos, ee_records, fig4_csv,
-                                   half_chain_entropies)
+from eigenwork.observables import (FIG4_HEADER, Trajectory, csv_text, d_pos, ee_records,
+                                   fig4_rows, half_chain_entropies)
 from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.pauli import reflect_bits
 from eigenwork.propagate import ControlProtocol, evolve
@@ -236,7 +236,7 @@ def test_per_state_csv_carries_ee_at_endpoints():
 
 def test_fig4_csv_columns():
     traj = _toy_trajectory()
-    lines = fig4_csv(traj, 0.15).splitlines()
+    lines = csv_text(FIG4_HEADER, fig4_rows(traj, 0.15)).splitlines()
     assert lines[0].split(",")[5:7] == ["dS_final_minus_initial", "dS_initial_minus_final"]
     row5 = lines[1].split(",")
     assert float(row5[5]) == pytest.approx(0.6)
