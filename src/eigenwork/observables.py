@@ -1,4 +1,4 @@
-"""Work-extraction metrics and half-chain entanglement diagnostics.
+"""Work-extraction metrics, half-chain entanglement diagnostics and the one table writer.
 
 Work is measured against the fixed initial Hamiltonian: W_alpha(t) =
 E_alpha - <psi_alpha(t)|H|psi_alpha(t)>, with density w = W / L. D_pos counts
@@ -45,7 +45,7 @@ def csv_text(header: str, rows) -> str:
 
 
 def spectrum_csv(energies: np.ndarray, shell, L: int) -> str:
-    """alpha, E, E/L and membership of the model.EnergyShell ``shell`` of every eigenvalue."""
+    """alpha, E, E/L and membership of ``shell``, a model.EnergyShell, per eigenvalue."""
     in_shell = set(shell.indices.tolist())
     return csv_text("alpha,E,E_over_L,in_shell",
                     ((a, E, E / L, a in in_shell) for a, E in enumerate(energies)))
