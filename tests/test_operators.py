@@ -382,8 +382,14 @@ FROZEN_MANIFESTS = {
                     "15af9007cb3ca272cc40e6b73ad3ca9f889d7c28a68b8b409df340353086101e"),
     "basis_L12_k4": (lambda: operator_manifest(build_basis(12, 4), 12),
                      "e4f5e3208133839a7d2e95c59c0e7556076aded1b69571baa666638d3a429ffd"),
+    "basis_L8_k8": (lambda: operator_manifest(build_basis(8, 8), 8),
+                    "636f49e2a1209542a5506cc6b44a47bfa80d243b6da10f9a44f67e14a7cc1f38"),
+    "basis_L12_k6": (lambda: operator_manifest(build_basis(12, 6), 12),
+                     "e979dfef4c4bd486689d5a3bfce25fdc26eca8ad80b4bc07dcd092e5923ddcf6"),
     "discrete_L6": (lambda: operator_manifest(discrete_action_set(6), 6),
                     "81b11849605a9c968ad48207603d79a974d824219df1f13a0a014b5e3d7c6ba9"),
+    "discrete_L8": (lambda: operator_manifest(discrete_action_set(8), 8),
+                    "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8"),
     "sum_x_L6": (lambda: operator_manifest([sum_x(6)], 6),
                  "8f1afa547ff53a0fbe22ce076ecf326c9ef0eaa5a4705513cf6b21c9c59400b6"),
     "ising_integrable_L6": (
@@ -417,8 +423,9 @@ FROZEN_MANIFESTS = {
 @pytest.mark.parametrize("case", sorted(FROZEN_MANIFESTS))
 def test_manifest_bytes_frozen(case):
     """Replay rejects a protocol whose basis checksum differs from the one its
-    config rebuilds, so these manifest bytes must not move: (4, 3) has rescaled
-    wide-window orbits and (6, 2) has +R pairs."""
+    config rebuilds, so these manifest bytes must not move: (4, 3) and (8, 8)
+    have rescaled wide-window orbits, (6, 2) has +R pairs, and (12, 6) is the
+    global k = L/2 basis at L=12."""
     build, digest = FROZEN_MANIFESTS[case]
     assert manifest_checksum(build()) == digest
 
