@@ -9,12 +9,12 @@ norm-constrained controller (optimizer), work and entanglement diagnostics
 
 from .config import ExperimentConfig, RewardParams
 from .model import IsingParams, PRESETS
-from .pauli import PauliString, make_pauli
+from .pauli import make_pauli
 from .sector import SectorBasis, build_sector_basis
 
 __all__ = [
     "ExperimentConfig", "IsingParams", "PRESETS", "RewardParams",
-    "PauliString", "make_pauli", "SectorBasis", "build_sector_basis",
+    "make_pauli", "SectorBasis", "build_sector_basis",
 ]
 
 __version__ = "0.1.0"

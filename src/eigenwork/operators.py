@@ -35,7 +35,6 @@ import numpy as np
 import scipy.sparse
 
 from . import pauli
-from .pauli import PauliString, window_span
 from .sector import (NumericalConsistencyError, SectorBasis, check_hermiticity,
                      manifest_checksum, sector_entries)
 
@@ -44,14 +43,14 @@ SYMMETRY_TOL = 1e-12  # largest coefficient change a translation or reflection m
 
 
 def _combine_terms(raw_terms, L):
-    """Sum the coefficients of same-mask strings; drop zeros; sort by masks."""
-    acc: dict[tuple[int, int], list] = {}  # masks -> [summed coefficient, first string]
-    for coeff, p in raw_terms:
-        if p.n_sites != L:
+    """(coeff, x, z) triples: same-mask coefficients summed in input order, zeros
+    dropped, sorted by masks. A mask bit at or above L is rejected."""
+    acc: dict[tuple[int, int], float] = {}
+    for coeff, x, z in raw_terms:
+        if (x | z) >> L:
             raise ValueError("term chain length mismatch")
-        entry = acc.setdefault((p.x_mask, p.z_mask), [0.0, p])
-        entry[0] += coeff
-    return tuple((float(c), p) for _, (c, p) in sorted(acc.items()) if abs(c) > TERM_DROP_TOL)
+        acc[x, z] = acc.get((x, z), 0.0) + coeff
+    return tuple((float(c), x, z) for (x, z), c in sorted(acc.items()) if abs(c) > TERM_DROP_TOL)
 
 
 def _asymmetry(flat, values, combine, mirror, dim) -> float:
@@ -91,7 +90,10 @@ def certified_entries(op, basis: SectorBasis, mirror=None):
 
 @dataclass(eq=False)
 class SymmetrizedOperator:
-    """Hermitian, translation+inversion symmetric weighted Pauli-string sum."""
+    """Hermitian, translation+inversion symmetric weighted Pauli-string sum.
+
+    ``terms`` holds one (coeff, x, z) triple per string, by masks ascending.
+    """
 
     label: str
     terms: tuple
@@ -101,14 +103,14 @@ class SymmetrizedOperator:
     def __post_init__(self):
         self.terms = _combine_terms(self.terms, self.L)
         d = float(1 << self.L)
-        self.norm_sq = d * sum(c * c for c, _ in self.terms)
+        self.norm_sq = d * sum(c * c for c, _, _ in self.terms)
 
     def is_symmetric(self) -> bool:
-        ref = {(p.x_mask, p.z_mask): c for c, p in self.terms}
-        for image in (lambda p: pauli.translate(p, 1), pauli.invert):
-            for c, p in self.terms:
-                q = image(p)
-                if abs(ref.get((q.x_mask, q.z_mask), 0.0) - c) > SYMMETRY_TOL:
+        L = self.L
+        ref = {(x, z): c for c, x, z in self.terms}
+        for image in (lambda m: pauli.rotate_bits(m, 1, L), lambda m: pauli.reflect_bits(m, L)):
+            for c, x, z in self.terms:
+                if abs(ref.get((image(x), image(z)), 0.0) - c) > SYMMETRY_TOL:
                     return False
         return True
 
@@ -129,8 +131,8 @@ class SymmetrizedOperator:
         return f"SymmetrizedOperator({self.label!r}, {len(self.terms)} strings, L={self.L})"
 
 
-def enumerate_window_paulis(L: int, k: int) -> list[PauliString]:
-    """Non-identity Hermitian strings in a k-site window, first site occupied.
+def enumerate_window_paulis(L: int, k: int) -> list[tuple[int, int]]:
+    """Masks (x, z) of the non-identity strings in a k-site window, first site occupied.
 
     Canonical positioning (support starts at site 0) plus downstream dedup
     makes the window placement irrelevant after translation symmetrization.
@@ -161,18 +163,16 @@ def translation_sum(label: str, words, L: int) -> SymmetrizedOperator:
     """
     terms = []
     for coeff, word in words:
-        p = pauli.make_pauli(enumerate(word), L)
-        terms += [(coeff * count, PauliString(x, z, L))
-                  for (x, z), count in _translates(p.x_mask, p.z_mask, L).items()]
+        orbit = _translates(*pauli.make_pauli(enumerate(word), L), L)
+        terms += [(coeff * count, x, z) for (x, z), count in orbit.items()]
     return SymmetrizedOperator(label, tuple(terms), L)
 
 
-def _dihedral_orbit(p: PauliString) -> tuple[Counter, bool]:
-    """Mask counts of p's translates and, when p's reflection is not one of
-    them, of the reflection's translates; and whether it is one of them."""
-    L = p.n_sites
-    orbit = _translates(p.x_mask, p.z_mask, L)
-    reflected = (pauli.reflect_bits(p.x_mask, L), pauli.reflect_bits(p.z_mask, L))
+def _dihedral_orbit(x: int, z: int, L: int) -> tuple[Counter, bool]:
+    """Mask counts of string (x, z)'s translates and, when its reflection is not
+    one of them, of the reflection's translates; and whether it is one of them."""
+    orbit = _translates(x, z, L)
+    reflected = (pauli.reflect_bits(x, L), pauli.reflect_bits(z, L))
     symmetric = reflected in orbit
     if not symmetric:
         orbit.update(_translates(*reflected, L))
@@ -185,7 +185,7 @@ def _orbit_operator(label, orbit, L):
     # integer counts: the sum is exact, so it equals norm_sq's float sum in any order
     norm_sq = float(1 << L) * sum(count * count for count in orbit.values())
     scale = np.sqrt(target / norm_sq) if abs(norm_sq - target) > 1e-9 * target else 1.0
-    terms = tuple((scale * count, PauliString(x, z, L)) for (x, z), count in orbit.items())
+    terms = tuple((scale * count, x, z) for (x, z), count in orbit.items())
     return SymmetrizedOperator(label, terms, L)
 
 
@@ -195,17 +195,17 @@ def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
     One element per dihedral orbit of the window strings. The orbit's first
     generator gives its label (``+R`` marks a translation orbit summed with
     its reflection) and its sort key, the generator's window span. Elements
-    are sorted by that span, then by the orbit's smallest (x_mask, z_mask).
+    are sorted by that span, then by the orbit's smallest masks (x, z).
     """
     seen, found = set(), []
     for gen in enumerate_window_paulis(L, k):
-        orbit, symmetric = _dihedral_orbit(gen)
+        orbit, symmetric = _dihedral_orbit(*gen, L)
         key = min(orbit)
         if key in seen:
             continue
         seen.add(key)
-        label = pauli.to_text(gen).split(" @")[0] + ("" if symmetric else " +R")
-        found.append((window_span(gen), key, label, orbit))
+        label = pauli.to_text(*gen, L).split(" @")[0] + ("" if symmetric else " +R")
+        found.append((pauli.window_span(*gen), key, label, orbit))
     found.sort(key=lambda f: f[:2])
     return [_orbit_operator(label, orbit, L) for _, _, label, orbit in found]
 
@@ -244,8 +244,8 @@ def operator_manifest(ops, L: int) -> str:
     lines = ["# eigenwork operator basis v1", f"L {L}", f"count {len(ops)}"]
     for i, op in enumerate(ops):
         lines.append(f"op {i} | {op.label} | norm_sq {op.norm_sq:.17g}")
-        for c, p in op.terms:
-            lines.append(f"  {c:.17g} {pauli.to_text(p)}")
+        for c, x, z in op.terms:
+            lines.append(f"  {c:.17g} {pauli.to_text(x, z, op.L)}")
     return "\n".join(lines) + "\n"
 
 

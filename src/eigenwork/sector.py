@@ -149,7 +149,7 @@ def matmul(H, X: np.ndarray) -> np.ndarray:
 def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unsummed (rows, cols, vals) of the sector matrix of sum_j c_j P_j.
 
-    ``terms`` are (coefficient, PauliString) pairs. Each string is applied to
+    ``terms`` are (coefficient, x, z) triples. Each string is applied to
     the orbit representative of every column; the image lands in the row of
     its orbit, rescaled by sqrt(|orbit_col| / |orbit_row|). Triplets come in
     term order, columns ascending within a term; a (row, col) pair can repeat
@@ -157,8 +157,8 @@ def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, 
     """
     sizes = basis.orbit_sizes.astype(float)
     rows, vals = [], []
-    for coeff, p in terms:
-        targets, phases = apply_to_basis_indices(p, basis.orbit_reps)
+    for coeff, x, z in terms:
+        targets, phases = apply_to_basis_indices(x, z, basis.orbit_reps)
         r = basis.state_to_orbit[targets]
         rows.append(r)
         vals.append(coeff * phases * np.sqrt(sizes / sizes[r]))

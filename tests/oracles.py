@@ -14,7 +14,7 @@ import scipy.sparse
 
 from eigenwork.observables import SCHMIDT_FLOOR
 from eigenwork.operators import OperatorStack, SymmetrizedOperator
-from eigenwork.pauli import PauliString, apply_to_basis_indices, make_pauli
+from eigenwork.pauli import apply_to_basis_indices, make_pauli
 from eigenwork.sector import SectorBasis
 
 
@@ -50,11 +50,11 @@ def half_chain_ee(state: np.ndarray, L: int) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """Full 2^L x 2^L matrix assembled column by column. Test-scale only."""
-    d = 1 << p.n_sites
+def dense_matrix(x: int, z: int, L: int) -> np.ndarray:
+    """Full 2^L x 2^L matrix of string (x, z), assembled column by column. Test-scale only."""
+    d = 1 << L
     cols = np.arange(d, dtype=np.int64)
-    rows, coeffs = apply_to_basis_indices(p, cols)
+    rows, coeffs = apply_to_basis_indices(x, z, cols)
     mat = np.zeros((d, d), dtype=complex)
     mat[rows, cols] = coeffs
     return mat
@@ -63,20 +63,20 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 def operator_dense_matrix(op: SymmetrizedOperator) -> np.ndarray:
     """Full 2^L matrix, the weighted sum of :func:`dense_matrix`; test-scale only."""
     mat = np.zeros((1 << op.L, 1 << op.L), dtype=complex)
-    for c, p in op.terms:
-        mat += c * dense_matrix(p)
+    for c, x, z in op.terms:
+        mat += c * dense_matrix(x, z, op.L)
     return mat
 
 
 def string_coefficients(ops) -> scipy.sparse.csr_matrix:
     """(ops x distinct string masks) table of string coefficients, masks sorted."""
-    keys = sorted({(p.x_mask, p.z_mask) for op in ops for _, p in op.terms})
+    keys = sorted({(x, z) for op in ops for _, x, z in op.terms})
     index = {k: i for i, k in enumerate(keys)}
     data, si, sj = [], [], []
     for i, op in enumerate(ops):
-        for c, p in op.terms:
+        for c, x, z in op.terms:
             si.append(i)
-            sj.append(index[(p.x_mask, p.z_mask)])
+            sj.append(index[x, z])
             data.append(c)
     return scipy.sparse.csr_matrix((data, (si, sj)), shape=(len(ops), len(keys)))
 
@@ -93,10 +93,11 @@ def frobenius_norm_sq(stack: OperatorStack, gamma: np.ndarray) -> float:
     return float((1 << stack.L) * np.dot(combined, combined))
 
 
-def from_text(text: str) -> PauliString:
-    """Parse the canonical text form produced by :func:`eigenwork.pauli.to_text`."""
+def from_text(text: str) -> tuple[int, int, int]:
+    """(x, z, L) of the canonical text form produced by :func:`eigenwork.pauli.to_text`."""
     tokens = text.split()
     if len(tokens) < 3 or not tokens[-2].startswith("@L=") or tokens[-1] != "*i^0":
         raise ValueError(f"malformed pauli text {text!r}")
     axes = [(int(tok[1:]), tok[0]) for tok in tokens[:-2] if tok != "I"]
-    return make_pauli(axes, int(tokens[-2][3:]))
+    L = int(tokens[-2][3:])
+    return (*make_pauli(axes, L), L)

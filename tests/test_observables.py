@@ -172,7 +172,7 @@ def test_deltaS_sign_convention_toy():
     v[s0, 0] = 1.0
 
     xx = next(i for i, op in enumerate(ops)
-              if {(p.x_mask, p.z_mask) for _, p in op.terms}
+              if {(x, z) for _, x, z in op.terms}
               == {(0b0011, 0), (0b0110, 0), (0b1100, 0), (0b1001, 0)})
     gamma = np.zeros((40, stack.n_ops))
     gamma[:, xx] = 1.0

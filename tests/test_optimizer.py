@@ -109,7 +109,7 @@ def test_Y_vanishes_for_unkicked_eigenstates(shell_setup_L8):
 def test_Y_component_vanishes_for_target_aligned_element(shell_setup_L8):
     """[H, Q] = 0 when Q is proportional to the measured Hamiltonian."""
     L, basis, H_op, H, shell, stack, kick = shell_setup_L8
-    unit = tuple((c / np.sqrt(H_op.norm_sq), p) for c, p in H_op.terms)
+    unit = tuple((c / np.sqrt(H_op.norm_sq), x, z) for c, x, z in H_op.terms)
     aligned = OperatorStack([SymmetrizedOperator("aligned", unit, L)], basis)
     states = kick_unitary(kick, 0.05, shell.states)
     w = work_density(states, shell.energies, H, L)

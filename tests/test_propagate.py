@@ -293,8 +293,8 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
     # H(0) expanded over the basis: coefficients on sum ZZ, sum Z, sum X.
     gamma0 = np.zeros(stack.n_ops)
     for i, op in enumerate(ops):
-        keys = {(p.x_mask, p.z_mask) for _, p in op.terms}
-        coeffs = {(p.x_mask, p.z_mask): c for c, p in H_op.terms}
+        keys = {(x, z) for _, x, z in op.terms}
+        coeffs = {(x, z): c for c, x, z in H_op.terms}
         if keys <= coeffs.keys():
             gamma0[i] = coeffs[next(iter(keys))]
     assert abs(frobenius_norm_sq(stack, gamma0) - H_op.norm_sq) < 1e-9

@@ -129,7 +129,7 @@ def test_magnetization_projection_traceless():
     L = 4
     basis = build_sector_basis(L)
     op = SymmetrizedOperator(
-        "sum Z", tuple((1.0, pauli.make_pauli([(l, "Z")], L)) for l in range(L)), L)
+        "sum Z", tuple((1.0, *pauli.make_pauli([(l, "Z")], L)) for l in range(L)), L)
     M = op.sector_matrix(basis).toarray()
     assert np.abs(M - np.diag(np.diag(M))).max() < 1e-14
     assert abs(np.trace(M)) < 1e-12
@@ -140,7 +140,7 @@ def test_asymmetric_operator_rejected():
     basis = build_sector_basis(L)
     lone = SymmetrizedOperator.__new__(SymmetrizedOperator)
     lone.label = "lone X0"
-    lone.terms = ((1.0, pauli.make_pauli([(0, "X")], L)),)
+    lone.terms = ((1.0, *pauli.make_pauli([(0, "X")], L)),)
     lone.L = L
     with pytest.raises(ValueError):
         lone.sector_matrix(basis)

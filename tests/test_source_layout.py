@@ -95,3 +95,10 @@ def test_default_guard_matches_keywords_positions_and_methods(tmp_path):
         "def g(*args, n=3):\n    return C().m(1)\n")
     (tmp_path / "cli.py").write_text("def main(argv=None):\n    return g(*[1])\n")
     assert unset_defaults(tmp_path) == ["a.py:1 f(k)", "a.py:10 g(n)", "a.py:6 m(b)"]
+
+
+def test_package_exports_resolve():
+    """Every name in ``eigenwork.__all__`` is an attribute of the package, so
+    ``from eigenwork import *`` imports them all."""
+    import eigenwork
+    assert [name for name in eigenwork.__all__ if not hasattr(eigenwork, name)] == []
