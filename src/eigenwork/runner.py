@@ -215,7 +215,7 @@ def load_run(run_dir) -> tuple[dict, Trajectory]:
 
 def _fig3_table(summaries) -> str:
     """D_pos at the final time against L, k and preset, of optimize runs' summaries."""
-    return csv_text("L,k,preset,d_pos_t1,shell_size", (
+    return csv_text("L,k,preset,d_pos_final,shell_size", (
         (s["L"], s["k"], s["preset"], s["dpos_final"], s["shell"]["size"]) for s in summaries))
 
 

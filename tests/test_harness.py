@@ -216,7 +216,7 @@ def test_archive_bytes_frozen(roundtrip_run):
 
 def test_load_run_rejects_non_archives(tmp_path, small_run):
     not_a_dir = tmp_path / "fig3_scaling.csv"
-    not_a_dir.write_text("L,k,preset,d_pos_t1,shell_size\n")
+    not_a_dir.write_text("L,k,preset,d_pos_final,shell_size\n")
     no_csv = tmp_path / "partial"
     no_csv.mkdir()
     (no_csv / "run.json").write_bytes((small_run / "run.json").read_bytes())
@@ -249,9 +249,9 @@ def report_set(tmp_path_factory):
 
 FROZEN_REPORTS = {
     "fig2_dpos_vs_t.csv": "b996ac86add62280bbe544f83eda64290bd774e1ee784229af8e2eb377cc8a1b",
-    "fig3_scaling.csv": "9ccad4a22643464657c4d27e8c9f81d0ecce2a998cfd7eabf250ee627163f5a5",
+    "fig3_scaling.csv": "eef51389d497051ee94f59e4302be96927d0bf70c5a4809631f1c9ec75467217",
     "fig4_deltaS_vs_w.csv": "989a37d1dbc729c35daebc5b02390bb5a158883727f0b9b2f3eea4132a662389",
-    "sweep/fig3_scaling.csv": "ba24b7890d5ce04eef43b69867157cede0c89d3e9b13059af307b8eaaa1fae36",
+    "sweep/fig3_scaling.csv": "440054f9861a953344b697f6001ea296ad66ca74b4c0a8da32bc7888d609f585",
     "thresholds.csv": "d7c106efedd8b245f84569bf6c2f6aaf7ad17346d3f8bd3e2ec2f8445fceb5eb",
 }
 
@@ -277,6 +277,22 @@ def _read_table(path) -> list[dict]:
         rows = list(csv.DictReader(fh))
     assert all(None not in row for row in rows), f"{path} has a row longer than its header"
     return rows
+
+
+def test_fig3_column_is_the_final_dpos(report_set):
+    """fig3's D_pos column, in the report and in the sweep, is run.json's
+    dpos_final, D_pos at the run's final time (t=0.1 for the sweep's runs),
+    and its header names it so."""
+    root, runs = report_set
+    report = runner.write_report(runs, root / "report_fig3")
+    summaries = [runner.load_summary(run) for run in runs]
+    for table, expected in (
+            (report / "fig3_scaling.csv", [s for s in summaries if s["mode"] == "optimize"]),
+            (root / "sweep" / "fig3_scaling.csv", summaries[:2])):
+        rows = _read_table(table)
+        assert list(rows[0]) == ["L", "k", "preset", "d_pos_final", "shell_size"], table
+        assert [float(row["d_pos_final"]) for row in rows] == \
+            [s["dpos_final"] for s in expected], table
 
 
 def test_report_labels_unique(tmp_path):
@@ -672,7 +688,7 @@ def test_cli_empty_shell_is_config_error(tmp_path, mode):
 def test_cli_sweep_threshold_rejects_non_run_paths(tmp_path, small_run):
     """A glob that also matches a sweep's fig3_scaling.csv is a config error."""
     table = tmp_path / "fig3_scaling.csv"
-    table.write_text("L,k,preset,d_pos_t1,shell_size\n")
+    table.write_text("L,k,preset,d_pos_final,shell_size\n")
     assert main(["sweep-threshold", "--runs", str(small_run), str(table),
                  "--eps", "0.15"]) == 2
 
