@@ -16,10 +16,6 @@ value 0 is the +1 eigenstate of sigma^z.
 
 from __future__ import annotations
 
-import numpy as np
-
-PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
 _AXIS_MASKS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
@@ -68,15 +64,6 @@ def reflect_bits(mask, L: int):
     return out
 
 
-def apply_to_basis_indices(x: int, z: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply string (x, z) to each |n> of an index array: (m, c) with (x, z)|n> = c|m>, |c| = 1."""
-    n = np.asarray(n, dtype=np.int64)
-    m = n ^ np.int64(x)
-    parity = np.bitwise_count(n & np.int64(z)) & 1
-    coeff = PHASES[bin(x & z).count("1") % 4] * np.where(parity, -1.0, 1.0)
-    return m, coeff
-
-
 def window_span(x: int, z: int) -> int:
     """Length of the smallest contiguous window (no wraparound) holding the support.
 
@@ -97,7 +84,10 @@ def to_text(x: int, z: int, L: int) -> str:
     The trailing i-power is the prefactor of the product of the listed
     letters, always ``*i^0``; manifest format v1 keeps it.
     """
-    parts = [f"{'IXZY'[(x >> site & 1) + 2 * (z >> site & 1)]}{site}"  # Y: both bits
-             for site in range(L) if (x | z) >> site & 1]
+    parts, sup = [], x | z
+    while sup:  # visit the set bits of the support, lowest site first
+        site = (sup & -sup).bit_length() - 1
+        parts.append(f"{'IXZY'[(x >> site & 1) + 2 * (z >> site & 1)]}{site}")  # Y: both bits
+        sup &= sup - 1
     body = " ".join(parts) if parts else "I"
     return f"{body} @L={L} *i^0"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .pauli import apply_to_basis_indices, reflect_bits, rotate_bits
+from .pauli import reflect_bits, rotate_bits
 
 L_MIN = 2
 L_MAX = 20
@@ -149,21 +149,31 @@ def matmul(H, X: np.ndarray) -> np.ndarray:
 def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unsummed (rows, cols, vals) of the sector matrix of sum_j c_j P_j.
 
-    ``terms`` are (coefficient, x, z) triples. Each string is applied to
-    the orbit representative of every column; the image lands in the row of
-    its orbit, rescaled by sqrt(|orbit_col| / |orbit_row|). Triplets come in
-    term order, columns ascending within a term; a (row, col) pair can repeat
-    and :func:`sector_entries` sums the repeats.
+    ``terms`` are (coefficient, x, z) triples, taken in one array pass: each
+    string is applied to the orbit representative n of every column, giving
+    i^{n_Y} (-1)^{|n & z|} |n ^ x>, and the image lands in the row of its
+    orbit, rescaled by sqrt(|orbit_col| / |orbit_row|). The order is the
+    contract that :func:`sector_entries` sums in: triplets come term-major,
+    in the order of ``terms``, and columns ascend within a term, so triplet
+    j * dim + c is term j applied to column c. A (row, col) pair can repeat.
     """
-    sizes = basis.orbit_sizes.astype(float)
-    rows, vals = [], []
-    for coeff, x, z in terms:
-        targets, phases = apply_to_basis_indices(x, z, basis.orbit_reps)
-        r = basis.state_to_orbit[targets]
-        rows.append(r)
-        vals.append(coeff * phases * np.sqrt(sizes / sizes[r]))
+    coeff, x, z = zip(*terms)
+    coeff = np.array(coeff)[:, None]
+    x, z = (np.array(mask, dtype=np.int64)[:, None] for mask in (x, z))
+    reps, sizes = basis.orbit_reps, basis.orbit_sizes.astype(float)
+    rows = basis.state_to_orbit[reps ^ x]  # (terms x dim)
+    magnitude = np.sqrt(sizes / sizes[rows])
+    magnitude *= coeff
+    # i^{n_Y} (-1)^{|n & z|} = (-1)^{n_Y // 2 + |n & z|} i^{n_Y % 2}: each
+    # modulus gets its sign and lands in the real part, or the imaginary part.
+    n_y = np.bitwise_count(x & z)
+    magnitude *= 1.0 - 2.0 * (((n_y >> 1) + np.bitwise_count(reps & z)) & 1)
+    imaginary = (n_y & 1) == 1
+    vals = np.zeros(rows.shape, dtype=complex)
+    np.copyto(vals.real, magnitude, where=~imaginary)
+    np.copyto(vals.imag, magnitude, where=imaginary)
     cols = np.tile(np.arange(basis.dim, dtype=np.int64), len(rows))
-    return np.concatenate(rows), cols, np.concatenate(vals)
+    return rows.ravel(), cols, vals.ravel()
 
 
 def sector_entries(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 No run calls these, and each is test-scale only: :func:`half_chain_ee` of
 :func:`embed_state` checks the sector entanglement path, the dense 2^L
-matrices check sector matrices, spectra and dynamics, and
+matrices check sector matrices, spectra and dynamics,
+:func:`sector_triplets_oracle` applies one string at a time where the
+package takes all of an operator's strings in one array pass, and
 :func:`symbolic_gram` and :func:`frobenius_norm_sq` check Gram matrices and
 norms by string-level trace orthogonality.
 """
@@ -14,8 +16,10 @@ import scipy.sparse
 
 from eigenwork.observables import SCHMIDT_FLOOR
 from eigenwork.operators import OperatorStack, SymmetrizedOperator
-from eigenwork.pauli import apply_to_basis_indices, make_pauli
+from eigenwork.pauli import make_pauli
 from eigenwork.sector import SectorBasis
+
+PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k
 
 
 def embed_state(v: np.ndarray, basis: SectorBasis) -> np.ndarray:
@@ -48,6 +52,28 @@ def half_chain_ee(state: np.ndarray, L: int) -> float:
     lam = np.linalg.svd(amp, compute_uv=False) ** 2
     lam = lam[lam > SCHMIDT_FLOOR]
     return float(-np.sum(lam * np.log(lam)))
+
+
+def apply_to_basis_indices(x: int, z: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply string (x, z) to each |n> of an index array: (m, c) with (x, z)|n> = c|m>, |c| = 1."""
+    n = np.asarray(n, dtype=np.int64)
+    m = n ^ np.int64(x)
+    parity = np.bitwise_count(n & np.int64(z)) & 1
+    coeff = PHASES[bin(x & z).count("1") % 4] * np.where(parity, -1.0, 1.0)
+    return m, coeff
+
+
+def sector_triplets_oracle(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`eigenwork.sector.sector_triplets` one string at a time, in the same order."""
+    sizes = basis.orbit_sizes.astype(float)
+    rows, vals = [], []
+    for coeff, x, z in terms:
+        targets, phases = apply_to_basis_indices(x, z, basis.orbit_reps)
+        r = basis.state_to_orbit[targets]
+        rows.append(r)
+        vals.append(coeff * phases * np.sqrt(sizes / sizes[r]))
+    cols = np.tile(np.arange(basis.dim, dtype=np.int64), len(rows))
+    return np.concatenate(rows), cols, np.concatenate(vals)
 
 
 def dense_matrix(x: int, z: int, L: int) -> np.ndarray:

@@ -12,8 +12,9 @@ from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  enumerate_window_paulis, operator_manifest,
                                  sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              manifest_checksum, sector_manifest, sector_triplets)
-from oracles import frobenius_norm_sq, operator_dense_matrix, symbolic_gram
+                              manifest_checksum, sector_manifest)
+from oracles import (frobenius_norm_sq, operator_dense_matrix, sector_triplets_oracle,
+                     symbolic_gram)
 
 
 def term_dict(op):
@@ -235,10 +236,11 @@ def test_stack_is_real_split_without_zeros(L, k):
 
 
 def complex_csr_oracle(ops, basis):
-    """The complex (dim*dim x n_ops) CSR the stack splits, summed in the same order."""
+    """The complex (dim*dim x n_ops) CSR the stack splits, summed in the same order,
+    from the per-string triplets."""
     flat, vals = [], []
     for op in ops:
-        rows, cols, v = sector_triplets(op.terms, basis)
+        rows, cols, v = sector_triplets_oracle(op.terms, basis)
         flat.append(rows * basis.dim + cols)
         vals.append(v)
     op_idx = np.repeat(np.arange(len(ops)), [len(v) for v in vals])

@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from eigenwork.operators import SymmetrizedOperator
-from eigenwork.pauli import (apply_to_basis_indices, make_pauli, reflect_bits, rotate_bits,
-                             to_text, window_span)
-from oracles import dense_matrix, from_text
+from eigenwork.pauli import make_pauli, reflect_bits, rotate_bits, to_text, window_span
+from oracles import apply_to_basis_indices, dense_matrix, from_text
 
 SIGMA = {
     "I": np.eye(2),
@@ -166,6 +165,13 @@ def test_text_form_example():
 @given(st_pauli())
 def test_text_roundtrip(p):
     assert from_text(to_text(*p)) == p
+
+
+@pytest.mark.parametrize("L", [2, 7, 20])
+def test_text_form_edges(L):
+    """The identity, and a Y on the last site, where the set-bit walk ends."""
+    assert to_text(0, 0, L) == f"I @L={L} *i^0"
+    assert to_text(*make_pauli([(L - 1, "Y")], L), L) == f"Y{L - 1} @L={L} *i^0"
 
 
 def test_text_rejects_garbage():

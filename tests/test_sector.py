@@ -7,12 +7,12 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
-from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
-from eigenwork.operators import (SymmetrizedOperator, certified_entries, discrete_action_set,
-                                 sum_x)
+from eigenwork.model import GAUGE_WORDS, PRESETS, IsingParams, build_ising, diagonalize
+from eigenwork.operators import (SymmetrizedOperator, build_basis, certified_entries,
+                                 discrete_action_set, sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              manifest_checksum, sector_manifest)
-from oracles import embed_state, operator_dense_matrix
+                              manifest_checksum, sector_manifest, sector_triplets)
+from oracles import embed_state, operator_dense_matrix, sector_triplets_oracle
 
 
 def translation_matrix(L):
@@ -162,6 +162,31 @@ def test_sector_matrix_is_real_exactly_without_an_imaginary_entry():
         dense = np.zeros(basis.dim * basis.dim, dtype=complex)
         dense[flat] = vals
         assert_array_equal(M.toarray().ravel(), dense)
+
+
+TRIPLET_CASES = {
+    "B4_L8": lambda: build_basis(8, 4),
+    "B4_L12": lambda: build_basis(12, 4),
+    "B5_L10": lambda: build_basis(10, 5),
+    "B6_L12": lambda: build_basis(12, 6),
+    "discrete_L8": lambda: discrete_action_set(8),
+    "sumX_L12": lambda: [sum_x(12)],
+    "ising_presets_L12": lambda: [build_ising(IsingParams(*PRESETS[p], 12)) for p in PRESETS],
+    "gaugeK_L12": lambda: [translation_sum("gauge K", GAUGE_WORDS, 12)],
+}
+
+
+@pytest.mark.parametrize("case", TRIPLET_CASES)
+def test_sector_triplets_match_one_string_oracle(case):
+    """The one array pass over an operator's strings gives the per-string
+    oracle's rows, cols and vals, in the same order and to the bit."""
+    ops = TRIPLET_CASES[case]()
+    basis = build_sector_basis(ops[0].L)
+    for op in ops:
+        for got, want in zip(sector_triplets(op.terms, basis),
+                             sector_triplets_oracle(op.terms, basis)):
+            assert_array_equal(got, want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("L", [4, 6])
