@@ -8,12 +8,12 @@ norm-constrained controller (optimizer), work and entanglement diagnostics
 """
 
 from .config import ExperimentConfig, RewardParams
-from .model import IsingParams, PRESETS
+from .model import PRESETS
 from .pauli import make_pauli
 from .sector import SectorBasis, build_sector_basis
 
 __all__ = [
-    "ExperimentConfig", "IsingParams", "PRESETS", "RewardParams",
+    "ExperimentConfig", "PRESETS", "RewardParams",
     "make_pauli", "SectorBasis", "build_sector_basis",
 ]
 

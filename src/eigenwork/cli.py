@@ -1,6 +1,7 @@
 """Command-line surface: basis, diag, optimize, quench, discrete, sweeps, replay, report.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-consistency failure.
+Exit codes: 0 success, 1 a sweep-size run failed (its row in sweep.json says
+how), 2 configuration error, 3 numerical-consistency failure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, read_config
-from .model import IsingParams, build_ising, diagonalize, select_shell
+from .model import build_ising, diagonalize, select_shell
 from .operators import build_basis, operator_manifest
 from .sector import (L_MAX, L_MIN, NumericalConsistencyError, build_sector_basis,
                      sector_manifest)
@@ -53,10 +54,10 @@ def _cmd_basis(args):
 def _cmd_diag(args):
     cfg = _load_config(args.config)
     basis = build_sector_basis(cfg.L)
-    H = build_ising(IsingParams(cfg.h, cfg.g, cfg.L)).sector_matrix(basis)
-    eig = diagonalize(H, basis)
-    shell = select_shell(eig, cfg.shell_lo, cfg.shell_hi, cfg.L)
-    Path(args.out).write_text(observables.spectrum_csv(eig.energies, shell, cfg.L))
+    H = build_ising(cfg.h, cfg.g, cfg.L).sector_matrix(basis)
+    energies, states = diagonalize(H, basis)
+    shell = select_shell(energies, states, cfg.shell_lo, cfg.shell_hi, cfg.L)
+    Path(args.out).write_text(observables.spectrum_csv(energies, shell, cfg.L))
     print(f"sector dim {basis.dim}, shell size {shell.size}; spectrum at {args.out}")
 
 

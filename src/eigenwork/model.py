@@ -8,7 +8,6 @@ plus the (0, 1.5) quench target.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,31 +24,9 @@ PRESETS = {
 SHELL_DEFAULT = (-0.25, -0.1)
 
 
-@dataclass(frozen=True)
-class IsingParams:
-    h: float
-    g: float
-    L: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.h) and np.isfinite(self.g)):
-            raise ValueError("fields must be finite")
-        if self.L < 2:
-            raise ValueError("need at least two sites")
-
-
-def build_ising(params: IsingParams) -> SymmetrizedOperator:
-    label = f"ising(h={params.h}, g={params.g})"
-    return translation_sum(label, [(1.0, "ZZ"), (params.h, "Z"), (params.g, "X")], params.L)
-
-
-@dataclass(eq=False)
-class EigenDecomposition:
-    energies: np.ndarray
-    states: np.ndarray
-
-    def checksum(self) -> str:
-        return hashlib.sha256(self.states.tobytes()).hexdigest()
+def build_ising(h: float, g: float, L: int) -> SymmetrizedOperator:
+    """The Ising chain on L >= 2 sites; a non-finite field or L < 2 raises ValueError."""
+    return translation_sum(f"ising(h={h}, g={g})", [(1.0, "ZZ"), (h, "Z"), (g, "X")], L)
 
 
 BLOCK_TOL = 1e-9
@@ -94,29 +71,29 @@ def canonicalize(energies: np.ndarray, states: np.ndarray, basis: SectorBasis) -
     return states
 
 
-def diagonalize(H, basis: SectorBasis) -> EigenDecomposition:
+def diagonalize(H, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """Real symmetric eigendecomposition of a sector matrix, in a canonical gauge.
 
-    ``H`` is the real CSR array of :meth:`SymmetrizedOperator.sector_matrix`;
-    the Ising sector matrix has no imaginary part, so a complex ``H`` is
-    rejected. The CSR itself is checked, max |H - H^T| by
-    :func:`sector.check_hermiticity` at scale max |H|, which a non-finite
-    entry fails; then its dense form is solved by one real ``eigh``, which
-    keeps the full spectrum. Energies ascend. A degenerate block is a run of
-    consecutive energies within BLOCK_TOL * max(1, max |E|), BLOCK_TOL =
-    1e-9. :func:`canonicalize` takes
-    the real eigenvectors inside each block to the eigenvectors of the gauge
-    operator K = sum_l T^l(0.618 Z + 0.414 XX + 0.3 (XZ + ZX) + 0.2 ZXZ +
-    0.17 XZX + 0.13 ZZZ + 0.11 XXXX) (GAUGE_WORDS) restricted to the block,
-    then fixes every sign. So the states do not depend on which basis of a
-    block the solver returns, which can change with the BLAS thread count.
+    Returns ``(energies, states)``, as ``np.linalg.eigh`` does: energies
+    ascending, states the real eigenvectors as columns. ``H`` is the real
+    CSR array of :meth:`SymmetrizedOperator.sector_matrix`; the Ising sector
+    matrix has no imaginary part, so a complex ``H`` is rejected. The CSR
+    itself is checked, max |H - H^T| by :func:`sector.check_hermiticity` at
+    scale max |H|, which a non-finite entry fails; then its dense form is
+    solved by one real ``eigh``, which keeps the full spectrum. A degenerate
+    block is a run of consecutive energies within BLOCK_TOL * max(1, max |E|),
+    BLOCK_TOL = 1e-9. :func:`canonicalize` takes the real eigenvectors inside
+    each block to the eigenvectors of the gauge operator K, the translation
+    sum of GAUGE_WORDS, restricted to the block, then fixes every sign. So
+    the states do not depend on which basis of a block the solver returns,
+    which can change with the BLAS thread count.
     """
     if np.iscomplexobj(H):
         raise ValueError("diagonalize takes a real sector matrix; this one has an imaginary part")
     check_hermiticity(abs(H - H.T).max(), lambda: abs(H).max(),
                       "matrix fails hermiticity check: max |H - H^T|")
     energies, states = np.linalg.eigh(H.toarray())
-    return EigenDecomposition(energies, canonicalize(energies, states, basis))
+    return energies, canonicalize(energies, states, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +109,12 @@ class EnergyShell:
         return len(self.indices)
 
 
-def select_shell(eig: EigenDecomposition, lo: float, hi: float, L: int) -> EnergyShell:
-    """Eigenstates with energy density in the closed interval [lo, hi]."""
+def select_shell(energies: np.ndarray, states: np.ndarray, lo: float, hi: float,
+                 L: int) -> EnergyShell:
+    """Eigenstates with energy density in the closed interval [lo, hi], as copied columns."""
     if not lo < hi:
         raise ValueError("shell bounds must satisfy lo < hi")
-    density = eig.energies / L
+    density = energies / L
     members = np.flatnonzero((density >= lo) & (density <= hi))
-    return EnergyShell(members, eig.energies[members], eig.states[:, members])
+    return EnergyShell(members, energies[members], states[:, members])
 

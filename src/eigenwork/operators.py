@@ -44,12 +44,14 @@ SYMMETRY_TOL = 1e-12  # largest coefficient change a translation or reflection m
 
 def _combine_terms(raw_terms, L):
     """(coeff, x, z) triples: same-mask coefficients summed in input order, zeros
-    dropped, sorted by masks. A mask bit at or above L is rejected."""
+    dropped, sorted by masks. A mask bit at or above L or a non-finite sum is rejected."""
     acc: dict[tuple[int, int], float] = {}
     for coeff, x, z in raw_terms:
         if (x | z) >> L:
             raise ValueError("term chain length mismatch")
         acc[x, z] = acc.get((x, z), 0.0) + coeff
+    if not all(map(math.isfinite, acc.values())):
+        raise ValueError("operator coefficients must be finite")
     return tuple((float(c), x, z) for (x, z), c in sorted(acc.items()) if abs(c) > TERM_DROP_TOL)
 
 

@@ -60,13 +60,12 @@ def compute_Y(states: np.ndarray, H_psi: np.ndarray, stack: OperatorStack,
     return -(2.0 / L) * stack.gather_quadratic(K)
 
 
-def solve_gamma(Y: np.ndarray, C: float, L: int, d: int,
-                tol: float) -> tuple[np.ndarray, bool]:
-    """Closed-form KKT solution; returns (gamma, gradient_vanished)."""
+def solve_gamma(Y: np.ndarray, C: float, L: int, d: int, tol: float) -> np.ndarray:
+    """Closed-form KKT solution; the zero row when the gradient vanished, |Y| <= tol."""
     norm = float(np.linalg.norm(Y))
     if norm <= tol:
-        return np.zeros_like(Y), True
-    return (C / (np.sqrt(L * d) * norm)) * Y, False
+        return np.zeros_like(Y)
+    return (C / (np.sqrt(L * d) * norm)) * Y
 
 
 def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
@@ -109,7 +108,7 @@ def optimize(config: ExperimentConfig, H_target, shell: EnergyShell, stack: Oper
         Y = compute_Y(states, H_psi, stack, reward_grad(w, config.reward), L, kernel)
         if step in samples:
             record(traj, config, step, step * config.dt, w, float(np.linalg.norm(Y)))
-        return solve_gamma(Y, C, L, d, tol)[0]
+        return solve_gamma(Y, C, L, d, tol)
 
     final = evolve(shell.states, protocol, stack, kick_matrix=kick_matrix,
                    controller=controller)

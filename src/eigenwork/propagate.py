@@ -53,8 +53,8 @@ class ControlProtocol:
 
     dt: float
     gamma: np.ndarray
+    basis_checksum: str
     kick_duration: float = 0.0
-    basis_checksum: str = ""
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -101,7 +101,7 @@ class ControlProtocol:
         gamma = gamma.reshape(int(header["n_steps"]), int(header["n_ops"]))
         return cls(dt=float(header["dt"]), gamma=gamma,
                    kick_duration=float(header["kick_duration"]),
-                   basis_checksum=header.get("basis_checksum", ""))
+                   basis_checksum=header["basis_checksum"])
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
@@ -190,7 +190,7 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     next sample step or the run's end, is one product V (exp(-i dt (n - n0) E) c).
     Controller rows are never merged. :func:`norm_drift` is checked after every product.
     """
-    if protocol.basis_checksum and protocol.basis_checksum != stack.checksum:
+    if protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
     if protocol.n_steps and protocol.gamma.shape[1] != stack.n_ops:
         raise ValueError("protocol coefficient width does not match basis size")

@@ -8,6 +8,7 @@ replay entry point checks that without invoking the optimizer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import scipy.sparse
 
 from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG
-from .model import PRESETS, EnergyShell, IsingParams, build_ising, diagonalize, select_shell
+from .model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from .observables import Trajectory, csv_text, d_pos, spectrum_csv, work_density
 from .operators import (OperatorStack, build_basis, discrete_action_set,
                         sum_x)
@@ -48,17 +49,16 @@ class RunContext:
 
 def prepare(config: ExperimentConfig) -> RunContext:
     basis = build_sector_basis(config.L)
-    model_op = build_ising(IsingParams(config.h, config.g, config.L))
-    H_target = model_op.sector_matrix(basis)
-    eig = diagonalize(H_target, basis)
-    shell = select_shell(eig, config.shell_lo, config.shell_hi, config.L)
-    energies, checksum = eig.energies, eig.checksum()
-    del eig  # frees the full eigenvector matrix before the stack is built
+    H_target = build_ising(config.h, config.g, config.L).sector_matrix(basis)
+    energies, states = diagonalize(H_target, basis)
+    shell = select_shell(energies, states, config.shell_lo, config.shell_hi, config.L)
+    checksum = hashlib.sha256(states.tobytes()).hexdigest()
+    del states  # frees the full eigenvector matrix before the stack is built
 
     if config.mode == "optimize":
         ops = build_basis(config.L, config.k)
     elif config.mode == "quench":
-        ops = [build_ising(IsingParams(config.quench_h, config.quench_g, config.L))]
+        ops = [build_ising(config.quench_h, config.quench_g, config.L)]
     else:
         ops = discrete_action_set(config.L)
     stack = OperatorStack(ops, basis)

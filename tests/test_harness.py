@@ -441,6 +441,19 @@ def test_scaling_sweep_isolates_failures(tmp_path):
     assert len(table.strip().splitlines()) == 2  # header + the one good row
 
 
+def test_cli_sweep_size_exits_1_when_a_run_fails(tmp_path):
+    """L=4 has an empty shell for the integrable preset: its row is marked
+    failed, L=8 still runs, and the command exits 1."""
+    cfg = tmp_path / "template.json"
+    cfg.write_text(json.dumps({"mode": "optimize", "k": 2, "duration": 0.01}))
+    outdir = tmp_path / "sweep"
+    assert main(["sweep-size", "-c", str(cfg), "--L-list", "4,8", "--presets", "integrable",
+                 "--outdir", str(outdir)]) == 1
+    rows = {row["L"]: row for row in json.loads((outdir / "sweep.json").read_text())}
+    assert rows[4]["status"] == "failed" and "empty energy shell" in rows[4]["error"]
+    assert rows[8]["status"] == "ok"
+
+
 @pytest.mark.parametrize("field", ["h", "g"])
 def test_cli_sweep_size_rejects_template_fields(tmp_path, field):
     """A template's h or g would override every preset while the rows keep the
@@ -742,8 +755,8 @@ def test_cli_replay_detects_tampering(tmp_path):
     assert main(["replay", "--run", str(outdir)]) == 3
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no_n_steps", "deleted", "shortened",
-                                    "other_basis", "narrow"])
+@pytest.mark.parametrize("damage", ["truncated", "no_n_steps", "no_basis_checksum", "deleted",
+                                    "shortened", "other_basis", "narrow"])
 def test_cli_replay_rejects_damaged_protocol(tmp_path, damage):
     """A protocol.txt that cannot be read, that is off the config's grid, or that
     was recorded against another operator basis is a config error."""
@@ -755,9 +768,10 @@ def test_cli_replay_rejects_damaged_protocol(tmp_path, damage):
     lines = protocol.read_text().splitlines()
     if damage == "truncated":
         protocol.write_text("\n".join(lines[:-3]) + "\n")
-    elif damage == "no_n_steps":
+    elif damage in ("no_n_steps", "no_basis_checksum"):
+        key = damage[3:]
         protocol.write_text("\n".join(ln for ln in lines
-                                      if not ln.startswith("n_steps")) + "\n")
+                                      if not ln.startswith(key)) + "\n")
     elif damage == "shortened":
         lines = ["n_steps 7" if ln.startswith("n_steps") else ln for ln in lines]
         protocol.write_text("\n".join(lines[:-3]) + "\n")

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import observables
-from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
+from eigenwork.model import PRESETS, build_ising, diagonalize
 from eigenwork.config import ConfigError
 from eigenwork.observables import (FIG4_HEADER, Trajectory, csv_text, d_pos, ee_records,
                                    fig4_rows, half_chain_entropies)
@@ -153,9 +153,8 @@ def test_sector_schmidt_matrix_symmetric_and_reflection_even(rng, L):
 def test_identity_protocol_gives_zero_deltaS():
     L = 6
     basis = build_sector_basis(L)
-    H = build_ising(IsingParams(*PRESETS["integrable"], L)).sector_matrix(basis)
-    eig = diagonalize(H, basis)
-    states = eig.states[:, 3:6]
+    H = build_ising(*PRESETS["integrable"], L).sector_matrix(basis)
+    states = diagonalize(H, basis)[1][:, 3:6]
     ee = ee_records(states, states, basis)
     assert ee.shape == (3, 2) and np.all(np.isfinite(ee))
     assert np.abs(ee[:, 0] - ee[:, 1]).max() < 1e-12
@@ -176,7 +175,8 @@ def test_deltaS_sign_convention_toy():
               == {(0b0011, 0), (0b0110, 0), (0b1100, 0), (0b1001, 0)})
     gamma = np.zeros((40, stack.n_ops))
     gamma[:, xx] = 1.0
-    protocol = ControlProtocol(dt=0.02, gamma=gamma, kick_duration=0.001)
+    protocol = ControlProtocol(dt=0.02, gamma=gamma, basis_checksum=stack.checksum,
+                               kick_duration=0.001)
     out = evolve(v, protocol, stack,
                  kick_matrix=sum_x(L).sector_matrix(basis))
 

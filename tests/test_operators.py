@@ -6,7 +6,7 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import operators, pauli
-from eigenwork.model import PRESETS, IsingParams, build_ising
+from eigenwork.model import PRESETS, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, discrete_action_set,
                                  enumerate_window_paulis, operator_manifest,
@@ -189,7 +189,7 @@ def stack_ops(L, k):
     if k == "discrete":
         return discrete_action_set(L)
     if k == "ising":
-        return [build_ising(IsingParams(*PRESETS["nonintegrable"], L))]
+        return [build_ising(*PRESETS["nonintegrable"], L)]
     return build_basis(L, k)
 
 
@@ -392,23 +392,23 @@ FROZEN_MANIFESTS = {
     "sum_x_L6": (lambda: operator_manifest([sum_x(6)], 6),
                  "8f1afa547ff53a0fbe22ce076ecf326c9ef0eaa5a4705513cf6b21c9c59400b6"),
     "ising_integrable_L6": (
-        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["integrable"], 6))], 6),
+        lambda: operator_manifest([build_ising(*PRESETS["integrable"], 6)], 6),
         "d38c1fe2997631a2011e154a59a06d6d88ab3527a4ee8f6162e202ceb5a6f4b8"),
     "ising_nonintegrable_L6": (
-        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["nonintegrable"], 6))], 6),
+        lambda: operator_manifest([build_ising(*PRESETS["nonintegrable"], 6)], 6),
         "7bfbb36e4a989621ecfe13305288a27cd4cb55ed7dfe14a5b7eedc22787fb6b6"),
     "discrete_L12": (lambda: operator_manifest(discrete_action_set(12), 12),
                      "7e8a11eb46688a365bbbc993acfed3080cdd88c7276fdb172dfe4ce54a2de2ab"),
     "sum_x_L14": (lambda: operator_manifest([sum_x(14)], 14),
                   "940bad13239f23574eb7489d9cc615c993fc93d813aad00340293463c5ec0f0f"),
     "ising_integrable_L14": (
-        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["integrable"], 14))], 14),
+        lambda: operator_manifest([build_ising(*PRESETS["integrable"], 14)], 14),
         "0113a2f3b25d94fe94fabfcdbf861ce0cbab0d6428815709e59437001dd2e7d4"),
     "ising_nonintegrable_L14": (
-        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["nonintegrable"], 14))], 14),
+        lambda: operator_manifest([build_ising(*PRESETS["nonintegrable"], 14)], 14),
         "f02f380e00f26756d295efeb271455a68cfab674852b914167d8c2606b399969"),
     "quench_target_L14": (  # the quench_L14 benchmark's target
-        lambda: operator_manifest([build_ising(IsingParams(*PRESETS["quench-target"], 14))], 14),
+        lambda: operator_manifest([build_ising(*PRESETS["quench-target"], 14)], 14),
         "e115245e1344a61b8de7bbad9ecf241d3ed2005aafa47944b4fcc08fd2daf487"),
     "sector_L4": (lambda: sector_manifest(build_sector_basis(4)),
                   "ef0812f403a67b70fdc87bc01ff80f4d72acc54c2488f33cc5330be57efa1d4b"),
@@ -440,6 +440,20 @@ def test_translation_sum_matches_site_loop(L, word):
     assert term_dict(translation_sum(word, [(1.0, word)], L)) == expected
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficient_rejected(bad):
+    """A non-finite coefficient raises as it enters, instead of being dropped
+    with the zero sums and leaving only the other words' terms."""
+    with pytest.raises(ValueError, match="finite"):
+        translation_sum("t", [(bad, "X"), (1.0, "ZZ")], 4)
+
+
+def test_overflowing_coefficient_sum_rejected():
+    """Finite coefficients whose same-string sum overflows are rejected too."""
+    with pytest.raises(ValueError, match="finite"):
+        SymmetrizedOperator("s", ((1e308, 1, 0), (1e308, 1, 0)), 4)
+
+
 def test_sum_x_generator():
     op = sum_x(6)
     assert op.is_symmetric()
@@ -448,7 +462,7 @@ def test_sum_x_generator():
 
 
 def test_ising_lives_in_span_of_b2():
-    op = build_ising(IsingParams(*PRESETS["nonintegrable"], 6))
+    op = build_ising(*PRESETS["nonintegrable"], 6)
     b2 = build_basis(6, 2)
     keys = {(x, z) for o in b2 for _, x, z in o.terms}
     assert all((x, z) in keys for _, x, z in op.terms)

@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork.config import ExperimentConfig, RewardParams
-from eigenwork.model import (PRESETS, EnergyShell, IsingParams, build_ising, diagonalize,
-                             select_shell)
+from eigenwork.model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
                                  solve_gamma)
@@ -28,10 +27,10 @@ def optimize_config(L, k, **fields):
 def shell_setup_L8():
     L = 8
     basis = build_sector_basis(L)
-    H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
+    H_op = build_ising(*PRESETS["integrable"], L)
     H = H_op.sector_matrix(basis)
-    eig = diagonalize(H, basis)
-    shell = select_shell(eig, -0.25, -0.1, L)
+    energies, states = diagonalize(H, basis)
+    shell = select_shell(energies, states, -0.25, -0.1, L)
     stack = OperatorStack(build_basis(L, 2), basis)
     kick = sum_x(L).sector_matrix(basis)
     return L, basis, H_op, H, shell, stack, kick
@@ -72,18 +71,18 @@ def test_solve_gamma_closed_form():
     L, d = 8, 256
     C = np.sqrt(2 * L * d)
     Y = np.array([1.0, 0.0, 0.0])
-    gamma, vanished = solve_gamma(Y, C, L, d, tol=1e-12)
-    assert not vanished
+    gamma = solve_gamma(Y, C, L, d, tol=1e-12)
+    assert gamma.any()
     assert_allclose(gamma, [np.sqrt(2), 0.0, 0.0], atol=1e-14)
     assert abs(np.sum(gamma ** 2) - 2.0) < 1e-12
 
     Y = np.array([0.3, -0.4, 1.2])
-    gamma, _ = solve_gamma(Y, C, L, d, tol=1e-12)
+    gamma = solve_gamma(Y, C, L, d, tol=1e-12)
     cos = np.dot(gamma, Y) / (np.linalg.norm(gamma) * np.linalg.norm(Y))
     assert abs(cos - 1.0) < 1e-12
 
-    gamma, vanished = solve_gamma(np.zeros(3), C, L, d, tol=1e-12)
-    assert vanished and not gamma.any()
+    gamma = solve_gamma(np.zeros(3), C, L, d, tol=1e-12)
+    assert gamma.shape == (3,) and not gamma.any()
 
 
 def test_work_density_zero_at_start(shell_setup_L8):
@@ -243,10 +242,10 @@ def test_reward_approximately_monotone_L10():
     """
     L = 10
     basis = build_sector_basis(L)
-    H_op = build_ising(IsingParams(*PRESETS["integrable"], L))
+    H_op = build_ising(*PRESETS["integrable"], L)
     H = H_op.sector_matrix(basis)
-    eig = diagonalize(H, basis)
-    shell = select_shell(eig, -0.25, -0.1, L)
+    energies, states = diagonalize(H, basis)
+    shell = select_shell(energies, states, -0.25, -0.1, L)
     stack = OperatorStack(build_basis(L, 4), basis)
     kick = sum_x(L).sector_matrix(basis)
 

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import observables, operators, optimizer, propagate, runner, sector
 from eigenwork.config import ExperimentConfig
-from eigenwork.model import PRESETS, IsingParams, build_ising, diagonalize
+from eigenwork.model import PRESETS, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
                                  norm_drift, spectral_propagator)
@@ -24,9 +24,9 @@ def setup_L6():
     basis = build_sector_basis(6)
     ops = build_basis(6, 2)
     stack = OperatorStack(ops, basis)
-    H = build_ising(IsingParams(*PRESETS["integrable"], 6)).sector_matrix(basis)
-    eig = diagonalize(H, basis)
-    return basis, ops, stack, eig
+    H = build_ising(*PRESETS["integrable"], 6).sector_matrix(basis)
+    energies, vectors = diagonalize(H, basis)
+    return basis, ops, stack, energies, vectors
 
 
 def random_hermitian(rng, n):
@@ -149,7 +149,7 @@ def test_matmul_rejects_a_vector(rng):
     """matmul takes a (dim x M) batch; a 1-D state is refused by name, not by
     the core-dimension error of the real target's float-view product."""
     basis = build_sector_basis(6)
-    H = build_ising(IsingParams(*PRESETS["nonintegrable"], 6)).sector_matrix(basis)
+    H = build_ising(*PRESETS["nonintegrable"], 6).sector_matrix(basis)
     assert H.dtype == np.float64
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     with pytest.raises(ValueError, match=r"\(dim x M\) batch"):
@@ -266,10 +266,11 @@ def test_taylor_step_term_cap():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_check_norms_rejects_non_finite_states(setup_L6):
     """The norm check after a product rejects a NaN or inf column."""
-    basis, ops, stack, eig = setup_L6
-    protocol = ControlProtocol(dt=0.01, gamma=np.zeros((1, stack.n_ops)))
+    basis, ops, stack, energies, vectors = setup_L6
+    protocol = ControlProtocol(dt=0.01, gamma=np.zeros((1, stack.n_ops)),
+                               basis_checksum=stack.checksum)
     for bad in (np.nan, np.inf):
-        psi0 = eig.states[:, :2].copy()
+        psi0 = vectors[:, :2].copy()
         psi0[0, 1] = bad
         assert not norm_drift(psi0) <= 1e-8
         with pytest.raises(NumericalConsistencyError):
@@ -277,9 +278,10 @@ def test_check_norms_rejects_non_finite_states(setup_L6):
 
 
 def test_empty_protocol_is_identity(setup_L6):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :3]
-    protocol = ControlProtocol(dt=0.01, gamma=np.zeros((0, stack.n_ops)))
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :3]
+    protocol = ControlProtocol(dt=0.01, gamma=np.zeros((0, stack.n_ops)),
+                               basis_checksum=stack.checksum)
     out = evolve(psi0, protocol, stack)
     assert_array_equal(out, psi0)
     assert out.flags.c_contiguous and not np.shares_memory(out, psi0)
@@ -287,8 +289,8 @@ def test_empty_protocol_is_identity(setup_L6):
 
 def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
     """Driving with H(0) itself leaves every eigenstate expectation fixed."""
-    basis, ops, stack, eig = setup_L6
-    H_op = build_ising(IsingParams(*PRESETS["integrable"], 6))
+    basis, ops, stack, energies, vectors = setup_L6
+    H_op = build_ising(*PRESETS["integrable"], 6)
     H_sec = H_op.sector_matrix(basis).toarray()
     # H(0) expanded over the basis: coefficients on sum ZZ, sum Z, sum X.
     gamma0 = np.zeros(stack.n_ops)
@@ -299,35 +301,38 @@ def test_measured_hamiltonian_protocol_preserves_energy(setup_L6):
             gamma0[i] = coeffs[next(iter(keys))]
     assert abs(frobenius_norm_sq(stack, gamma0) - H_op.norm_sq) < 1e-9
 
-    psi0 = eig.states[:, 2:6]
-    protocol = ControlProtocol(dt=0.02, gamma=np.tile(gamma0, (100, 1)))
+    psi0 = vectors[:, 2:6]
+    protocol = ControlProtocol(dt=0.02, gamma=np.tile(gamma0, (100, 1)),
+                               basis_checksum=stack.checksum)
     out = evolve(psi0, protocol, stack)
     energy = np.einsum("ia,ia->a", out.conj(), H_sec @ out).real
-    assert np.abs(energy - eig.energies[2:6]).max() < 1e-10
+    assert np.abs(energy - energies[2:6]).max() < 1e-10
 
 
 def test_unitarity_accumulation(setup_L6, rng):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :2]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :2]
     gamma = rng.normal(size=(1000, stack.n_ops)) * 0.3
-    protocol = ControlProtocol(dt=0.002, gamma=gamma)
+    protocol = ControlProtocol(dt=0.002, gamma=gamma, basis_checksum=stack.checksum)
     out = evolve(psi0, protocol, stack, sample_steps=[1000])
     assert norm_drift(out) < 1e-8
 
 
 def test_time_reversal(setup_L6, rng):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :3]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :3]
     gamma = rng.normal(size=(500, stack.n_ops)) * 0.5
-    forward = evolve(psi0, ControlProtocol(dt=0.002, gamma=gamma), stack)
-    back = evolve(forward, ControlProtocol(dt=-0.002, gamma=gamma[::-1]), stack)
+    forward = evolve(psi0, ControlProtocol(dt=0.002, gamma=gamma,
+                                           basis_checksum=stack.checksum), stack)
+    back = evolve(forward, ControlProtocol(dt=-0.002, gamma=gamma[::-1],
+                                           basis_checksum=stack.checksum), stack)
     assert np.abs(back - psi0).max() < 1e-7
 
 
 def test_sector_step_commutes_with_full_space(rng):
     L = 4
     basis = build_sector_basis(L)
-    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
+    op = build_ising(*PRESETS["nonintegrable"], L)
     U_full = scipy.linalg.expm(-0.2j * operator_dense_matrix(op))
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
@@ -339,13 +344,13 @@ def test_sector_step_commutes_with_full_space(rng):
 def test_evolve_mixes_held_eigenbases_and_taylor_steps(setup_L6, rng, monkeypatch):
     """A held row is one eigh, also when its run recurs after a single row, and
     takes fresh coefficients at each run; the other rows are Taylor steps."""
-    basis, ops, stack, eig = setup_L6
+    basis, ops, stack, energies, vectors = setup_L6
     a, b, c, d = (rng.normal(size=stack.n_ops) * 0.4 for _ in range(4))
     gamma = np.array([a, a, a, b, a, a, c, c, d, a])
     dt = 0.01
-    psi0 = eig.states[:, :4]
+    psi0 = vectors[:, :4]
     calls = count_eigh(monkeypatch)
-    out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma), stack)
+    out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma, basis_checksum=stack.checksum), stack)
     assert calls == [basis.dim] * 2
 
     taylor = exact = psi0
@@ -360,10 +365,10 @@ def test_evolve_mixes_held_eigenbases_and_taylor_steps(setup_L6, rng, monkeypatc
 def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
     """A row held for 23 steps sampled at 0, 10, 20, 23: one eigh, and each
     sample is e^{-i n dt H} psi0 from the coefficients taken at step 0."""
-    basis, ops, stack, eig = setup_L6
+    basis, ops, stack, energies, vectors = setup_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, sample_steps = 0.01, [0, 10, 20, 23]
-    psi0 = eig.states[:, :4]
+    psi0 = vectors[:, :4]
     calls = count_eigh(monkeypatch)
     seen = []
 
@@ -371,7 +376,8 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
         assert not states.flags.writeable
         seen.append((step, t, states.copy()))
 
-    evolve(psi0, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1))), stack,
+    evolve(psi0, ControlProtocol(dt=dt, gamma=np.tile(row, (23, 1)),
+                                 basis_checksum=stack.checksum), stack,
            observer=observer, sample_steps=sample_steps)
     assert calls == [basis.dim]
     assert [(n, t) for n, t, _ in seen] == [(n, n * dt) for n in sample_steps]
@@ -383,13 +389,13 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
 
 def test_held_row_runs_keep_the_norm_check(setup_L6, monkeypatch):
     """A held row whose eigenvectors are slightly too long still fails the norm check."""
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :2]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :2]
     monkeypatch.setattr(propagate, "spectral_propagator",
                         lambda H: (lambda E, V: (E, 1.0001 * V))(*spectral_propagator(H)))
     gamma = np.ones((20, stack.n_ops)) * 0.3
     with pytest.raises(NumericalConsistencyError, match="norm drift"):
-        evolve(psi0, ControlProtocol(dt=0.01, gamma=gamma), stack,
+        evolve(psi0, ControlProtocol(dt=0.01, gamma=gamma, basis_checksum=stack.checksum), stack,
                observer=lambda *args: None, sample_steps=[0, 10, 20])
 
 
@@ -399,7 +405,8 @@ def test_quench_calls_the_eigensolver_once(monkeypatch):
     ctx = runner.prepare(config)
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.dtype) or eigh(H))
-    protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)))
+    protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)),
+                               basis_checksum=ctx.stack.checksum)
     out = evolve(ctx.shell.states, protocol, ctx.stack)
     assert calls == [np.float64]
     U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
@@ -440,10 +447,10 @@ def test_complex_and_degenerate_held_rows_match_taylor_steps(tmp_path, monkeypat
 
 def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
     """A controller's rows are Taylor steps even when they repeat, and are recorded."""
-    basis, ops, stack, eig = setup_L6
+    basis, ops, stack, energies, vectors = setup_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, n_steps = 0.01, 6
-    psi0 = eig.states[:, :4]
+    psi0 = vectors[:, :4]
     asked = []
     calls = count_eigh(monkeypatch)
 
@@ -452,7 +459,8 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
         assert not states.flags.writeable
         return row
 
-    protocol = ControlProtocol(dt=dt, gamma=np.zeros((n_steps, stack.n_ops)))
+    protocol = ControlProtocol(dt=dt, gamma=np.zeros((n_steps, stack.n_ops)),
+                               basis_checksum=stack.checksum)
     out = evolve(psi0, protocol, stack, controller=controller)
     assert calls == []
     assert asked == list(range(n_steps))
@@ -466,18 +474,19 @@ def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
 
 
 def test_evolve_rejects_non_finite_protocol(setup_L6):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :1]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :1]
     for n_bad in (1, 3):
         gamma = np.zeros((4, stack.n_ops))
         gamma[1:1 + n_bad, 0] = np.nan
         with pytest.raises(NumericalConsistencyError):
-            evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma), stack)
+            evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma,
+                                         basis_checksum=stack.checksum), stack)
 
 
 def test_observer_sampling_and_snapshots(setup_L6):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :1]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :1]
     gamma = np.zeros((10, stack.n_ops))
     gamma[:, 0] = 1.0
     seen = []
@@ -486,27 +495,30 @@ def test_observer_sampling_and_snapshots(setup_L6):
         seen.append((step, t))
         assert not states.flags.writeable
 
-    evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma), stack,
+    evolve(psi0, ControlProtocol(dt=0.1, gamma=gamma, basis_checksum=stack.checksum), stack,
            observer=observer, sample_steps=[0, 5, 10])
     assert seen == [(0, 0.0), (5, 0.5), (10, 1.0)]
 
 
 def test_manifest_mismatch_rejected(setup_L6):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :1]
-    protocol = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops)),
-                               basis_checksum="deadbeef")
-    with pytest.raises(ValueError):
-        evolve(psi0, protocol, stack)
-    wrong_width = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops + 1)))
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :1]
+    for checksum in ("deadbeef", ""):  # an empty checksum is no exemption
+        protocol = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops)),
+                                   basis_checksum=checksum)
+        with pytest.raises(ValueError, match="different basis manifest"):
+            evolve(psi0, protocol, stack)
+    wrong_width = ControlProtocol(dt=0.1, gamma=np.zeros((2, stack.n_ops + 1)),
+                                  basis_checksum=stack.checksum)
     with pytest.raises(ValueError):
         evolve(psi0, wrong_width, stack)
 
 
 def test_kick_requires_generator(setup_L6):
-    basis, ops, stack, eig = setup_L6
-    psi0 = eig.states[:, :1]
+    basis, ops, stack, energies, vectors = setup_L6
+    psi0 = vectors[:, :1]
     protocol = ControlProtocol(dt=0.1, gamma=np.zeros((1, stack.n_ops)),
+                               basis_checksum=stack.checksum,
                                kick_duration=0.001)
     with pytest.raises(ValueError):
         evolve(psi0, protocol, stack)
@@ -520,7 +532,8 @@ def test_protocol_rejects_a_non_finite_or_negative_kick(kick):
     """evolve applies a kick only when its duration is > 0, so a NaN would pass
     silently as no kick: the protocol refuses it where it is made or read."""
     with pytest.raises(ValueError, match="kick duration"):
-        ControlProtocol(dt=0.002, gamma=np.zeros((1, 3)), kick_duration=kick)
+        ControlProtocol(dt=0.002, gamma=np.zeros((1, 3)), basis_checksum="abc123",
+                        kick_duration=kick)
 
 
 def test_protocol_file_roundtrip_exact(tmp_path, rng):
@@ -547,6 +560,17 @@ def test_protocol_file_roundtrip_exact(tmp_path, rng):
         assert loaded.basis_checksum == "abc123"
         assert np.array_equal(loaded.gamma, protocol.gamma)
         assert np.array_equal(np.signbit(loaded.gamma), np.signbit(protocol.gamma))
+
+
+def test_protocol_without_basis_checksum_does_not_load(tmp_path):
+    """The checksum line is required, as n_steps is; replay turns the KeyError
+    into a config error."""
+    path = tmp_path / "protocol.txt"
+    ControlProtocol(dt=0.002, gamma=np.zeros((1, 2)), basis_checksum="abc123").save(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith("basis_checksum")))
+    with pytest.raises(KeyError, match="basis_checksum"):
+        ControlProtocol.load(path)
 
 
 def test_archived_protocol_reads_as_its_tokens():

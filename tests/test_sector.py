@@ -7,7 +7,7 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigenwork import pauli
-from eigenwork.model import GAUGE_WORDS, PRESETS, IsingParams, build_ising, diagonalize
+from eigenwork.model import GAUGE_WORDS, PRESETS, build_ising, diagonalize
 from eigenwork.operators import (SymmetrizedOperator, build_basis, certified_entries,
                                  discrete_action_set, sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
@@ -118,7 +118,7 @@ def classical_ising_orbit_energies(L):
 
 def test_classical_ising_projection_frozen():
     basis = build_sector_basis(4)
-    H = build_ising(IsingParams(0.0, 0.0, 4)).sector_matrix(basis).toarray()
+    H = build_ising(0.0, 0.0, 4).sector_matrix(basis).toarray()
     assert np.abs(H - np.diag(np.diag(H))).max() < 1e-14
     diag = sorted(np.round(np.diag(H).real).astype(int))
     assert diag == sorted([4, 4, 0, 0, 0, -4])
@@ -152,7 +152,7 @@ def test_sector_matrix_is_real_exactly_without_an_imaginary_entry():
     L = 8
     basis = build_sector_basis(L)
     actions = {op.label: op for op in discrete_action_set(L)}
-    for op, real in ((build_ising(IsingParams(*PRESETS["nonintegrable"], L)), True),
+    for op, real in ((build_ising(*PRESETS["nonintegrable"], L), True),
                      (sum_x(L), True), (actions["y"], False), (actions["xy + yx"], False)):
         M = op.sector_matrix(basis)
         assert isinstance(M, scipy.sparse.csr_array) and M.has_canonical_format
@@ -171,7 +171,7 @@ TRIPLET_CASES = {
     "B6_L12": lambda: build_basis(12, 6),
     "discrete_L8": lambda: discrete_action_set(8),
     "sumX_L12": lambda: [sum_x(12)],
-    "ising_presets_L12": lambda: [build_ising(IsingParams(*PRESETS[p], 12)) for p in PRESETS],
+    "ising_presets_L12": lambda: [build_ising(*PRESETS[p], 12) for p in PRESETS],
     "gaugeK_L12": lambda: [translation_sum("gauge K", GAUGE_WORDS, 12)],
 }
 
@@ -191,7 +191,7 @@ def test_sector_triplets_match_one_string_oracle(case):
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_sector_spectrum_subset_of_full(L):
-    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
+    op = build_ising(*PRESETS["nonintegrable"], L)
     basis = build_sector_basis(L)
     sector_eigs = np.linalg.eigvalsh(op.sector_matrix(basis).toarray())
     full_eigs = list(np.linalg.eigvalsh(operator_dense_matrix(op)))
@@ -205,7 +205,7 @@ def test_sector_dynamics_closure(rng):
     """Evolving in sector coordinates commutes with embedding, L=4."""
     L = 4
     basis = build_sector_basis(L)
-    op = build_ising(IsingParams(*PRESETS["nonintegrable"], L))
+    op = build_ising(*PRESETS["nonintegrable"], L)
     H_sec = op.sector_matrix(basis).toarray()
     H_full = operator_dense_matrix(op)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
@@ -229,7 +229,7 @@ def test_manifest_contents_and_checksum():
 
 def ising_csr_L4(max_abs=None):
     """The integrable L=4 target's real CSR, rescaled to max |H| = max_abs if given."""
-    H = build_ising(IsingParams(*PRESETS["integrable"], 4)).sector_matrix(build_sector_basis(4))
+    H = build_ising(*PRESETS["integrable"], 4).sector_matrix(build_sector_basis(4))
     return H if max_abs is None else H * (max_abs / abs(H).max())
 
 
