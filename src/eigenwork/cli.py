@@ -1,4 +1,4 @@
-"""Command-line surface: basis, diag, optimize, quench, discrete, sweeps, replay, report.
+"""Command-line surface: basis, diag, optimize, quench, sweeps, replay, report.
 
 Exit codes: 0 success, 1 a sweep-size run failed (its row in sweep.json says
 how), 2 configuration error, 3 numerical-consistency failure.
@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, read_config
+from .config import MODES, ConfigError, ExperimentConfig, read_config
 from .model import build_ising, diagonalize, select_shell
 from .operators import build_basis, operator_manifest
 from .sector import (L_MAX, L_MIN, NumericalConsistencyError, build_sector_basis,
@@ -65,10 +65,6 @@ def _run_mode(args, mode):
     overrides = {"outdir": args.outdir}
     if mode == "optimize" and args.k is not None:
         overrides["k"] = args.k
-    if mode == "discrete" and args.actions is not None:
-        overrides["actions"] = _number_list(Path(args.actions).read_text()
-                                            if Path(args.actions).is_file()
-                                            else args.actions, int)
     cfg = _load_config(args.config, overrides)
     if cfg.mode != mode:
         raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {mode!r}")
@@ -132,15 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="spectrum.csv")
     p.set_defaults(func=_cmd_diag)
 
-    for mode in ("optimize", "quench", "discrete"):
+    for mode in MODES:
         p = sub.add_parser(mode, help=f"run a {mode} experiment from a config")
         p.add_argument("-c", "--config", required=True)
         p.add_argument("--outdir", default=None)
         if mode == "optimize":
             p.add_argument("--k", type=int, default=None)
-        if mode == "discrete":
-            p.add_argument("--actions", default=None,
-                           help="comma-separated indices or a file of them")
         p.set_defaults(func=lambda a, m=mode: _run_mode(a, m))
 
     p = sub.add_parser("sweep-size", help="system-size scaling sweep")

@@ -2,7 +2,10 @@
 
 A config snapshot is written into every run directory; unknown keys are
 rejected so stale or misspelled fields fail loudly instead of silently
-changing an archive's meaning.
+changing an archive's meaning. One legacy key is tolerated: every v1 archive
+holds ``"actions": []``, the field of the removed discrete mode, which
+:meth:`ExperimentConfig.from_dict` drops; any other ``actions`` value, or
+``"mode": "discrete"``, is a config error.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from .sector import L_MAX, L_MIN
 
 FORMAT_TAG = "eigenwork-run-v1"
 
-MODES = ("optimize", "quench", "discrete")
+MODES = ("optimize", "quench")
 
 L_CI_CAP = 14
 
-DEFAULT_DT = {"optimize": 0.002, "quench": 0.02, "discrete": 0.04}
+DEFAULT_DT = {"optimize": 0.002, "quench": 0.02}
 DEFAULT_DURATION = {"optimize": 1.0, "quench": 10.0}
 
 
@@ -77,7 +80,6 @@ class ExperimentConfig:
     k: int | None = None
     quench_h: float | None = None
     quench_g: float | None = None
-    actions: list = field(default_factory=list)
     reward: RewardParams = field(default_factory=RewardParams)
     dpos_epsilon: float | None = None
     dt: float | None = None
@@ -121,17 +123,7 @@ class ExperimentConfig:
             self.dt = DEFAULT_DT[self.mode]
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.mode == "discrete":
-            if self.L < 4:
-                raise ConfigError("discrete mode needs L >= 4: below it the action "
-                                  "set's two-site words are their own translates")
-            if not self.actions:
-                raise ConfigError("discrete mode needs an action sequence")
-            if any(not (isinstance(a, numbers.Integral) and not isinstance(a, bool)
-                        and 0 <= a < 7) for a in self.actions):
-                raise ConfigError("action indices must be integers in [0, 7)")
-            self.duration = len(self.actions) * self.dt
-        elif self.duration is None:
+        if self.duration is None:
             self.duration = DEFAULT_DURATION[self.mode]
         if not (math.isfinite(self.duration / self.dt) and self.n_steps >= 1
                 and abs(self.n_steps * self.dt - self.duration) <= 1e-9):
@@ -142,6 +134,12 @@ class ExperimentConfig:
         if not 0 <= self.kick_duration < math.inf:
             raise ConfigError(f"kick_duration must be nonnegative and finite, "
                               f"got {self.kick_duration!r}")
+        if self.mode != "optimize" and self.k is not None:
+            raise ConfigError(f"k={self.k!r} is the control locality of mode optimize, "
+                              f"not of mode {self.mode}")
+        if self.mode != "quench" and (self.quench_h, self.quench_g) != (None, None):
+            raise ConfigError(f"quench_h and quench_g set the target of mode quench, "
+                              f"not of mode {self.mode}")
         if self.mode == "optimize":
             if self.k is None:
                 raise ConfigError("optimize mode needs the control locality k")
@@ -168,6 +166,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
+        if data.pop("actions", []) != [] or data.get("mode") == "discrete":
+            raise ConfigError("mode discrete and its actions were removed; "
+                              f"modes are {MODES}")
         unknown = set(data) - {f.name for f in fields(cls)} - {"preset"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -4,7 +4,7 @@ A SymmetrizedOperator is a real-weighted sum of Hermitian Pauli strings
 whose string multiset is closed under translation and reflection. Its strings
 are the translates of short strings, counted by :func:`_translates`, and two
 constructors form them: :func:`translation_sum` weights the translation sums
-of a few words (the Ising target, ``sum X``, the discrete actions), and
+of a few words (the Ising target and ``sum X``), and
 :func:`_dihedral_orbit` gives the control basis for locality k one element
 per dihedral orbit of the strings on at most k contiguous sites. These are
 normalized to Frobenius norm sqrt(L * 2^L), which makes them pairwise
@@ -215,30 +215,6 @@ def build_basis(L: int, k: int) -> list[SymmetrizedOperator]:
 def sum_x(L: int) -> SymmetrizedOperator:
     """sum_l sigma^x_l, the gradient-unlocking perturbation generator."""
     return translation_sum("sum X", [(1.0, "X")], L)
-
-
-def discrete_action_set(L: int) -> list[SymmetrizedOperator]:
-    """The seven-element Hermitian generator set of the discrete protocol mode.
-
-    Couplings (J, h_I, h_N, g_I, g_N) = (1, 0, 0.9045, 0.5, 0.809); every
-    element has Frobenius norm at most sqrt(2 L 2^L).
-    """
-    J, h_i, h_n, g_i, g_n = 1.0, 0.0, 0.9045, 0.5, 0.809
-    table = [
-        ("zz + hI z", [(J, "ZZ"), (h_i, "Z")]),
-        ("zz + hN z", [(J, "ZZ"), (h_n, "Z")]),
-        ("xy + yx", [(1.0, "XY"), (1.0, "YX")]),
-        ("yz + zy", [(1.0, "YZ"), (1.0, "ZY")]),
-        ("gI x", [(g_i, "X")]),
-        ("gN x", [(g_n, "X")]),
-        ("y", [(1.0, "Y")]),
-    ]
-    ops = [translation_sum(label, words, L) for label, words in table]
-    bound = 2.0 * L * (1 << L)
-    for op in ops:
-        if op.norm_sq > bound * (1 + 1e-12):
-            raise ValueError(f"discrete action {op.label!r} violates the norm bound")
-    return ops
 
 
 def operator_manifest(ops, L: int) -> str:

@@ -1,15 +1,14 @@
 """Discretized unitary evolution of sector-state batches, (dim x M) arrays.
 
 Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
-from an OperatorStack, to the batch of states. Controller rows, single rows
-and the kick are each one truncated Taylor series with an a priori truncation
-bound, applied to the batch columns with no unitary formed. A fixed protocol's
-row held over consecutive steps is diagonalized once instead, H = V diag(E)
-V^dag by one eigh (real when H has no Y strings), and each later sample is
-V exp(-i dt (n - n0) E) c from the coefficients c = V^dag psi at the first
-step n0 of the row's run. Norms are checked after every product applied. Batches are
-never renormalized: column-norm drift is a monitored health signal, not
-something to hide.
+from an OperatorStack, to the batch of states. Each row and the kick are one
+truncated Taylor series with an a priori truncation bound, applied to the
+batch columns with no unitary formed. A fixed protocol whose rows all equal
+the first, as a quench's one row, is diagonalized once instead, H = V diag(E)
+V^dag by one eigh (real when H has no Y strings), and the state at step n is
+V exp(-i dt n E) c, with c = V^dag psi taken after the kick. Norms are
+checked after every product applied. Batches are never renormalized:
+column-norm drift is a monitored health signal, not something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
 Every sector matrix, a stack column or the CSR kick generator, comes from
@@ -184,10 +183,10 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     before its step, into the preallocated ``protocol.gamma``. The
     ``observer(step, t, states)`` then sees the same read-only states at each
     sample step; step 0 follows the kick, where the protocol clock starts.
-    A row is one :func:`expm_step` on the states. A fixed protocol's row held
-    over consecutive steps is one :func:`spectral_propagator`; each run of it
-    takes c = V^dag psi at its first step n0, and each stretch up to step n, the
-    next sample step or the run's end, is one product V (exp(-i dt (n - n0) E) c).
+    A row is one :func:`expm_step` on the states. A protocol with no controller
+    whose rows all equal the first is one :func:`spectral_propagator` instead:
+    c = V^dag psi is taken once, after the kick, and each stretch up to step n,
+    the next sample step or the end, is one product V (exp(-i dt n E) c).
     Controller rows are never merged. :func:`norm_drift` is checked after every product.
     """
     if protocol.basis_checksum != stack.checksum:
@@ -204,10 +203,10 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     n_steps, gamma, dt = protocol.n_steps, protocol.gamma, protocol.dt
     samples = (set() if observer is None else
                set(range(n_steps + 1) if sample_steps is None else sample_steps))
-    # Distinct keys for controller rows, whose successors are not known yet.
-    keys = [*range(n_steps)] if controller else [row.tobytes() for row in gamma]
-    keys.append(None)
-    held = V = None  # the held row's key and eigenvectors
+    held = controller is None and n_steps > 0 and bool((gamma == gamma[0]).all())
+    if held:
+        E, V = spectral_propagator(stack.assemble(gamma[0]))
+        c = matmul(V.conj().T, out)
     n = 0
     while True:
         view = out.view()  # products replace out, never write it
@@ -218,20 +217,13 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
             observer(n, n * dt, view)
         if n == n_steps:
             return out
-        key, run = keys[n], 1
-        if key == held or key == keys[n + 1]:
-            if key != held:
-                held, V = key, None  # the last row's V goes before the next eigh
-                E, V = spectral_propagator(stack.assemble(gamma[n]))
-            if keys[n - 1] != key:  # a run of the row starts (keys[-1] is None)
-                n0, c = n, matmul(V.conj().T, out)
-            while keys[n + run] == key and n + run not in samples:
-                run += 1
-            out = matmul(V, np.exp(-1j * dt * (n + run - n0) * E)[:, None] * c)
+        if held:
+            n = min([n_steps, *(s for s in samples if s > n)])
+            out = matmul(V, np.exp(-1j * dt * n * E)[:, None] * c)
         else:
             out = expm_step(stack.assemble(gamma[n]), dt, out)
+            n += 1
         drift = norm_drift(out)
         if not drift <= NORM_DRIFT_TOL:
             raise NumericalConsistencyError(
                 f"column norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
-        n += run

@@ -21,8 +21,7 @@ from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG
 from .model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from .observables import Trajectory, csv_text, d_pos, spectrum_csv, work_density
-from .operators import (OperatorStack, build_basis, discrete_action_set,
-                        sum_x)
+from .operators import OperatorStack, build_basis, sum_x
 from .propagate import ControlProtocol, evolve, norm_drift
 from .sector import SectorBasis, build_sector_basis, manifest_checksum, sector_manifest
 
@@ -57,10 +56,8 @@ def prepare(config: ExperimentConfig) -> RunContext:
 
     if config.mode == "optimize":
         ops = build_basis(config.L, config.k)
-    elif config.mode == "quench":
-        ops = [build_ising(config.quench_h, config.quench_g, config.L)]
     else:
-        ops = discrete_action_set(config.L)
+        ops = [build_ising(config.quench_h, config.quench_g, config.L)]
     stack = OperatorStack(ops, basis)
     kick_matrix = (sum_x(config.L).sector_matrix(basis)
                    if config.kick_duration > 0 else None)
@@ -69,13 +66,9 @@ def prepare(config: ExperimentConfig) -> RunContext:
 
 
 def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
+    """A quench's protocol: its one operator, the quench target, held at 1 over every step."""
     cfg = ctx.config
-    if cfg.mode == "quench":
-        gamma = np.ones((cfg.n_steps, 1))
-    else:
-        gamma = np.zeros((len(cfg.actions), ctx.stack.n_ops))
-        gamma[np.arange(len(cfg.actions)), cfg.actions] = 1.0
-    return ControlProtocol(dt=cfg.dt, gamma=gamma,
+    return ControlProtocol(dt=cfg.dt, gamma=np.ones((cfg.n_steps, 1)),
                            kick_duration=cfg.kick_duration,
                            basis_checksum=ctx.stack.checksum)
 
@@ -186,8 +179,6 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
 
     archived = load_run(run_dir)[1].final_w()
     replayed = traj.final_w()
-    if len(archived) != len(replayed):
-        raise ConfigError("archived per_state.csv does not match the shell size")
     max_dev = float(np.max(np.abs(archived - replayed), initial=0.0))
     return {"max_w_deviation": max_dev, "within_tolerance": bool(max_dev <= tol),
             "tolerance": tol, "n_states": len(archived)}
@@ -202,7 +193,10 @@ def load_summary(run_dir) -> dict:
 
 
 def load_run(run_dir) -> tuple[dict, Trajectory]:
-    """Read an archived run's summary and trajectory; the one reader of its CSVs."""
+    """Read an archived run's summary and trajectory; the one reader of its CSVs.
+
+    The per-state table must hold exactly run.json's shell states, in its order.
+    """
     run_dir = Path(run_dir)
     summary = load_summary(run_dir)
     try:
@@ -210,6 +204,9 @@ def load_run(run_dir) -> tuple[dict, Trajectory]:
                                    (run_dir / "per_state.csv").read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{run_dir} is not a readable run archive: {exc}") from exc
+    if traj.alphas.tolist() != summary.get("shell", {}).get("indices"):
+        raise ConfigError(f"{run_dir}: per_state.csv holds the states {traj.alphas.tolist()}, "
+                          f"not those of run.json's shell")
     return summary, traj
 
 

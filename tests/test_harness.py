@@ -1,6 +1,8 @@
 """Config schema, run archiving, replay, sweeps, and the CLI surface."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from eigenwork import model, optimizer, runner
-from eigenwork.cli import main
+from eigenwork.cli import build_parser, main
 from eigenwork.config import ConfigError, ExperimentConfig
 from eigenwork.model import EnergyShell
 from eigenwork.observables import d_pos, work_density
@@ -37,10 +39,6 @@ def test_mode_requirements():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg_dict(k=None))
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(cfg_dict(mode="discrete", actions=[]))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(cfg_dict(mode="discrete", actions=[0, 7]))
-    with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg_dict(mode="sweep"))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(cfg_dict(L=9))
@@ -62,14 +60,7 @@ def test_defaults_follow_mode():
     assert (quench.quench_h, quench.quench_g) == (0.0, 1.5)
     assert quench.n_steps == 500
 
-    disc = ExperimentConfig.from_dict(
-        {"preset": "integrable", "L": 8, "mode": "discrete",
-         "actions": [0] * 600})
-    assert disc.dt == 0.04
-    assert disc.duration == pytest.approx(24.0)  # 600 steps of 0.04
-    assert disc.n_steps == 600
-
-    for cfg in (opt, quench, disc):
+    for cfg in (opt, quench):
         grid = cfg.sample_steps
         assert grid[0] == 0 and grid[-1] == cfg.n_steps
         assert np.all(np.diff(grid[:-1]) == cfg.sample_every)
@@ -121,8 +112,6 @@ def test_archived_dpos_recomputable_exactly(small_run):
 ROUNDTRIP_CONFIGS = {
     "optimize": cfg_dict(),
     "quench": {"preset": "nonintegrable", "L": 8, "mode": "quench", "duration": 2.0},
-    "discrete": {"preset": "integrable", "L": 8, "mode": "discrete",
-                 "actions": [2, 4, 2, 0, 6, 1]},
 }
 
 
@@ -146,22 +135,6 @@ def test_load_run_reserializes_archive_bytes(roundtrip_run):
 
 
 FROZEN_ARCHIVES = {
-    "discrete": {
-        "basis_manifest.txt":
-            "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8",
-        "per_state.csv":
-            "d2861de7d96fee39153e1cbb0bbae63016f2a5c0031f0244bd2350d4f6a58838",
-        "protocol.txt":
-            "b19bdd3133a0b2534b0851bd83ea03137552819f0377235d860833303d2984bc",
-        "run.json":
-            "0b3d99ad464d9b76d9caf1eced028990e9cad92372ec5f72e7fdef511412d78e",
-        "sector_manifest.txt":
-            "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
-        "spectrum.csv":
-            "8aa8a5fe2f7e3922dcb9af42cad60d3bee4a25c370229c2f22e522ef697fe000",
-        "timeseries.csv":
-            "b774922ff76b743a5d3fa4d2dabb9778e482507c81e911b5336aa59cdfad0ab6",
-    },
     "optimize": {
         "basis_manifest.txt":
             "b62cf95327b315fd4b54ec700c48b7e7842d0f51abfd1d4f964aac4c9a9a648e",
@@ -376,6 +349,40 @@ def test_archived_optimize_still_replays():
     assert result["n_states"] == summary["shell"]["size"] == 3
 
 
+@pytest.mark.parametrize("archive", [ARCHIVED_QUENCH, ARCHIVED_OPTIMIZE], ids=lambda p: p.name)
+def test_committed_archives_keep_the_legacy_key(archive):
+    """Each committed v1 config.json holds the removed discrete mode's
+    "actions": [], which config reading drops; the archive replays from the
+    CLI and keeps every byte."""
+    files = {path.name: path.read_bytes() for path in archive.iterdir()}
+    assert json.loads(files["config.json"])["actions"] == []
+    assert main(["replay", "--run", str(archive)]) == 0
+    assert {path.name: path.read_bytes() for path in archive.iterdir()} == files
+
+
+SHELL_READERS = {
+    "replay": lambda run, tmp: ["replay", "--run", run],
+    "report": lambda run, tmp: ["report", "--runs", run, "-o", str(tmp / "report")],
+    "sweep-threshold": lambda run, tmp: ["sweep-threshold", "--runs", run, "--eps", "0.15",
+                                         "-o", str(tmp / "thresholds.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHELL_READERS))
+def test_cli_rejects_a_per_state_table_of_another_shell(tmp_path, command):
+    """The optimize archive (shell [8, 9, 10]) holding the quench archive's CSVs
+    (states [11, 12]) is a config error for each reader, not a D_pos or a fig4
+    of the wrong states."""
+    run = Path(shutil.copytree(ARCHIVED_OPTIMIZE, tmp_path / "mixed"))
+    for name in ("per_state.csv", "timeseries.csv"):
+        shutil.copy(ARCHIVED_QUENCH / name, run / name)
+    assert runner.load_summary(run)["shell"]["indices"] == [8, 9, 10]
+    with pytest.raises(ConfigError, match=r"states \[11, 12\]"):
+        runner.load_run(run)
+    assert main(SHELL_READERS[command](str(run), tmp_path)) == 2
+    assert not (tmp_path / "thresholds.csv").exists()
+
+
 def test_config_to_output_determinism(tmp_path):
     dirs = []
     for name in ("a", "b"):
@@ -393,28 +400,6 @@ def test_quench_under_own_hamiltonian_extracts_nothing(tmp_path):
         "outdir": str(tmp_path / "self_quench")})
     _, traj = runner.load_run(runner.run(cfg))
     assert np.abs(traj.w_samples).max() < 1e-10
-
-
-def test_discrete_matching_action_zero_work(tmp_path):
-    """Action 0 is the bare ZZ chain, which matches H(0) at (h,g) = (0,0)."""
-    cfg = ExperimentConfig.from_dict({
-        "h": 0.0, "g": 0.0, "L": 8, "mode": "discrete",
-        "actions": [0] * 25, "shell_lo": -2.0, "shell_hi": 2.0,
-        "outdir": str(tmp_path / "disc_zero")})
-    _, traj = runner.load_run(runner.run(cfg))
-    assert np.abs(traj.w_samples).max() < 1e-10
-
-
-def test_discrete_replay_determinism(tmp_path, rng):
-    actions = [int(a) for a in rng.integers(0, 7, size=50)]
-    texts = []
-    for name in ("x", "y"):
-        cfg = ExperimentConfig.from_dict({
-            "preset": "integrable", "L": 8, "mode": "discrete",
-            "actions": actions, "outdir": str(tmp_path / name)})
-        run_dir = runner.run(cfg)
-        texts.append((run_dir / "timeseries.csv").read_text())
-    assert texts[0] == texts[1]
 
 
 def test_threshold_sweep_recomputes_without_simulation(small_run, tmp_path):
@@ -544,20 +529,63 @@ def test_cli_run_replay_report(tmp_path):
     assert sizes == {summary["shell"]["size"]}
 
 
-def test_cli_quench_and_discrete(tmp_path):
+def test_cli_quench_and_discrete(tmp_path, capsys):
+    """A quench runs from the CLI; the discrete mode is gone. A v1 discrete
+    archive (here the committed quench archive with config.json's mode discrete
+    and actions [2, 4]) still reads for report and sweep-threshold, which read
+    only run.json and the CSVs, but its replay exits 2 and names the removed
+    mode, as an optimize config with a non-empty actions list does."""
     quench_cfg = tmp_path / "quench.json"
     quench_cfg.write_text(json.dumps({
         "preset": "nonintegrable", "L": 8, "mode": "quench", "duration": 2.0,
         "outdir": str(tmp_path / "quench_run")}))
     assert main(["quench", "-c", str(quench_cfg)]) == 0
+    assert "actions" not in json.loads((tmp_path / "quench_run" / "config.json").read_text())
 
-    disc_cfg = tmp_path / "disc.json"
-    disc_cfg.write_text(json.dumps({
-        "preset": "integrable", "L": 8, "mode": "discrete", "actions": [1],
-        "outdir": str(tmp_path / "disc_run")}))
-    assert main(["discrete", "-c", str(disc_cfg), "--actions", "2,4,2,0"]) == 0
-    saved = json.loads((tmp_path / "disc_run" / "config.json").read_text())
-    assert saved["actions"] == [2, 4, 2, 0]
+    disc = Path(shutil.copytree(ARCHIVED_QUENCH, tmp_path / "disc_run"))
+    for name, fields in (("config.json", {"mode": "discrete", "actions": [2, 4], "dt": 0.04,
+                                          "duration": 0.08, "quench_h": None,
+                                          "quench_g": None, "outdir": str(disc)}),
+                         ("run.json", {"mode": "discrete"})):
+        data = json.loads((disc / name).read_text())
+        data.update(fields)
+        (disc / name).write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["replay", "--run", str(disc)]) == 2
+    assert "mode discrete" in capsys.readouterr().err
+    assert main(["report", "--runs", str(disc), "-o", str(tmp_path / "report")]) == 0
+    labels = {row["label"] for row in _read_table(tmp_path / "report" / "fig2_dpos_vs_t.csv")}
+    assert labels == {"nonintegrable_discrete_L8"}
+    assert main(["sweep-threshold", "--runs", str(disc), "--eps", "0.15"]) == 0
+
+    opt_cfg = tmp_path / "opt.json"
+    opt_cfg.write_text(json.dumps(cfg_dict(outdir=str(tmp_path / "opt_run"), actions=[1])))
+    capsys.readouterr()
+    assert main(["optimize", "-c", str(opt_cfg)]) == 2
+    assert "mode discrete" in capsys.readouterr().err
+    assert not (tmp_path / "opt_run").exists()
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_readme_names_only_real_commands_and_keys():
+    """Each ``eigenwork <cmd>`` line of the README's CLI block is a subcommand of
+    the parser, and every subcommand has one; each key of its config example and
+    optional-key list is an ExperimentConfig field, reward or preset."""
+    cli_block = README.split("## CLI", 1)[1].split("```")[1]
+    documented = {line.split()[1] for line in cli_block.splitlines()
+                  if line.startswith("eigenwork ")}
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
+
+    example = README.split("```json", 1)[1].split("```", 1)[0]
+    optional = README.split("Optional keys and defaults:", 1)[1].split("Presets:", 1)[0]
+    keys = (re.findall(r'^\s*"(\w+)":', example, flags=re.M)
+            + re.findall(r"`(\w+)", optional))
+    assert len(keys) >= 15
+    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"reward", "preset"}
+    assert [key for key in keys if key not in allowed] == []
 
 
 def test_cli_exit_codes(tmp_path):
@@ -577,7 +605,6 @@ BAD_TIME_GRIDS = {
     "quench_dt_zero": {"mode": "quench", "dt": 0.0},
     "optimize_backwards": {"mode": "optimize", "k": 2, "dt": -0.002, "duration": -0.01},
     "quench_backwards": {"mode": "quench", "dt": -0.02, "duration": -1.0},
-    "discrete_backwards": {"mode": "discrete", "actions": [0, 1], "dt": -0.04},
     "optimize_negative_kick": {"mode": "optimize", "k": 2, "kick_duration": -1.0},
     "optimize_no_kick": {"mode": "optimize", "k": 2, "kick_duration": 0.0},
     "optimize_no_steps": {"mode": "optimize", "k": 2, "duration": 0.0},
@@ -645,9 +672,8 @@ BAD_NUMBERS = {
     "L_float": {"mode": "optimize", "k": 2, "L": 8.0},
     "k_fractional": {"mode": "optimize", "k": 2.5},
     "sample_every_fractional": {"mode": "optimize", "k": 2, "sample_every": 2.5},
-    "action_fractional": {"mode": "discrete", "actions": [1.5]},
+    "action_fractional": {"mode": "optimize", "k": 2, "actions": [1.5]},
     "L_above_sector_cap": {"mode": "optimize", "k": 2, "L": 22, "long_run": True},
-    "discrete_L2": {"preset": "nonintegrable", "mode": "discrete", "L": 2, "actions": [0, 1]},
     "k_bool": {"mode": "optimize", "k": True},
     "sample_every_bool": {"mode": "optimize", "k": 2, "sample_every": True},
     "long_run_string": {"mode": "optimize", "k": 2, "L": 16, "long_run": "false"},
@@ -658,16 +684,20 @@ BAD_NUMBERS = {
     "kick_duration_bool": {"mode": "optimize", "k": 2, "kick_duration": True},
     "dpos_epsilon_bool": {"mode": "optimize", "k": 2, "dpos_epsilon": True},
     "reward_a_bool": {"mode": "optimize", "k": 2, "reward": {"a": True}},
-    "actions_bool": {"mode": "discrete", "actions": [True, False]},
+    "actions_bool": {"mode": "optimize", "k": 2, "actions": [True, False]},
     "shell_hi_infinite": {"mode": "optimize", "k": 2, "shell_hi": INF},
+    "quench_k": {"mode": "quench", "k": 99},
+    "optimize_quench_h": {"mode": "optimize", "k": 2, "quench_h": 0.7},
+    "optimize_quench_g": {"mode": "optimize", "k": 2, "quench_g": 1.5},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_cli_bad_number_is_config_error(tmp_path, case):
     """Model numbers must be finite numbers and counts integers (neither a boolean),
-    L within the sector range, long_run a boolean and outdir a string, else exit
-    2 and no run."""
+    L within the sector range, long_run a boolean and outdir a string; k is
+    optimize's field and quench_h, quench_g are quench's, and a legacy actions
+    list must be empty. Else exit 2 and no run."""
     data = {"preset": "integrable", "L": 8, "duration": 0.02,
             "outdir": str(tmp_path / "run"), **BAD_NUMBERS[case]}
     cfg_path = tmp_path / "cfg.json"
@@ -686,12 +716,12 @@ def test_cli_quench_fills_each_missing_field_from_preset(tmp_path):
     assert (saved["quench_h"], saved["quench_g"]) == (0.7, 1.5)
 
 
-@pytest.mark.parametrize("mode", ["optimize", "quench", "discrete"])
+@pytest.mark.parametrize("mode", ["optimize", "quench"])
 def test_cli_empty_shell_is_config_error(tmp_path, mode):
     """The nonintegrable L=6 spectrum has no state in the default shell."""
     data = {"preset": "nonintegrable", "L": 6, "mode": mode,
             "outdir": str(tmp_path / "run")}
-    data.update({"optimize": {"k": 2}, "discrete": {"actions": [0, 1]}}.get(mode, {}))
+    data.update({"optimize": {"k": 2}}.get(mode, {}))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert main([mode, "-c", str(cfg_path)]) == 2
@@ -709,17 +739,15 @@ def test_cli_sweep_threshold_rejects_non_run_paths(tmp_path, small_run):
 BAD_CLI_VALUES = {
     "replay_tol_nan": lambda run, tmp: ["replay", "--run", run, "--tol", "nan"],
     "replay_tol_negative": lambda run, tmp: ["replay", "--run", run, "--tol", "-1"],
-    "actions_non_numeric": lambda run, tmp: ["discrete", "-c", str(tmp / "disc.json"),
-                                             "--actions", "1,x"],
-    "actions_empty": lambda run, tmp: ["discrete", "-c", str(tmp / "disc.json"),
-                                       "--actions", ""],
     "eps_non_numeric": lambda run, tmp: ["sweep-threshold", "--runs", run,
                                          "--eps", "0.1,abc", "-o", str(tmp / "out")],
     "eps_nan": lambda run, tmp: ["sweep-threshold", "--runs", run,
                                  "--eps", "nan", "-o", str(tmp / "out")],
-    "L_list_non_numeric": lambda run, tmp: ["sweep-size", "-c", str(tmp / "disc.json"),
+    "eps_empty": lambda run, tmp: ["sweep-threshold", "--runs", run,
+                                   "--eps", "", "-o", str(tmp / "out")],
+    "L_list_non_numeric": lambda run, tmp: ["sweep-size", "-c", str(tmp / "opt.json"),
                                             "--L-list", "6,x", "--outdir", str(tmp / "out")],
-    "presets_unknown": lambda run, tmp: ["sweep-size", "-c", str(tmp / "disc.json"),
+    "presets_unknown": lambda run, tmp: ["sweep-size", "-c", str(tmp / "opt.json"),
                                          "--L-list", "6", "--k-rule", "half",
                                          "--presets", "integrable,typo",
                                          "--outdir", str(tmp / "out")],
@@ -735,9 +763,7 @@ def test_cli_bad_option_value_is_config_error(tmp_path, small_run, case):
     """A bad list token, an empty list, an unknown preset, a non-finite threshold,
     a negative or NaN replay tolerance, or a basis size outside 1 <= k <= L with
     L in the sector's range exits 2 and writes nothing."""
-    (tmp_path / "disc.json").write_text(json.dumps({
-        "preset": "integrable", "L": 8, "mode": "discrete", "actions": [1],
-        "outdir": str(tmp_path / "out")}))
+    (tmp_path / "opt.json").write_text(json.dumps(cfg_dict(outdir=str(tmp_path / "out"))))
     archive = {p.name: p.read_bytes() for p in small_run.iterdir()}
     assert main(BAD_CLI_VALUES[case](str(small_run), tmp_path)) == 2
     assert not (tmp_path / "out").exists()

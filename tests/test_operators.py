@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eigenwork import operators, pauli
 from eigenwork.model import PRESETS, build_ising
 from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
-                                 build_basis, discrete_action_set,
-                                 enumerate_window_paulis, operator_manifest,
+                                 build_basis, enumerate_window_paulis, operator_manifest,
                                  sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               manifest_checksum, sector_manifest)
@@ -145,40 +144,6 @@ def test_deterministic_ordering():
     assert a == b
 
 
-def test_discrete_action_set():
-    L = 6
-    ops = discrete_action_set(L)
-    assert len(ops) == 7
-    d = 1 << L
-    sum_y = [op for op in ops if op.label == "y"]
-    assert len(sum_y) == 1
-    assert abs(sum_y[0].norm_sq - L * d) < 1e-9 * L * d
-    for op in ops:
-        assert op.norm_sq <= 2 * L * d * (1 + 1e-12)
-        assert op.is_symmetric()
-
-
-def test_discrete_actions_decompose_over_b2():
-    """Least-squares over string coefficients; the residual must vanish."""
-    L = 6
-    basis_ops = build_basis(L, 2)
-    actions = discrete_action_set(L)
-    keys = sorted({(x, z) for op in basis_ops + actions for _, x, z in op.terms})
-    index = {key: i for i, key in enumerate(keys)}
-
-    def vec(op):
-        v = np.zeros(len(keys))
-        for c, x, z in op.terms:
-            v[index[x, z]] = c
-        return v
-
-    A = np.stack([vec(op) for op in basis_ops], axis=1)
-    for action in actions:
-        b = vec(action)
-        coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-        assert np.linalg.norm(A @ coeffs - b) < 1e-10
-
-
 def test_identity_absent():
     for op in build_basis(6, 3):
         for _, x, z in op.terms:
@@ -186,8 +151,6 @@ def test_identity_absent():
 
 
 def stack_ops(L, k):
-    if k == "discrete":
-        return discrete_action_set(L)
     if k == "ising":
         return [build_ising(*PRESETS["nonintegrable"], L)]
     return build_basis(L, k)
@@ -195,8 +158,8 @@ def stack_ops(L, k):
 
 # Strings of one operator can send a column to the same row, so the stack sums
 # repeated (row, col) entries; k=4 > L/2 adds rescaled short-orbit operators;
-# the discrete actions mix real and imaginary operators.
-STACK_CASES = pytest.mark.parametrize("L,k", [(6, 2), (6, 4), (6, "discrete"), (6, "ising")])
+# B_2 mixes real and imaginary operators.
+STACK_CASES = pytest.mark.parametrize("L,k", [(6, 2), (6, 4), (6, "ising")])
 
 
 @STACK_CASES
@@ -385,10 +348,6 @@ FROZEN_MANIFESTS = {
                     "636f49e2a1209542a5506cc6b44a47bfa80d243b6da10f9a44f67e14a7cc1f38"),
     "basis_L12_k6": (lambda: operator_manifest(build_basis(12, 6), 12),
                      "e979dfef4c4bd486689d5a3bfce25fdc26eca8ad80b4bc07dcd092e5923ddcf6"),
-    "discrete_L6": (lambda: operator_manifest(discrete_action_set(6), 6),
-                    "81b11849605a9c968ad48207603d79a974d824219df1f13a0a014b5e3d7c6ba9"),
-    "discrete_L8": (lambda: operator_manifest(discrete_action_set(8), 8),
-                    "f8cf82498e2c7417348ef7221e61f4c9831abbb868c851424b352dee8d814da8"),
     "sum_x_L6": (lambda: operator_manifest([sum_x(6)], 6),
                  "8f1afa547ff53a0fbe22ce076ecf326c9ef0eaa5a4705513cf6b21c9c59400b6"),
     "ising_integrable_L6": (
@@ -397,8 +356,6 @@ FROZEN_MANIFESTS = {
     "ising_nonintegrable_L6": (
         lambda: operator_manifest([build_ising(*PRESETS["nonintegrable"], 6)], 6),
         "7bfbb36e4a989621ecfe13305288a27cd4cb55ed7dfe14a5b7eedc22787fb6b6"),
-    "discrete_L12": (lambda: operator_manifest(discrete_action_set(12), 12),
-                     "7e8a11eb46688a365bbbc993acfed3080cdd88c7276fdb172dfe4ce54a2de2ab"),
     "sum_x_L14": (lambda: operator_manifest([sum_x(14)], 14),
                   "940bad13239f23574eb7489d9cc615c993fc93d813aad00340293463c5ec0f0f"),
     "ising_integrable_L14": (

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eigenwork import observables, operators, optimizer, propagate, runner, sector
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, build_ising, diagonalize
-from eigenwork.operators import OperatorStack, build_basis, discrete_action_set, sum_x
+from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
                                  norm_drift, spectral_propagator)
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis, matmul
@@ -82,29 +82,32 @@ def test_taylor_step_matches_scipy(rng, n_cols, dt_norm, substeps, sign):
                     rtol=0, atol=1e-12)
 
 
+# B_2 elements by their words: sum Y, sum (XY + YX) / sqrt 2 and sum X.
+B2_LABELS = {"y": "Y0", "xy + yx": "X0 Y1 +R", "x": "X0"}
+
+
 @pytest.fixture(scope="module")
 def held_rows_L8():
-    """The real L=8 quench H and the imaginary discrete actions y and xy + yx,
+    """The real L=8 quench H, B_2's imaginary y and xy + yx and its real x,
     each as an assembled held row and as its CSR sector matrix."""
     basis = build_sector_basis(8)
     quench = runner.prepare(ExperimentConfig.from_dict(
         {"L": 8, "preset": "nonintegrable", "mode": "quench"}))
-    actions = OperatorStack(discrete_action_set(8), basis)
-    labels = [op.label for op in actions.ops]
+    b2 = OperatorStack(build_basis(8, 2), basis)
+    labels = [op.label for op in b2.ops]
     rows = {"quench": (quench.stack.assemble(np.ones(1)),
                        quench.stack.ops[0].sector_matrix(basis))}
-    for label in ("y", "xy + yx"):
+    for word, label in B2_LABELS.items():
         i = labels.index(label)
-        rows[label] = (actions.assemble(np.eye(actions.n_ops)[i]),
-                       actions.ops[i].sector_matrix(basis))
+        rows[word] = (b2.assemble(np.eye(b2.n_ops)[i]), b2.ops[i].sector_matrix(basis))
     return rows
 
 
-@pytest.mark.parametrize("label", ["quench", "y", "xy + yx"])
+@pytest.mark.parametrize("label", ["quench", "y", "xy + yx", "x"])
 def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
     """A held row's eigenvectors are real exactly when H is, and give its step unitary."""
     H = held_rows_L8[label][0]
-    real = label == "quench"
+    real = label in ("quench", "x")
     assert (np.abs(H.imag).max() == 0) == real and (np.abs(H.real).max() == 0) != real
     E, V = spectral_propagator(H)
     assert np.iscomplexobj(V) != real and E.dtype == np.float64
@@ -342,24 +345,26 @@ def test_sector_step_commutes_with_full_space(rng):
 
 
 def test_evolve_mixes_held_eigenbases_and_taylor_steps(setup_L6, rng, monkeypatch):
-    """A held row is one eigh, also when its run recurs after a single row, and
-    takes fresh coefficients at each run; the other rows are Taylor steps."""
+    """A fixed protocol with more than one distinct row takes no eigh, also when
+    a row repeats over a run of steps or differs only at the end: every row is
+    a Taylor step, which matches Taylor steps and expm row by row."""
     basis, ops, stack, energies, vectors = setup_L6
     a, b, c, d = (rng.normal(size=stack.n_ops) * 0.4 for _ in range(4))
-    gamma = np.array([a, a, a, b, a, a, c, c, d, a])
     dt = 0.01
     psi0 = vectors[:, :4]
     calls = count_eigh(monkeypatch)
-    out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma, basis_checksum=stack.checksum), stack)
-    assert calls == [basis.dim] * 2
+    for gamma in (np.array([a, a, a, b, a, a, c, c, d, a]), np.array([a] * 9 + [b])):
+        out = evolve(psi0, ControlProtocol(dt=dt, gamma=gamma, basis_checksum=stack.checksum),
+                     stack)
+        assert calls == []
 
-    taylor = exact = psi0
-    for row in gamma:
-        H = stack.assemble(row)
-        taylor = expm_step(H, dt, taylor)
-        exact = scipy.linalg.expm(-1j * dt * H) @ exact
-    assert_allclose(out, taylor, rtol=0, atol=1e-12)
-    assert_allclose(out, exact, rtol=0, atol=1e-12)
+        taylor = exact = psi0
+        for row in gamma:
+            H = stack.assemble(row)
+            taylor = expm_step(H, dt, taylor)
+            exact = scipy.linalg.expm(-1j * dt * H) @ exact
+        assert_allclose(out, taylor, rtol=0, atol=1e-12)
+        assert_allclose(out, exact, rtol=0, atol=1e-12)
 
 
 def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
@@ -415,33 +420,45 @@ def test_quench_calls_the_eigensolver_once(monkeypatch):
 
 
 def test_complex_and_degenerate_held_rows_match_taylor_steps(tmp_path, monkeypatch):
-    """An L=8 discrete run holding y, xy + yx and the degenerate gI x over
-    several steps each matches per-step Taylor steps, and replays within 1e-9."""
-    config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "discrete",
-                                         "actions": [6, 6, 6, 2, 2, 4, 4, 4, 4, 0, 6, 6],
-                                         "outdir": str(tmp_path / "run")})
+    """A constant protocol of B_2's imaginary y or xy + yx, or of its real and
+    degenerate x, is one eigh and matches per-step Taylor steps at every sample;
+    a one-step optimize run, whose replay takes that path, replays within 1e-9."""
+    fields = {"L": 8, "preset": "integrable", "mode": "optimize", "k": 2}
+    config = ExperimentConfig.from_dict({**fields, "duration": 0.024, "sample_every": 5})
     ctx = runner.prepare(config)
-    protocol = runner._constant_gamma_protocol(ctx)
-    E, V = spectral_propagator(ctx.stack.assemble(protocol.gamma[5]))
-    assert np.diff(E).min() < 1e-9 and not np.iscomplexobj(V)  # gI x is degenerate
-    assert np.iscomplexobj(spectral_propagator(ctx.stack.assemble(protocol.gamma[0]))[1])
+    labels = [op.label for op in ctx.stack.ops]
     calls = count_eigh(monkeypatch)
-    seen = []
-    out = evolve(ctx.shell.states, protocol, ctx.stack,
-                 observer=lambda n, t, states: seen.append((n, states.copy())),
-                 sample_steps=config.sample_steps)
-    assert calls == [ctx.basis.dim] * 4  # the runs of y, xy + yx, gI x and y again
-    taylor, steps = ctx.shell.states, {}
-    for n, row in enumerate(protocol.gamma):
-        steps[n] = taylor
-        taylor = expm_step(ctx.stack.assemble(row), config.dt, taylor)
-    steps[protocol.n_steps] = taylor
-    assert_allclose(out, taylor, rtol=0, atol=1e-12)
-    assert [n for n, _ in seen] == list(config.sample_steps)
-    for n, states in seen:
-        assert_allclose(states, steps[n], rtol=0, atol=1e-12)
+    for word, label in B2_LABELS.items():
+        row = np.eye(ctx.stack.n_ops)[labels.index(label)]
+        H = ctx.stack.assemble(row)
+        E, V = spectral_propagator(H)
+        assert np.iscomplexobj(V) == (word != "x")
+        assert word != "x" or np.diff(E).min() < 1e-9  # x is degenerate
+        del calls[:]
+        seen = []
+        out = evolve(ctx.shell.states, ControlProtocol(
+            dt=config.dt, gamma=np.tile(row, (config.n_steps, 1)),
+            basis_checksum=ctx.stack.checksum), ctx.stack,
+            observer=lambda n, t, states: seen.append((n, states.copy())),
+            sample_steps=config.sample_steps)
+        assert calls == [ctx.basis.dim], word
+        taylor, steps = ctx.shell.states, {}
+        for n in range(config.n_steps):
+            steps[n] = taylor
+            taylor = expm_step(H, config.dt, taylor)
+        steps[config.n_steps] = taylor
+        assert_allclose(out, taylor, rtol=0, atol=1e-12)
+        assert [n for n, _ in seen] == config.sample_steps
+        for n, states in seen:
+            assert_allclose(states, steps[n], rtol=0, atol=1e-12)
 
-    result = runner.replay(runner.run(config))
+    held = []
+    monkeypatch.setattr(propagate, "spectral_propagator",
+                        lambda H: held.append(len(H)) or spectral_propagator(H))
+    one_step = ExperimentConfig.from_dict({**fields, "duration": config.dt,
+                                           "outdir": str(tmp_path / "run")})
+    result = runner.replay(runner.run(one_step))
+    assert held == [ctx.basis.dim]  # the run's controller row is a Taylor step
     assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eigenwork import pauli
 from eigenwork.model import GAUGE_WORDS, PRESETS, build_ising, diagonalize
 from eigenwork.operators import (SymmetrizedOperator, build_basis, certified_entries,
-                                 discrete_action_set, sum_x, translation_sum)
+                                 sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
                               manifest_checksum, sector_manifest, sector_triplets)
 from oracles import embed_state, operator_dense_matrix, sector_triplets_oracle
@@ -148,12 +148,13 @@ def test_asymmetric_operator_rejected():
 
 def test_sector_matrix_is_real_exactly_without_an_imaginary_entry():
     """A fixed sector matrix is the CSR array of its entries, real unless an
-    entry is imaginary: the target and sum X are real, Y-string actions complex."""
+    entry is imaginary: the target, sum X and B_2's X0 are real, its Y0 and
+    X0 Y1 +R complex."""
     L = 8
     basis = build_sector_basis(L)
-    actions = {op.label: op for op in discrete_action_set(L)}
-    for op, real in ((build_ising(*PRESETS["nonintegrable"], L), True),
-                     (sum_x(L), True), (actions["y"], False), (actions["xy + yx"], False)):
+    b2 = {op.label: op for op in build_basis(L, 2)}
+    for op, real in ((build_ising(*PRESETS["nonintegrable"], L), True), (sum_x(L), True),
+                     (b2["X0"], True), (b2["Y0"], False), (b2["X0 Y1 +R"], False)):
         M = op.sector_matrix(basis)
         assert isinstance(M, scipy.sparse.csr_array) and M.has_canonical_format
         assert M.dtype == (np.float64 if real else np.complex128), op.label
@@ -169,7 +170,6 @@ TRIPLET_CASES = {
     "B4_L12": lambda: build_basis(12, 4),
     "B5_L10": lambda: build_basis(10, 5),
     "B6_L12": lambda: build_basis(12, 6),
-    "discrete_L8": lambda: discrete_action_set(8),
     "sumX_L12": lambda: [sum_x(12)],
     "ising_presets_L12": lambda: [build_ising(*PRESETS[p], 12) for p in PRESETS],
     "gaugeK_L12": lambda: [translation_sum("gauge K", GAUGE_WORDS, 12)],
