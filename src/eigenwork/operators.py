@@ -293,12 +293,20 @@ class OperatorStack:
                                 for rows, data, indptr in parts)
         # CSR views of the transposes share the arrays; taken once, not per gather.
         self._real_T, self._imag_T = self.real.T, self.imag.T
-        # The gather's contiguous copy of Im K, then of Re K. Its pages are
-        # mapped by the first gather and reused by every later one.
-        self._part = np.empty(self.dim * self.dim)
+        # The dim*dim buffers a run reuses at every step: the gather's copy of
+        # Im K, then of Re K, and the complex H of assemble. Each is allocated
+        # by its first use, so a quench, which gathers nothing and assembles a
+        # real H, allocates neither.
+        self._part = self._H = None
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i, certified Hermitian.
+
+        A stack with no imaginary column returns a real H, the sparse product
+        A gamma itself. Any other stack writes a complex H into the one
+        dim x dim buffer it keeps and returns that buffer, so each call
+        overwrites the H the last call returned: a caller that keeps two
+        rows copies the first.
 
         Rejects a non-finite row, and a row whose bound sum_i |gamma_i| dev[i]
         fails :func:`check_hermiticity` at scale m = max(max |Re H|, max |Im
@@ -309,11 +317,17 @@ class OperatorStack:
             raise ValueError("coefficient vector length mismatch")
         if not np.isfinite(gamma).all():
             raise NumericalConsistencyError("coefficient row has non-finite entries")
-        H = np.empty((self.dim, self.dim), dtype=complex)
-        H.real = (self.real @ gamma).reshape(self.dim, self.dim)
-        H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
+        if not self.imag.nnz:
+            H = (self.real @ gamma).reshape(self.dim, self.dim)
+        else:
+            if self._H is None:
+                self._H = np.empty((self.dim, self.dim), dtype=complex)
+            H = self._H
+            H.real = (self.real @ gamma).reshape(self.dim, self.dim)
+            H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
+        parts = (H.real, H.imag) if np.iscomplexobj(H) else (H,)
         check_hermiticity(float(np.abs(gamma) @ self.dev),
-                          lambda: max(np.abs(H.real).max(), np.abs(H.imag).max()),
+                          lambda: np.max([(p.max(), -p.min()) for p in parts]),
                           "assembled H fails hermiticity bound: sum |gamma_i| dev_i")
         return H
 
@@ -321,9 +335,12 @@ class OperatorStack:
         """Im q, where q_i = sum_{r,c} Q_i[r,c] * K[r,c].
 
         The sparse products read Im K and Re K from one scratch vector the
-        stack keeps, instead of from a fresh copy of each part per call.
+        stack keeps, allocated by the first gather, instead of from a fresh
+        copy of each part per call.
         """
         K = K.ravel()
+        if self._part is None:
+            self._part = np.empty(self.dim * self.dim)
         np.copyto(self._part, K.imag)
         q = self._real_T @ self._part
         np.copyto(self._part, K.real)

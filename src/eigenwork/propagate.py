@@ -37,6 +37,7 @@ NORM_DRIFT_TOL = 1e-8
 TAYLOR_THETA = 1.0
 TAYLOR_TOL = 2.0 ** -53
 TAYLOR_MAX_TERMS = 100_000
+NORM_CHUNK_BYTES = 1 << 16  # |H| block of _one_norm, kept below glibc's default mmap threshold
 
 KICK_GENERATOR = "sum_sigma_x"
 
@@ -124,6 +125,24 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
         f"{TAYLOR_MAX_TERMS} Taylor terms")
 
 
+def _one_norm(H) -> float:
+    """||H||_1 of a Hermitian H, its largest column sum of |H|.
+
+    A dense H gives its largest row sum instead, equal for Hermitian H, taken
+    over blocks of rows whose |H| fits one buffer of NORM_CHUNK_BYTES, so no
+    dim x dim |H| is formed. NaN when H has a NaN entry.
+    """
+    if not isinstance(H, np.ndarray):
+        return float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
+    rows = max(1, NORM_CHUNK_BYTES // (8 * len(H)))
+    block = np.empty((min(rows, len(H)), len(H)))
+    sums = np.empty(len(H))
+    for lo in range(0, len(H), rows):
+        absolute = np.abs(H[lo:lo + rows], out=block[:min(rows, len(H) - lo)])
+        absolute.sum(axis=1, out=sums[lo:lo + rows])
+    return float(sums.max(initial=0.0))
+
+
 def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     """exp(-i dt H) @ states for Hermitian H by a truncated Taylor series.
 
@@ -132,36 +151,49 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     matrix such as the kick generator and by :class:`OperatorStack` (each
     column once, then the bound sum_i |gamma_i| dev_i per assembled row) for
     a dense step Hamiltonian. H must be finite, which is checked. The term
-    count is fixed a priori from ||H||_1, the largest column sum of |H|
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); see
-    :func:`_taylor_plan`. No unitary is formed: each term is one
-    :func:`sector.matmul` of H with the (dim x M) batch.
+    count is fixed a priori from ||H||_1 (:func:`_one_norm`; Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)); see :func:`_taylor_plan`.
+    No unitary is formed: each term is one :func:`sector.matmul` of H with
+    the (dim x M) batch, which a dense H writes into one of two buffers that
+    the step's terms take in turn.
     """
-    norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
+    norm = _one_norm(H)
     if not np.isfinite(norm):
         raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
     n_sub, n_terms = _taylor_plan(abs(dt) * norm)
     h = -1j * dt / n_sub
     out = np.array(states, dtype=complex)
+    dense = isinstance(H, np.ndarray)  # scipy's CSR product allocates its own output
+    buffers = (np.empty_like(out), np.empty_like(out)) if dense else (None, None)
     for _ in range(n_sub):
         term = out
         for j in range(1, n_terms + 1):
-            term = matmul(H, term)
+            term = matmul(H, term, buffers[j % 2])
             term *= h / j
             out += term
     return out
 
 
+def _adjoint(V: np.ndarray) -> np.ndarray:
+    """V^dag; for a real V its transpose, a view with no copy."""
+    return V.T.conj() if np.iscomplexobj(V) else V.T
+
+
 def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (E, V) of a held row's Hermitian H: exp(-i t H) = V e^{-i t E} V^dag.
 
-    A real eigh when H's imaginary part is exactly zero. H must be finite and
-    V orthonormal to 1e-11; both are checked.
+    A real eigh when H is real or its imaginary part is exactly zero. H must
+    be finite and V orthonormal to 1e-11; both are checked, the second on
+    V^dag V - I formed in one buffer.
     """
     if not np.isfinite(H).all():
         raise NumericalConsistencyError("held Hamiltonian has non-finite entries")
-    E, V = np.linalg.eigh(H if H.imag.any() else H.real)
-    dev = np.abs(V.conj().T @ V - np.eye(len(V))).max()
+    if np.iscomplexobj(H) and not H.imag.any():
+        H = H.real
+    E, V = np.linalg.eigh(H)
+    residual = _adjoint(V) @ V
+    residual.reshape(-1)[::len(V) + 1] -= 1.0
+    dev = np.abs(residual, out=residual).real.max()
     if not dev <= 1e-11:
         raise NumericalConsistencyError(f"held eigenvectors off orthonormality by {dev:.3e}")
     return E, V
@@ -206,7 +238,7 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     held = controller is None and n_steps > 0 and bool((gamma == gamma[0]).all())
     if held:
         E, V = spectral_propagator(stack.assemble(gamma[0]))
-        c = matmul(V.conj().T, out)
+        c = matmul(_adjoint(V), out)
     n = 0
     while True:
         view = out.view()  # products replace out, never write it

@@ -51,7 +51,7 @@ def prepare(config: ExperimentConfig) -> RunContext:
     H_target = build_ising(config.h, config.g, config.L).sector_matrix(basis)
     energies, states = diagonalize(H_target, basis)
     shell = select_shell(energies, states, config.shell_lo, config.shell_hi, config.L)
-    checksum = hashlib.sha256(states.tobytes()).hexdigest()
+    checksum = hashlib.sha256(np.ascontiguousarray(states)).hexdigest()  # the bytes of tobytes()
     del states  # frees the full eigenvector matrix before the stack is built
 
     if config.mode == "optimize":
@@ -219,7 +219,10 @@ def _fig3_table(summaries) -> str:
 def run_scaling_sweep(template: dict, L_list, k_rule: str,
                       presets=("nonintegrable", "integrable"),
                       outdir="runs/sweep") -> list[dict]:
-    """Optimize across sizes and presets, which set h and g; per-run failures isolate."""
+    """Optimize across sizes and presets, which set h and g; per-run failures isolate.
+
+    Every row's config is built first, so a template that any row refuses is a
+    ConfigError before the first run."""
     if k_rule not in ("fixed", "half"):
         raise ConfigError("k rule must be 'fixed' or 'half'")
     unknown = [p for p in presets if p not in PRESETS]
@@ -229,7 +232,7 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
         raise ConfigError("the template must not set h or g: they would override every "
                           "preset's fields while the rows keep the preset's name")
     outdir = Path(outdir)
-    rows, summaries = [], []
+    configs = []  # every row's config, built before any run starts
     for preset in presets:
         for L in L_list:
             data = dict(template)
@@ -239,17 +242,20 @@ def run_scaling_sweep(template: dict, L_list, k_rule: str,
             elif "k" not in data:
                 raise ConfigError("fixed k rule needs k in the template")
             data["outdir"] = str(outdir / f"{preset}_L{L}_k{data['k']}")
-            row = {"preset": preset, "L": L, "k": data["k"]}
-            try:
-                run_dir = run(ExperimentConfig.from_dict(data))
-                summary = load_summary(run_dir)
-                row.update(status="ok", d_pos=summary["dpos_final"],
-                           shell_size=summary["shell"]["size"],
-                           run_dir=str(run_dir))
-                summaries.append(summary)
-            except Exception as exc:  # isolate per-run failures
-                row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-            rows.append(row)
+            configs.append((preset, ExperimentConfig.from_dict(data)))
+    rows, summaries = [], []
+    for preset, config in configs:
+        row = {"preset": preset, "L": config.L, "k": config.k}
+        try:
+            run_dir = run(config)
+            summary = load_summary(run_dir)
+            row.update(status="ok", d_pos=summary["dpos_final"],
+                       shell_size=summary["shell"]["size"],
+                       run_dir=str(run_dir))
+            summaries.append(summary)
+        except Exception as exc:  # isolate per-run failures
+            row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fig3_scaling.csv").write_text(_fig3_table(summaries))
     with open(outdir / "sweep.json", "w") as fh:
@@ -291,14 +297,12 @@ def run_threshold_sweep(run_dirs, eps_list, out_path=None) -> list[dict]:
 
 def write_report(run_dirs, outdir) -> Path:
     """Collect archived runs into the figure-data CSV exports. A run's label, taken
-    already, gains ``_{run directory name}``, then ``_2``, ``_3``, ... until unique."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    already, gains ``_{run directory name}``, then ``_2``, ``_3``, ... until unique.
+    Every archive is read before ``outdir`` is created, so a failed report writes nothing."""
+    runs = [(run_dir, *load_run(run_dir)) for run_dir in map(Path, run_dirs)]
     fig2, fig3, fig4 = [], [], []
     seen_labels = set()
-    for run_dir in map(Path, run_dirs):
-        summary, traj = load_run(run_dir)
+    for run_dir, summary, traj in runs:
         label = summary["mode"] if summary["mode"] != "optimize" \
             else f"optimize_k{summary['k']}"
         label = f"{summary['preset']}_{label}_L{summary['L']}"
@@ -314,6 +318,8 @@ def write_report(run_dirs, outdir) -> Path:
             fig4 += ((label, *row)
                      for row in observables.fig4_rows(traj, summary["dpos_epsilon"]))
 
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fig2_dpos_vs_t.csv").write_text(csv_text("label,t,d_pos,shell_size", fig2))
     (outdir / "fig3_scaling.csv").write_text(_fig3_table(fig3))
     (outdir / "fig4_deltaS_vs_w.csv").write_text(

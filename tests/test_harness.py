@@ -178,7 +178,7 @@ def test_archive_bytes_frozen(roundtrip_run):
     alone. A deliberate change of the arithmetic (as the Schmidt-block
     entropies and the real, gauge-fixed eigensolve made, and the optimizer's
     move to the one sparse real target and kick generator made for the
-    optimize digests; ROADMAP item 7's cheaper Taylor step will too) updates
+    optimize digests; ROADMAP item 6's Chebyshev step will too) updates
     the digests, with the evidence for it in CHANGES.md.
     """
     mode, run_dir = roundtrip_run
@@ -380,7 +380,14 @@ def test_cli_rejects_a_per_state_table_of_another_shell(tmp_path, command):
     with pytest.raises(ConfigError, match=r"states \[11, 12\]"):
         runner.load_run(run)
     assert main(SHELL_READERS[command](str(run), tmp_path)) == 2
-    assert not (tmp_path / "thresholds.csv").exists()
+    assert not (tmp_path / "thresholds.csv").exists() and not (tmp_path / "report").exists()
+
+
+def test_cli_report_reads_every_archive_before_writing(tmp_path):
+    """A readable archive, then a path that is none: exit 2, and no report directory."""
+    assert main(["report", "--runs", str(ARCHIVED_OPTIMIZE), str(tmp_path / "missing"),
+                 "-o", str(tmp_path / "report")]) == 2
+    assert not (tmp_path / "report").exists()
 
 
 def test_config_to_output_determinism(tmp_path):
@@ -447,6 +454,17 @@ def test_cli_sweep_size_rejects_template_fields(tmp_path, field):
     cfg.write_text(json.dumps({"mode": "optimize", "k": 2, field: 0.3}))
     outdir = tmp_path / "sweep"
     assert main(["sweep-size", "-c", str(cfg), "--L-list", "6", "--outdir", str(outdir)]) == 2
+    assert not outdir.exists()
+
+
+def test_cli_sweep_size_builds_every_config_before_any_run(tmp_path):
+    """quench_h belongs to mode quench, so every optimize row refuses this
+    template: sweep-size exits 2 before any run, not 1 after failing each row."""
+    cfg = tmp_path / "template.json"
+    cfg.write_text(json.dumps({"mode": "optimize", "k": 2, "duration": 0.01, "quench_h": 0.7}))
+    outdir = tmp_path / "sweep"
+    assert main(["sweep-size", "-c", str(cfg), "--L-list", "8", "--presets", "integrable",
+                 "--outdir", str(outdir)]) == 2
     assert not outdir.exists()
 
 

@@ -224,6 +224,30 @@ def test_stack_bitwise_matches_complex_csr(rng, L, k):
     assert_array_equal(stack.gather_quadratic(K), (oracle.T @ K.ravel()).imag)
 
 
+@STACK_CASES
+def test_stack_assembles_into_one_kept_H(rng, L, k):
+    """A stack with no imaginary column assembles a real H. Any other writes
+    each row into the one complex H it keeps, so the next assemble overwrites
+    the H the last one returned. The gather is A^T Im K + B^T Re K, bit for bit."""
+    basis = build_sector_basis(L)
+    stack = OperatorStack(stack_ops(L, k), basis)
+    rows = rng.normal(size=(2, stack.n_ops))
+    fresh = [OperatorStack(stack.ops, basis).assemble(row) for row in rows]
+    first = stack.assemble(rows[0])
+    second = stack.assemble(rows[1])
+    if k == "ising":
+        assert first.dtype == second.dtype == np.float64
+        assert_array_equal(first, fresh[0])
+    else:
+        assert second is first and first.dtype == np.complex128
+        assert_array_equal(first, fresh[1])
+    assert_array_equal(second, fresh[1])
+    K = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    for _ in range(2):  # the first gather allocates the scratch, the second reuses it
+        assert_array_equal(stack.gather_quadratic(K), stack.real.T @ K.imag.ravel()
+                           + stack.imag.T @ K.real.ravel())
+
+
 def test_stack_frobenius_matches_dense(rng):
     L = 4
     basis = build_sector_basis(L)
