@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import MODES, ConfigError, ExperimentConfig, read_config
+from .config import MODES, ConfigError, ExperimentConfig, read_json_object
 from .model import build_ising, diagonalize, select_shell
 from .operators import build_basis, operator_manifest
 from .sector import (L_MAX, L_MIN, NumericalConsistencyError, build_sector_basis,
@@ -31,7 +31,7 @@ def _number_list(text: str, kind) -> list:
 
 
 def _load_config(path, overrides=None) -> ExperimentConfig:
-    data = read_config(path)
+    data = read_json_object(path)
     data.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     return ExperimentConfig.from_dict(data)
 
@@ -75,7 +75,7 @@ def _run_mode(args, mode):
 
 
 def _cmd_sweep_size(args):
-    template = read_config(args.config)
+    template = read_json_object(args.config)
     template.pop("L", None)
     template.pop("preset", None)
     rows = runner.run_scaling_sweep(

@@ -32,15 +32,15 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (CLI exit code 2)."""
 
 
-def read_config(path) -> dict:
-    """The JSON object a config file holds; ConfigError if there is none."""
+def read_json_object(path) -> dict:
+    """The JSON object a config or run.json file holds; ConfigError if there is none."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} holds {type(data).__name__}, not a JSON object")
+        raise ConfigError(f"{path} holds {type(data).__name__}, not a JSON object")
     return data
 
 
@@ -145,6 +145,9 @@ class ExperimentConfig:
                 raise ConfigError("optimize mode needs the control locality k")
             if not 1 <= self.k <= self.L:
                 raise ConfigError(f"k={self.k} outside [1, L]")
+            if self.kick_duration == 0:
+                raise ConfigError("mode optimize needs kick_duration > 0: every gradient "
+                                  "vanishes at an eigenstate, so the run could only fail")
         if self.mode == "quench":
             h, g = PRESETS["quench-target"]
             self.quench_h = h if self.quench_h is None else self.quench_h
@@ -174,7 +177,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         preset = data.pop("preset", None)
         if preset is not None:
-            if preset not in PRESETS:
+            if not isinstance(preset, str) or preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; "
                                   f"expected one of {sorted(PRESETS)}")
             h, g = PRESETS[preset]
@@ -194,7 +197,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_config(path))
+        return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -293,20 +293,16 @@ class OperatorStack:
                                 for rows, data, indptr in parts)
         # CSR views of the transposes share the arrays; taken once, not per gather.
         self._real_T, self._imag_T = self.real.T, self.imag.T
-        # The dim*dim buffers a run reuses at every step: the gather's copy of
-        # Im K, then of Re K, and the complex H of assemble. Each is allocated
-        # by its first use, so a quench, which gathers nothing and assembles a
-        # real H, allocates neither.
-        self._part = self._H = None
+        # The gather's copy of Im K, then of Re K, reused at every step. It is
+        # allocated by the first gather, so a quench, which gathers nothing,
+        # allocates none.
+        self._part = None
 
     def assemble(self, gamma: np.ndarray) -> np.ndarray:
         """Dense sector matrix of sum_i gamma_i Q_i, certified Hermitian.
 
         A stack with no imaginary column returns a real H, the sparse product
-        A gamma itself. Any other stack writes a complex H into the one
-        dim x dim buffer it keeps and returns that buffer, so each call
-        overwrites the H the last call returned: a caller that keeps two
-        rows copies the first.
+        A gamma itself; any other returns a fresh complex H.
 
         Rejects a non-finite row, and a row whose bound sum_i |gamma_i| dev[i]
         fails :func:`check_hermiticity` at scale m = max(max |Re H|, max |Im
@@ -320,9 +316,7 @@ class OperatorStack:
         if not self.imag.nnz:
             H = (self.real @ gamma).reshape(self.dim, self.dim)
         else:
-            if self._H is None:
-                self._H = np.empty((self.dim, self.dim), dtype=complex)
-            H = self._H
+            H = np.empty((self.dim, self.dim), dtype=complex)
             H.real = (self.real @ gamma).reshape(self.dim, self.dim)
             H.imag = (self.imag @ gamma).reshape(self.dim, self.dim)
         parts = (H.real, H.imag) if np.iscomplexobj(H) else (H,)

@@ -6,8 +6,10 @@ truncated Taylor series with an a priori truncation bound, applied to the
 batch columns with no unitary formed. A fixed protocol whose rows all equal
 the first, as a quench's one row, is diagonalized once instead, H = V diag(E)
 V^dag by one eigh (real when H has no Y strings), and the state at step n is
-V exp(-i dt n E) c, with c = V^dag psi taken after the kick. Norms are
-checked after every product applied. Batches are never renormalized:
+V exp(-i dt n E) c, with c = V^dag psi taken after the kick. A Taylor
+step's H, |H| and terms are fresh numpy arrays; the held row forms V^dag V - I
+in one buffer and takes V^dag of a real V as a view. Norms are checked after
+every product applied. Batches are never renormalized:
 column-norm drift is a monitored health signal, not something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
@@ -37,7 +39,6 @@ NORM_DRIFT_TOL = 1e-8
 TAYLOR_THETA = 1.0
 TAYLOR_TOL = 2.0 ** -53
 TAYLOR_MAX_TERMS = 100_000
-NORM_CHUNK_BYTES = 1 << 16  # |H| block of _one_norm, kept below glibc's default mmap threshold
 
 KICK_GENERATOR = "sum_sigma_x"
 
@@ -125,24 +126,6 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
         f"{TAYLOR_MAX_TERMS} Taylor terms")
 
 
-def _one_norm(H) -> float:
-    """||H||_1 of a Hermitian H, its largest column sum of |H|.
-
-    A dense H gives its largest row sum instead, equal for Hermitian H, taken
-    over blocks of rows whose |H| fits one buffer of NORM_CHUNK_BYTES, so no
-    dim x dim |H| is formed. NaN when H has a NaN entry.
-    """
-    if not isinstance(H, np.ndarray):
-        return float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
-    rows = max(1, NORM_CHUNK_BYTES // (8 * len(H)))
-    block = np.empty((min(rows, len(H)), len(H)))
-    sums = np.empty(len(H))
-    for lo in range(0, len(H), rows):
-        absolute = np.abs(H[lo:lo + rows], out=block[:min(rows, len(H) - lo)])
-        absolute.sum(axis=1, out=sums[lo:lo + rows])
-    return float(sums.max(initial=0.0))
-
-
 def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     """exp(-i dt H) @ states for Hermitian H by a truncated Taylor series.
 
@@ -151,24 +134,21 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     matrix such as the kick generator and by :class:`OperatorStack` (each
     column once, then the bound sum_i |gamma_i| dev_i per assembled row) for
     a dense step Hamiltonian. H must be finite, which is checked. The term
-    count is fixed a priori from ||H||_1 (:func:`_one_norm`; Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)); see :func:`_taylor_plan`.
-    No unitary is formed: each term is one :func:`sector.matmul` of H with
-    the (dim x M) batch, which a dense H writes into one of two buffers that
-    the step's terms take in turn.
+    count is fixed a priori from ||H||_1, the largest column sum of |H|
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); see
+    :func:`_taylor_plan`. No unitary is formed: each term is one
+    :func:`sector.matmul` of H with the (dim x M) batch.
     """
-    norm = _one_norm(H)
+    norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
     if not np.isfinite(norm):
         raise NumericalConsistencyError("step Hamiltonian has non-finite entries")
     n_sub, n_terms = _taylor_plan(abs(dt) * norm)
     h = -1j * dt / n_sub
     out = np.array(states, dtype=complex)
-    dense = isinstance(H, np.ndarray)  # scipy's CSR product allocates its own output
-    buffers = (np.empty_like(out), np.empty_like(out)) if dense else (None, None)
     for _ in range(n_sub):
         term = out
         for j in range(1, n_terms + 1):
-            term = matmul(H, term, buffers[j % 2])
+            term = matmul(H, term)
             term *= h / j
             out += term
     return out

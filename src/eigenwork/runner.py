@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from . import observables, optimizer
-from .config import ConfigError, ExperimentConfig, FORMAT_TAG
+from .config import ConfigError, ExperimentConfig, FORMAT_TAG, read_json_object
 from .model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from .observables import Trajectory, csv_text, d_pos, spectrum_csv, work_density
 from .operators import OperatorStack, build_basis, sum_x
@@ -92,9 +92,6 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
 
 def run(config: ExperimentConfig) -> Path:
     """Execute one experiment and archive it; returns the run directory."""
-    if config.mode == "optimize" and config.kick_duration == 0:
-        raise ConfigError("mode optimize needs kick_duration > 0: every gradient "
-                          "vanishes at an eigenstate, so the run could only fail")
     ctx = prepare(config)
     if ctx.shell.size == 0:
         raise ConfigError("empty energy shell for the requested model and bounds")
@@ -185,11 +182,11 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
 
 
 def load_summary(run_dir) -> dict:
-    """Read an archived run's summary, run.json."""
-    try:
-        return json.loads((Path(run_dir) / "run.json").read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{run_dir} is not a readable run archive: {exc}") from exc
+    """Read an archived run's summary, run.json: a JSON object of format FORMAT_TAG."""
+    summary = read_json_object(Path(run_dir) / "run.json")
+    if summary.get("format") != FORMAT_TAG:
+        raise ConfigError(f"{run_dir} is not a run archive of format {FORMAT_TAG}")
+    return summary
 
 
 def load_run(run_dir) -> tuple[dict, Trajectory]:

@@ -132,22 +132,18 @@ def check_hermiticity(dev: float, scale, what: str) -> None:
         raise NumericalConsistencyError(f"{what} = {dev:.3e} > {tol:.3e}")
 
 
-def matmul(H, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def matmul(H, X: np.ndarray) -> np.ndarray:
     """H @ X for a dense or CSR sector matrix H and a (dim x M) batch X.
 
     A real H times a complex X multiplies X's float view, (dim x 2M), so H
     is never upcast to complex; each product adds the same real terms. Any
-    other shape of X is rejected with ValueError. For a dense H the product
-    is written into ``out`` when given, a C-contiguous array of its shape and
-    dtype, by the same BLAS call.
+    other shape of X is rejected with ValueError.
     """
     if np.ndim(X) != 2:
         raise ValueError(f"matmul takes a (dim x M) batch, got shape {np.shape(X)}")
     if np.iscomplexobj(X) and not np.iscomplexobj(H):
-        X = np.ascontiguousarray(X).view(float)
-        product = H @ X if out is None else np.matmul(H, X, out=out.view(float))
-        return product.view(complex)
-    return H @ X if out is None else np.matmul(H, X, out=out)
+        return (H @ np.ascontiguousarray(X).view(float)).view(complex)
+    return H @ X
 
 
 def sector_triplets(terms, basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

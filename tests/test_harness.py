@@ -296,22 +296,19 @@ def test_text_cells_quoted(tmp_path):
     assert (row["run"], row["preset"], row["L"]) == (str(runs[1]), "integrable", "8")
 
 
-def test_kick_matrix_built_only_for_a_kick(tmp_path, monkeypatch):
+def test_kick_matrix_built_only_for_a_kick():
     """prepare builds the sum_x kick generator only when the config sets a kick."""
     for mode, data in ROUNDTRIP_CONFIGS.items():
         ctx = runner.prepare(ExperimentConfig.from_dict(data))
         assert (ctx.kick_matrix is None) == (mode != "optimize"), mode
 
-    cfg = ExperimentConfig.from_dict(cfg_dict(outdir=str(tmp_path / "r"), kick_duration=0.0,
-                                              duration=0.02))
+    # An unkicked optimize config is refused when it is built, before any run.
+    with pytest.raises(ConfigError, match="kick_duration"):
+        ExperimentConfig.from_dict(cfg_dict(kick_duration=0.0))
+    cfg = ExperimentConfig.from_dict(cfg_dict(duration=0.02))
+    cfg.kick_duration = 0.0
     ctx = runner.prepare(cfg)
     assert ctx.kick_matrix is None
-    # An unkicked optimize run is refused before prepare, not after its steps.
-    with monkeypatch.context() as patch:
-        patch.setattr(runner, "prepare", lambda config: pytest.fail("prepare called"))
-        with pytest.raises(ConfigError, match="kick_duration"):
-            runner.run(cfg)
-    assert not (tmp_path / "r").exists()
 
     # From states already off the eigenbasis, an unkicked optimize runs without
     # the generator, and its protocol replays through evolve within 1e-9.
@@ -379,6 +376,22 @@ def test_cli_rejects_a_per_state_table_of_another_shell(tmp_path, command):
     assert runner.load_summary(run)["shell"]["indices"] == [8, 9, 10]
     with pytest.raises(ConfigError, match=r"states \[11, 12\]"):
         runner.load_run(run)
+    assert main(SHELL_READERS[command](str(run), tmp_path)) == 2
+    assert not (tmp_path / "thresholds.csv").exists() and not (tmp_path / "report").exists()
+
+
+DAMAGED_SUMMARIES = {"a_list": lambda summary: [],
+                     "shell_only": lambda summary: {"shell": summary["shell"]}}
+
+
+@pytest.mark.parametrize("command", sorted(SHELL_READERS))
+@pytest.mark.parametrize("damage", sorted(DAMAGED_SUMMARIES))
+def test_cli_rejects_a_run_json_that_is_no_summary(tmp_path, command, damage):
+    """A run.json that is no JSON object, or one without the format tag, is a
+    config error for each reader, which writes nothing."""
+    run = Path(shutil.copytree(ARCHIVED_OPTIMIZE, tmp_path / "damaged"))
+    summary = json.loads((run / "run.json").read_text())
+    (run / "run.json").write_text(json.dumps(DAMAGED_SUMMARIES[damage](summary)))
     assert main(SHELL_READERS[command](str(run), tmp_path)) == 2
     assert not (tmp_path / "thresholds.csv").exists() and not (tmp_path / "report").exists()
 
@@ -464,6 +477,18 @@ def test_cli_sweep_size_builds_every_config_before_any_run(tmp_path):
     cfg.write_text(json.dumps({"mode": "optimize", "k": 2, "duration": 0.01, "quench_h": 0.7}))
     outdir = tmp_path / "sweep"
     assert main(["sweep-size", "-c", str(cfg), "--L-list", "8", "--presets", "integrable",
+                 "--outdir", str(outdir)]) == 2
+    assert not outdir.exists()
+
+
+def test_cli_sweep_size_rejects_an_unkicked_optimize_template(tmp_path):
+    """Mode optimize needs a kick, so a template with kick_duration 0 exits 2
+    before any run and writes nothing."""
+    cfg = tmp_path / "template.json"
+    cfg.write_text(json.dumps({"mode": "optimize", "k": 2, "duration": 0.01,
+                               "kick_duration": 0}))
+    outdir = tmp_path / "sweep"
+    assert main(["sweep-size", "-c", str(cfg), "--L-list", "4,8", "--presets", "integrable",
                  "--outdir", str(outdir)]) == 2
     assert not outdir.exists()
 
@@ -707,13 +732,14 @@ BAD_NUMBERS = {
     "quench_k": {"mode": "quench", "k": 99},
     "optimize_quench_h": {"mode": "optimize", "k": 2, "quench_h": 0.7},
     "optimize_quench_g": {"mode": "optimize", "k": 2, "quench_g": 1.5},
+    "preset_list": {"mode": "optimize", "k": 2, "preset": ["integrable"]},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_cli_bad_number_is_config_error(tmp_path, case):
     """Model numbers must be finite numbers and counts integers (neither a boolean),
-    L within the sector range, long_run a boolean and outdir a string; k is
+    L within the sector range, long_run a boolean, outdir and preset strings; k is
     optimize's field and quench_h, quench_g are quench's, and a legacy actions
     list must be empty. Else exit 2 and no run."""
     data = {"preset": "integrable", "L": 8, "duration": 0.02,

@@ -226,21 +226,18 @@ def test_stack_bitwise_matches_complex_csr(rng, L, k):
 
 @STACK_CASES
 def test_stack_assembles_into_one_kept_H(rng, L, k):
-    """A stack with no imaginary column assembles a real H. Any other writes
-    each row into the one complex H it keeps, so the next assemble overwrites
-    the H the last one returned. The gather is A^T Im K + B^T Re K, bit for bit."""
+    """A stack with no imaginary column assembles a real H. Any other returns
+    each row as a complex H of its own, which a later assemble leaves as it
+    is. The gather is A^T Im K + B^T Re K, bit for bit."""
     basis = build_sector_basis(L)
     stack = OperatorStack(stack_ops(L, k), basis)
     rows = rng.normal(size=(2, stack.n_ops))
     fresh = [OperatorStack(stack.ops, basis).assemble(row) for row in rows]
     first = stack.assemble(rows[0])
     second = stack.assemble(rows[1])
-    if k == "ising":
-        assert first.dtype == second.dtype == np.float64
-        assert_array_equal(first, fresh[0])
-    else:
-        assert second is first and first.dtype == np.complex128
-        assert_array_equal(first, fresh[1])
+    assert first.dtype == second.dtype == (np.float64 if k == "ising" else np.complex128)
+    assert not np.shares_memory(first, second)
+    assert_array_equal(first, fresh[0])
     assert_array_equal(second, fresh[1])
     K = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
     for _ in range(2):  # the first gather allocates the scratch, the second reuses it

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigenwork.config import ExperimentConfig, RewardParams
+from eigenwork.config import ConfigError, ExperimentConfig, RewardParams
 from eigenwork.model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from eigenwork.operators import OperatorStack, SymmetrizedOperator, build_basis, sum_x
 from eigenwork.optimizer import (compute_Y, optimize, reward, reward_grad,
@@ -219,7 +219,10 @@ def test_replay_of_optimized_protocol_is_bit_identical(shell_setup_L8):
 
 def test_optimize_requires_kick(shell_setup_L8):
     L, basis, H_op, H, shell, stack, kick = shell_setup_L8
-    cfg = optimize_config(L, 2, dt=0.002, duration=0.01, kick_duration=0.0)
+    with pytest.raises(ConfigError, match="kick_duration"):
+        optimize_config(L, 2, dt=0.002, duration=0.01, kick_duration=0.0)
+    cfg = optimize_config(L, 2, dt=0.002, duration=0.01)
+    cfg.kick_duration = 0.0  # past the config's refusal, optimize finds every gradient zero
     with pytest.raises(NumericalConsistencyError):
         optimize(cfg, H, shell, stack, kick)
 

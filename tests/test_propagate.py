@@ -90,8 +90,7 @@ B2_LABELS = {"y": "Y0", "xy + yx": "X0 Y1 +R", "x": "X0"}
 @pytest.fixture(scope="module")
 def held_rows_L8():
     """The real L=8 quench H, B_2's imaginary y and xy + yx and its real x,
-    each as an assembled held row and as its CSR sector matrix. B_2's rows are
-    copies: each assemble overwrites the complex H the stack keeps."""
+    each as an assembled held row and as its CSR sector matrix."""
     basis = build_sector_basis(8)
     quench = runner.prepare(ExperimentConfig.from_dict(
         {"L": 8, "preset": "nonintegrable", "mode": "quench"}))
@@ -101,7 +100,7 @@ def held_rows_L8():
                        quench.stack.ops[0].sector_matrix(basis))}
     for word, label in B2_LABELS.items():
         i = labels.index(label)
-        rows[word] = (b2.assemble(np.eye(b2.n_ops)[i]).copy(), b2.ops[i].sector_matrix(basis))
+        rows[word] = (b2.assemble(np.eye(b2.n_ops)[i]), b2.ops[i].sector_matrix(basis))
     return rows
 
 
@@ -258,35 +257,6 @@ def test_spectral_propagator_checks_orthonormality(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda H: (E, (1 + 1e-9) * V))
     with pytest.raises(NumericalConsistencyError, match="orthonormality"):
         spectral_propagator(H)
-
-
-def reference_expm_step(H, dt, states):
-    """The Taylor step with the plan from ||H||_1 as max column sum of the whole
-    |H| and a fresh array per term, against which the kept buffers change no bit."""
-    norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
-    n_sub, n_terms = _taylor_plan(abs(dt) * norm)
-    out = np.array(states, dtype=complex)
-    for _ in range(n_sub):
-        term = out
-        for j in range(1, n_terms + 1):
-            term = matmul(H, term)
-            term *= (-1j * dt / n_sub) / j
-            out += term
-    return out
-
-
-@pytest.mark.parametrize("chunk_bytes", [8, 200, propagate.NORM_CHUNK_BYTES])
-def test_expm_step_buffers_and_row_sums_change_no_bit(rng, monkeypatch, chunk_bytes):
-    """Row sums of |H| over blocks of rows give the plan of the column sums,
-    and the two term buffers give the bits of a fresh array per term, for a
-    complex, a real and a CSR H."""
-    monkeypatch.setattr(propagate, "NORM_CHUNK_BYTES", chunk_bytes)
-    H = random_hermitian(rng, 23)
-    B = rng.normal(size=(23, 4)) + 1j * rng.normal(size=(23, 4))
-    for row in (H, H.real, scipy.sparse.csr_array(H.real)):
-        assert propagate._one_norm(row) == pytest.approx(abs(row).sum(axis=0).max(), rel=1e-14)
-        for dt in (0.002, -0.7, 3.0):
-            assert_array_equal(expm_step(row, dt, B), reference_expm_step(row, dt, B))
 
 
 def test_taylor_step_term_cap():
@@ -453,33 +423,6 @@ def test_held_evolve_allocates_three_dim_squared_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * ctx.basis.dim ** 2
-
-
-def test_optimize_steps_allocate_no_dim_squared_array_of_their_own():
-    """Past its first steps, an L=12, k=4 optimize run grows its traced memory
-    by at most one sparse-product output of scipy's (8 dim^2 bytes) and one
-    (dim x M) batch: H, |H|, the gather's scratch and the Taylor terms reuse
-    buffers (at the parent, a complex H and |H| each step took 3 x 8 dim^2)."""
-    config = ExperimentConfig.from_dict({"L": 12, "preset": "integrable", "mode": "optimize",
-                                         "k": 4, "duration": 0.02})
-    ctx = runner.prepare(config)
-    seen, assemble = [], ctx.stack.assemble
-
-    def traced(gamma):
-        if len(seen) == 2:  # from the third step on
-            tracemalloc.reset_peak()
-        seen.append(tracemalloc.get_traced_memory())
-        return assemble(gamma)
-
-    ctx.stack.assemble = traced
-    tracemalloc.start()
-    try:
-        optimizer.optimize(config, ctx.H_target, ctx.shell, ctx.stack, ctx.kick_matrix)
-    finally:
-        tracemalloc.stop()
-    assert len(seen) == config.n_steps == 10
-    dim, M = ctx.basis.dim, ctx.shell.size
-    assert seen[-1][1] - seen[2][0] <= 8 * dim * dim + 16 * dim * M
 
 
 def test_quench_calls_the_eigensolver_once(monkeypatch):
