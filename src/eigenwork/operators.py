@@ -261,6 +261,7 @@ class OperatorStack:
 
     def __init__(self, ops, basis: SectorBasis):
         self.ops = list(ops)
+        self.basis = basis
         self.dim = basis.dim
         self.n_ops = len(self.ops)
         self.L = basis.L

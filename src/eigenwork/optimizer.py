@@ -75,17 +75,17 @@ def record(traj: Trajectory, config: ExperimentConfig, step: int, t: float,
                     d_pos(w, config.dpos_epsilon), w)
 
 
-def optimize(config: ExperimentConfig, H_target, shell: EnergyShell, stack: OperatorStack,
-             kick_matrix) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
+def optimize(config: ExperimentConfig, H_target, shell: EnergyShell,
+             stack: OperatorStack) -> tuple[ControlProtocol, Trajectory, np.ndarray]:
     """Run the greedy controller on the shell's states through :func:`evolve`.
 
-    ``H_target`` and ``kick_matrix`` (None for no kick) are CSR sector
-    matrices. The controller records each sample step with its w and |Y|,
-    and the final states give the last sample. Returns the replayable
-    protocol, the trajectory and the final states. The kick is a protocol
-    prelude, so replays are self-contained; the clock (t = 0) starts after
-    it. Raises if every step saw a vanished gradient, which is the
-    unkicked-eigenstate degeneracy.
+    ``H_target`` is the target's CSR sector matrix. The controller records
+    each sample step with its w and |Y|, and the final states give the last
+    sample. Returns the replayable protocol, the trajectory and the final
+    states. The kick of ``config.kick_duration`` is a protocol prelude, which
+    :func:`evolve` applies from the protocol and the stack alone, so replays
+    are self-contained; the clock (t = 0) starts after it. Raises if every
+    step saw a vanished gradient, which is the unkicked-eigenstate degeneracy.
     """
     if shell.size == 0:
         raise ValueError("empty shell: nothing to optimize")
@@ -110,8 +110,7 @@ def optimize(config: ExperimentConfig, H_target, shell: EnergyShell, stack: Oper
             record(traj, config, step, step * config.dt, w, float(np.linalg.norm(Y)))
         return solve_gamma(Y, C, L, d, tol)
 
-    final = evolve(shell.states, protocol, stack, kick_matrix=kick_matrix,
-                   controller=controller)
+    final = evolve(shell.states, protocol, stack, controller=controller)
     # sample_steps ends with n_steps: the final state, which no step follows
     record(traj, config, config.n_steps, config.n_steps * config.dt,
            work_density(final, shell.energies, H_target, L))

@@ -3,14 +3,14 @@
 Each protocol step applies exp(-i dt H), with H = sum_i gamma_i Q_i assembled
 from an OperatorStack, to the batch of states. Each row and the kick are one
 truncated Taylor series with an a priori truncation bound, applied to the
-batch columns with no unitary formed. A fixed protocol whose rows all equal
-the first, as a quench's one row, is diagonalized once instead, H = V diag(E)
-V^dag by one eigh (real when H has no Y strings), and the state at step n is
-V exp(-i dt n E) c, with c = V^dag psi taken after the kick. A Taylor
-step's H, |H| and terms are fresh numpy arrays; the held row forms V^dag V - I
-in one buffer and takes V^dag of a real V as a view. Norms are checked after
-every product applied. Batches are never renormalized:
-column-norm drift is a monitored health signal, not something to hide.
+batch columns with no unitary formed; :func:`evolve` builds the kick's sum X.
+A quench's protocol, rows all equal to the first over a real stack, is
+diagonalized once instead, H = V diag(E) V^T by one real eigh, and the state
+at step n is V exp(-i dt n E) c, with c = V^T psi taken after the kick. A
+Taylor step's H, |H| and terms are fresh numpy arrays; the held row forms
+V^T V - I in one buffer and takes V^T as a view. Norms are checked after every
+product applied. Batches are never renormalized: column-norm drift is a
+monitored health signal, not something to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
 Every sector matrix, a stack column or the CSR kick generator, comes from
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorStack
+from .operators import OperatorStack, sum_x
 from .sector import NumericalConsistencyError, matmul
 
 NORM_DRIFT_TOL = 1e-8
@@ -154,26 +154,20 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoint(V: np.ndarray) -> np.ndarray:
-    """V^dag; for a real V its transpose, a view with no copy."""
-    return V.T.conj() if np.iscomplexobj(V) else V.T
-
-
 def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (E, V) of a held row's Hermitian H: exp(-i t H) = V e^{-i t E} V^dag.
+    """Eigenpairs (E, V) of a held row's real symmetric H: exp(-i t H) = V e^{-i t E} V^T.
 
-    A real eigh when H is real or its imaginary part is exactly zero. H must
-    be finite and V orthonormal to 1e-11; both are checked, the second on
-    V^dag V - I formed in one buffer.
+    One real eigh. H must be real, finite and V orthonormal to 1e-11; all are
+    checked, the last on V^T V - I formed in one buffer.
     """
+    if np.iscomplexobj(H):
+        raise ValueError("a held row must be real")
     if not np.isfinite(H).all():
         raise NumericalConsistencyError("held Hamiltonian has non-finite entries")
-    if np.iscomplexobj(H) and not H.imag.any():
-        H = H.real
     E, V = np.linalg.eigh(H)
-    residual = _adjoint(V) @ V
+    residual = V.T @ V
     residual.reshape(-1)[::len(V) + 1] -= 1.0
-    dev = np.abs(residual, out=residual).real.max()
+    dev = np.abs(residual, out=residual).max()
     if not dev <= 1e-11:
         raise NumericalConsistencyError(f"held eigenvectors off orthonormality by {dev:.3e}")
     return E, V
@@ -185,40 +179,39 @@ def kick_unitary(kick_op_matrix, duration: float, states: np.ndarray) -> np.ndar
 
 
 def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
-           observer=None, sample_steps=None, kick_matrix=None,
-           controller=None) -> np.ndarray:
+           observer=None, sample_steps=None, controller=None) -> np.ndarray:
     """Step a (dim x M) batch through a protocol: the one stepping loop of every run.
 
-    Returns the evolved batch; ``states`` is not modified.
-
+    Returns the evolved batch; ``states`` is not modified. A kick comes first,
+    :func:`kick_unitary` of the CSR sum X over ``stack.basis``, built here.
     A ``controller(step, states) -> gamma`` computes each row from the states
     before its step, into the preallocated ``protocol.gamma``. The
     ``observer(step, t, states)`` then sees the same read-only states at each
     sample step; step 0 follows the kick, where the protocol clock starts.
     A row is one :func:`expm_step` on the states. A protocol with no controller
-    whose rows all equal the first is one :func:`spectral_propagator` instead:
-    c = V^dag psi is taken once, after the kick, and each stretch up to step n,
-    the next sample step or the end, is one product V (exp(-i dt n E) c).
-    Controller rows are never merged. :func:`norm_drift` is checked after every product.
+    whose rows all equal the first over a stack with no imaginary column, a
+    quench's, is one :func:`spectral_propagator` instead: c = V^T psi is taken
+    once, after the kick, and each stretch up to step n, the next sample step
+    or the end, is one product V (exp(-i dt n E) c). Every other protocol, an
+    optimize replay too, steps row by row. :func:`norm_drift` is checked after
+    every product.
     """
     if protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
     if protocol.n_steps and protocol.gamma.shape[1] != stack.n_ops:
         raise ValueError("protocol coefficient width does not match basis size")
-    if protocol.kick_duration > 0.0 and kick_matrix is None:
-        raise ValueError("protocol carries a kick but no kick generator was given")
 
     out = np.array(states, dtype=complex, order="C")
     if protocol.kick_duration > 0.0:
-        out = kick_unitary(kick_matrix, protocol.kick_duration, out)
+        out = kick_unitary(sum_x(stack.L).sector_matrix(stack.basis), protocol.kick_duration, out)
 
     n_steps, gamma, dt = protocol.n_steps, protocol.gamma, protocol.dt
     samples = (set() if observer is None else
                set(range(n_steps + 1) if sample_steps is None else sample_steps))
-    held = controller is None and n_steps > 0 and bool((gamma == gamma[0]).all())
+    held = controller is None and n_steps > 0 and not stack.imag.nnz and (gamma == gamma[0]).all()
     if held:
         E, V = spectral_propagator(stack.assemble(gamma[0]))
-        c = matmul(_adjoint(V), out)
+        c = matmul(V.T, out)
     n = 0
     while True:
         view = out.view()  # products replace out, never write it

@@ -21,7 +21,7 @@ from . import observables, optimizer
 from .config import ConfigError, ExperimentConfig, FORMAT_TAG, read_json_object
 from .model import PRESETS, EnergyShell, build_ising, diagonalize, select_shell
 from .observables import Trajectory, csv_text, d_pos, spectrum_csv, work_density
-from .operators import OperatorStack, build_basis, sum_x
+from .operators import OperatorStack, build_basis
 from .propagate import ControlProtocol, evolve, norm_drift
 from .sector import SectorBasis, build_sector_basis, manifest_checksum, sector_manifest
 
@@ -31,9 +31,9 @@ class RunContext:
     """What a run needs of its model past ``prepare``.
 
     Of the eigendecomposition only the energies, the eigenvector checksum and
-    the shell's columns are kept. ``H_target`` and ``kick_matrix`` are the
-    real CSR sector matrices of the target and of sum X, which every run
-    applies; ``kick_matrix`` is None when the config sets no kick.
+    the shell's columns are kept. ``H_target`` is the target's real CSR
+    sector matrix, which every run applies; the kick's generator is built by
+    :func:`evolve` from the protocol and the stack.
     """
 
     config: ExperimentConfig
@@ -43,7 +43,6 @@ class RunContext:
     eigenvector_checksum: str
     shell: EnergyShell
     stack: OperatorStack
-    kick_matrix: scipy.sparse.csr_array | None
 
 
 def prepare(config: ExperimentConfig) -> RunContext:
@@ -58,11 +57,8 @@ def prepare(config: ExperimentConfig) -> RunContext:
         ops = build_basis(config.L, config.k)
     else:
         ops = [build_ising(config.quench_h, config.quench_g, config.L)]
-    stack = OperatorStack(ops, basis)
-    kick_matrix = (sum_x(config.L).sector_matrix(basis)
-                   if config.kick_duration > 0 else None)
-    return RunContext(config, basis, H_target, energies, checksum, shell, stack,
-                      kick_matrix)
+    return RunContext(config, basis, H_target, energies, checksum, shell,
+                      OperatorStack(ops, basis))
 
 
 def _constant_gamma_protocol(ctx: RunContext) -> ControlProtocol:
@@ -86,7 +82,7 @@ def _replay_trajectory(ctx: RunContext, protocol: ControlProtocol) -> tuple[Traj
             states, ctx.shell.energies, ctx.H_target, cfg.L))
 
     final = evolve(ctx.shell.states, protocol, ctx.stack, observer=observer,
-                   sample_steps=cfg.sample_steps, kick_matrix=ctx.kick_matrix)
+                   sample_steps=cfg.sample_steps)
     return traj, final
 
 
@@ -97,8 +93,7 @@ def run(config: ExperimentConfig) -> Path:
         raise ConfigError("empty energy shell for the requested model and bounds")
 
     if config.mode == "optimize":
-        protocol, traj, final = optimizer.optimize(
-            config, ctx.H_target, ctx.shell, ctx.stack, ctx.kick_matrix)
+        protocol, traj, final = optimizer.optimize(config, ctx.H_target, ctx.shell, ctx.stack)
     else:
         protocol = _constant_gamma_protocol(ctx)
         traj, final = _replay_trajectory(ctx, protocol)
@@ -157,7 +152,7 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
     ctx = prepare(config)
     # Only run.json is read before the evolve: parsing the CSVs first raises peak RSS.
     shell = ctx.shell.indices.tolist()
-    if shell != load_summary(run_dir).get("shell", {}).get("indices"):
+    if shell != load_summary(run_dir)["shell"]["indices"]:
         raise ConfigError(f"config.json's shell [{config.shell_lo!r}, {config.shell_hi!r}] "
                           f"holds {len(shell)} eigenstates, not those of run.json's shell")
     path = run_dir / "protocol.txt"
@@ -182,10 +177,17 @@ def replay(run_dir, tol: float = 1e-9) -> dict:
 
 
 def load_summary(run_dir) -> dict:
-    """Read an archived run's summary, run.json: a JSON object of format FORMAT_TAG."""
+    """Read an archived run's summary, run.json: a JSON object of format FORMAT_TAG
+    that holds every key its readers index."""
     summary = read_json_object(Path(run_dir) / "run.json")
     if summary.get("format") != FORMAT_TAG:
         raise ConfigError(f"{run_dir} is not a run archive of format {FORMAT_TAG}")
+    shell = summary.get("shell") if isinstance(summary.get("shell"), dict) else {}
+    missing = [key for key in ("L", "mode", "k", "preset", "dpos_epsilon", "dpos_final")
+               if key not in summary]
+    missing += [f"shell.{key}" for key in ("lo", "hi", "size", "indices") if key not in shell]
+    if missing:
+        raise ConfigError(f"{run_dir}/run.json lacks {', '.join(missing)}")
     return summary
 
 
@@ -201,7 +203,7 @@ def load_run(run_dir) -> tuple[dict, Trajectory]:
                                    (run_dir / "per_state.csv").read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{run_dir} is not a readable run archive: {exc}") from exc
-    if traj.alphas.tolist() != summary.get("shell", {}).get("indices"):
+    if traj.alphas.tolist() != summary["shell"]["indices"]:
         raise ConfigError(f"{run_dir}: per_state.csv holds the states {traj.alphas.tolist()}, "
                           f"not those of run.json's shell")
     return summary, traj

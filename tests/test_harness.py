@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenwork import model, optimizer, runner
+from eigenwork import model, optimizer, propagate, runner
 from eigenwork.cli import build_parser, main
 from eigenwork.config import ConfigError, ExperimentConfig
 from eigenwork.model import EnergyShell
@@ -296,28 +296,37 @@ def test_text_cells_quoted(tmp_path):
     assert (row["run"], row["preset"], row["L"]) == (str(runs[1]), "integrable", "8")
 
 
-def test_kick_matrix_built_only_for_a_kick():
-    """prepare builds the sum_x kick generator only when the config sets a kick."""
-    for mode, data in ROUNDTRIP_CONFIGS.items():
-        ctx = runner.prepare(ExperimentConfig.from_dict(data))
-        assert (ctx.kick_matrix is None) == (mode != "optimize"), mode
+def test_kick_matrix_built_only_for_a_kick(monkeypatch):
+    """evolve builds the sum X kick generator, at the stack's L, only for a
+    kicked protocol: a quench never calls sum_x, and each kicked evolve, an
+    optimize run's and its replay's, builds it once."""
+    built = []
+    monkeypatch.setattr(propagate, "sum_x", lambda L: built.append(L) or sum_x(L))
+    quench = runner.prepare(ExperimentConfig.from_dict(ROUNDTRIP_CONFIGS["quench"]))
+    assert quench.config.kick_duration == 0.0
+    runner._replay_trajectory(quench, runner._constant_gamma_protocol(quench))
+    assert built == []
+
+    cfg = ExperimentConfig.from_dict(cfg_dict(duration=0.02))
+    ctx = runner.prepare(cfg)
+    protocol, traj, final = optimizer.optimize(cfg, ctx.H_target, ctx.shell, ctx.stack)
+    assert protocol.kick_duration == cfg.kick_duration > 0 and built == [cfg.L]
+    assert np.array_equal(evolve(ctx.shell.states, protocol, ctx.stack), final)
+    assert built == [cfg.L, cfg.L]
 
     # An unkicked optimize config is refused when it is built, before any run.
     with pytest.raises(ConfigError, match="kick_duration"):
         ExperimentConfig.from_dict(cfg_dict(kick_duration=0.0))
-    cfg = ExperimentConfig.from_dict(cfg_dict(duration=0.02))
     cfg.kick_duration = 0.0
-    ctx = runner.prepare(cfg)
-    assert ctx.kick_matrix is None
 
-    # From states already off the eigenbasis, an unkicked optimize runs without
-    # the generator, and its protocol replays through evolve within 1e-9.
+    # From states already off the eigenbasis, an unkicked optimize runs with no
+    # generator built, and its protocol replays through evolve within 1e-9.
     kicked = kick_unitary(sum_x(cfg.L).sector_matrix(ctx.basis), 0.001, ctx.shell.states)
     shell = EnergyShell(ctx.shell.indices, ctx.shell.energies, kicked)
-    protocol, traj, _ = optimizer.optimize(cfg, ctx.H_target, shell, ctx.stack,
-                                           ctx.kick_matrix)
+    protocol, traj, _ = optimizer.optimize(cfg, ctx.H_target, shell, ctx.stack)
     assert protocol.kick_duration == 0.0 and protocol.gamma.any()
-    final = evolve(shell.states, protocol, ctx.stack, kick_matrix=ctx.kick_matrix)
+    final = evolve(shell.states, protocol, ctx.stack)
+    assert built == [cfg.L, cfg.L]
     w = work_density(final, shell.energies, ctx.H_target, cfg.L)
     assert np.abs(w - traj.final_w()).max() <= 1e-9
 
@@ -363,6 +372,25 @@ SHELL_READERS = {
     "sweep-threshold": lambda run, tmp: ["sweep-threshold", "--runs", run, "--eps", "0.15",
                                          "-o", str(tmp / "thresholds.csv")],
 }
+
+
+@pytest.mark.parametrize("command", sorted(SHELL_READERS))
+def test_cli_rejects_a_run_json_without_its_readers_keys(tmp_path, command):
+    """A tagged run.json holding only format and shell is a config error for
+    each reader (exit 2), not a KeyError (exit 1) or a replay that passes, and
+    the report writes nothing."""
+    run = Path(shutil.copytree(ARCHIVED_OPTIMIZE, tmp_path / "bare"))
+    summary = json.loads((run / "run.json").read_text())
+    (run / "run.json").write_text(json.dumps({key: summary[key] for key in ("format", "shell")}))
+    with pytest.raises(ConfigError, match="lacks L, mode, k, preset, dpos_epsilon, dpos_final$"):
+        runner.load_summary(run)
+    assert main(SHELL_READERS[command](str(run), tmp_path)) == 2
+    assert not (tmp_path / "thresholds.csv").exists() and not (tmp_path / "report").exists()
+
+    del summary["shell"]["size"]
+    (run / "run.json").write_text(json.dumps(summary))
+    with pytest.raises(ConfigError, match="lacks shell.size$"):
+        runner.load_summary(run)
 
 
 @pytest.mark.parametrize("command", sorted(SHELL_READERS))

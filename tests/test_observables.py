@@ -9,7 +9,7 @@ from eigenwork.model import PRESETS, build_ising, diagonalize
 from eigenwork.config import ConfigError
 from eigenwork.observables import (FIG4_HEADER, Trajectory, csv_text, d_pos, ee_records,
                                    fig4_rows, half_chain_entropies)
-from eigenwork.operators import OperatorStack, build_basis, sum_x
+from eigenwork.operators import OperatorStack, build_basis
 from eigenwork.pauli import reflect_bits
 from eigenwork.propagate import ControlProtocol, evolve
 from eigenwork.sector import build_sector_basis
@@ -177,8 +177,7 @@ def test_deltaS_sign_convention_toy():
     gamma[:, xx] = 1.0
     protocol = ControlProtocol(dt=0.02, gamma=gamma, basis_checksum=stack.checksum,
                                kick_duration=0.001)
-    out = evolve(v, protocol, stack,
-                 kick_matrix=sum_x(L).sector_matrix(basis))
+    out = evolve(v, protocol, stack)
 
     (S0, St), = ee_records(v, out, basis)
     assert S0 == 0.0

@@ -182,7 +182,7 @@ def test_optimize_properties_short_run(shell_setup_L8):
     d = 1 << L
     C = np.sqrt(2 * L * d)
     cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
-    protocol, traj, final = optimize(cfg, H, shell, stack, kick)
+    protocol, traj, final = optimize(cfg, H, shell, stack)
 
     assert protocol.n_steps == 50
     assert protocol.kick_duration == 0.001
@@ -203,14 +203,14 @@ def test_replay_of_optimized_protocol_is_bit_identical(shell_setup_L8):
     """evolve of the protocol optimize returns reproduces its states and w exactly."""
     L, basis, H_op, H, shell, stack, kick = shell_setup_L8
     cfg = optimize_config(L, 2, dt=0.002, duration=0.1, sample_every=5)
-    protocol, traj, final = optimize(cfg, H, shell, stack, kick)
+    protocol, traj, final = optimize(cfg, H, shell, stack)
     replayed_w = []
 
     def observer(step, t, states):
         replayed_w.append(work_density(states, shell.energies, H, L))
 
     replayed = evolve(shell.states, protocol, stack, observer=observer,
-                      sample_steps=cfg.sample_steps, kick_matrix=kick)
+                      sample_steps=cfg.sample_steps)
     assert_array_equal(replayed, final)
     assert len(replayed_w) == len(traj.w_samples) == len(cfg.sample_steps)
     for w_replay, w_opt in zip(replayed_w, traj.w_samples):
@@ -224,7 +224,7 @@ def test_optimize_requires_kick(shell_setup_L8):
     cfg = optimize_config(L, 2, dt=0.002, duration=0.01)
     cfg.kick_duration = 0.0  # past the config's refusal, optimize finds every gradient zero
     with pytest.raises(NumericalConsistencyError):
-        optimize(cfg, H, shell, stack, kick)
+        optimize(cfg, H, shell, stack)
 
 
 def test_optimize_rejects_empty_shell(shell_setup_L8):
@@ -232,7 +232,7 @@ def test_optimize_rejects_empty_shell(shell_setup_L8):
     empty = EnergyShell(np.arange(0), np.zeros(0), np.zeros((basis.dim, 0)))
     cfg = optimize_config(L, 2, dt=0.002, duration=0.01)
     with pytest.raises(ValueError):
-        optimize(cfg, H, empty, stack, kick)
+        optimize(cfg, H, empty, stack)
 
 
 def test_reward_approximately_monotone_L10():
@@ -250,12 +250,11 @@ def test_reward_approximately_monotone_L10():
     energies, states = diagonalize(H, basis)
     shell = select_shell(energies, states, -0.25, -0.1, L)
     stack = OperatorStack(build_basis(L, 4), basis)
-    kick = sum_x(L).sector_matrix(basis)
 
     dents = {}
     for dt in (0.002, 0.001):
         cfg = optimize_config(L, 4, dt=dt, duration=1.0, sample_every=1)
-        protocol, traj, final = optimize(cfg, H, shell, stack, kick)
+        protocol, traj, final = optimize(cfg, H, shell, stack)
         diffs = np.diff(traj.reward)
         dents[dt] = max(0.0, -float(diffs.min()))
         assert traj.reward[-1] > traj.reward[0] + 1.0

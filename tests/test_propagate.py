@@ -15,7 +15,7 @@ from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, sum_x
 from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
-                                 norm_drift, spectral_propagator)
+                                 kick_unitary, norm_drift, spectral_propagator)
 from eigenwork.sector import NumericalConsistencyError, build_sector_basis, matmul
 from oracles import embed_state, frobenius_norm_sq, operator_dense_matrix
 
@@ -30,15 +30,26 @@ def setup_L6():
     return basis, ops, stack, energies, vectors
 
 
+@pytest.fixture(scope="module")
+def real_stack_L6(setup_L6):
+    """B_2's real elements at L=6, those with no Y string: a stack with no
+    imaginary column, over which a protocol's constant row is held."""
+    basis, ops = setup_L6[:2]
+    stack = OperatorStack([op for op in ops if op.sector_matrix(basis).dtype == np.float64],
+                          basis)
+    assert not stack.imag.nnz and 1 < stack.n_ops < len(ops)
+    return stack
+
+
 def random_hermitian(rng, n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (A + A.conj().T) / 2
 
 
 def spectral_unitary(H, t):
-    """exp(-i t H) from the held-row eigenpairs, V e^{-i t E} V^dag."""
+    """exp(-i t H) from the held-row eigenpairs, V e^{-i t E} V^T."""
     E, V = spectral_propagator(H)
-    return (V * np.exp(-1j * t * E)) @ V.conj().T
+    return (V * np.exp(-1j * t * E)) @ V.T
 
 
 def count_eigh(monkeypatch):
@@ -66,7 +77,8 @@ def test_expm_half_step_composition(rng):
 def test_expm_matches_scipy(rng):
     H = random_hermitian(rng, 6)
     assert_allclose(expm_step(H, 0.3, np.eye(6)), scipy.linalg.expm(-0.3j * H), atol=1e-12)
-    assert_allclose(spectral_unitary(H, 0.3), scipy.linalg.expm(-0.3j * H), atol=1e-12)
+    assert_allclose(spectral_unitary(H.real, 0.3), scipy.linalg.expm(-0.3j * H.real),
+                    atol=1e-12)
 
 
 @pytest.mark.parametrize("n_cols,dt_norm,substeps", [
@@ -83,35 +95,27 @@ def test_taylor_step_matches_scipy(rng, n_cols, dt_norm, substeps, sign):
                     rtol=0, atol=1e-12)
 
 
-# B_2 elements by their words: sum Y, sum (XY + YX) / sqrt 2 and sum X.
-B2_LABELS = {"y": "Y0", "xy + yx": "X0 Y1 +R", "x": "X0"}
-
-
 @pytest.fixture(scope="module")
 def held_rows_L8():
-    """The real L=8 quench H, B_2's imaginary y and xy + yx and its real x,
-    each as an assembled held row and as its CSR sector matrix."""
+    """The L=8 quench H and sum X, each the row of a real one-column stack, and
+    B_2's imaginary sum Y, each as an assembled row and as its CSR sector matrix."""
     basis = build_sector_basis(8)
-    quench = runner.prepare(ExperimentConfig.from_dict(
-        {"L": 8, "preset": "nonintegrable", "mode": "quench"}))
+    quench = build_ising(*PRESETS["quench-target"], 8)
     b2 = OperatorStack(build_basis(8, 2), basis)
-    labels = [op.label for op in b2.ops]
-    rows = {"quench": (quench.stack.assemble(np.ones(1)),
-                       quench.stack.ops[0].sector_matrix(basis))}
-    for word, label in B2_LABELS.items():
-        i = labels.index(label)
-        rows[word] = (b2.assemble(np.eye(b2.n_ops)[i]), b2.ops[i].sector_matrix(basis))
+    rows = {word: (OperatorStack([op], basis).assemble(np.ones(1)), op.sector_matrix(basis))
+            for word, op in (("quench", quench), ("x", sum_x(8)))}
+    i = [op.label for op in b2.ops].index("Y0")
+    rows["y"] = (b2.assemble(np.eye(b2.n_ops)[i]), b2.ops[i].sector_matrix(basis))
     return rows
 
 
-@pytest.mark.parametrize("label", ["quench", "y", "xy + yx", "x"])
+@pytest.mark.parametrize("label", ["quench", "x"])
 def test_step_unitary_of_held_rows_matches_scipy(held_rows_L8, label):
-    """A held row's eigenvectors are real exactly when H is, and give its step unitary."""
+    """A held row is real, and its real eigenvectors give its step unitary."""
     H = held_rows_L8[label][0]
-    real = label in ("quench", "x")
-    assert (np.abs(H.imag).max() == 0) == real and (np.abs(H.real).max() == 0) != real
+    assert H.dtype == np.float64
     E, V = spectral_propagator(H)
-    assert np.iscomplexobj(V) != real and E.dtype == np.float64
+    assert E.dtype == V.dtype == np.float64
     for t in (0.002, -0.3, 23 * 0.002):
         assert_allclose(spectral_unitary(H, t), scipy.linalg.expm(-1j * t * H),
                         rtol=0, atol=1e-12)
@@ -162,8 +166,9 @@ def test_matmul_rejects_a_vector(rng):
 
 
 def test_optimize_applies_the_one_csr_target_and_kick(tmp_path, monkeypatch):
-    """The controller's H psi and w, the final sample, the kick and the replay
-    observer all apply the real CSR target and kick generator of ``prepare``."""
+    """The controller's H psi and w, the final sample and the replay observer
+    all apply the real CSR target of ``prepare``; the run's and the replay's
+    kick each apply the real CSR sum X over the sector basis."""
     contexts, targets, kicks = [], [], []
     prepare, kick, matmul = runner.prepare, propagate.kick_unitary, sector.matmul
     monkeypatch.setattr(runner, "prepare",
@@ -180,10 +185,14 @@ def test_optimize_applies_the_one_csr_target_and_kick(tmp_path, monkeypatch):
     assert runner.replay(runner.run(config))["within_tolerance"]
 
     run, replay = contexts
-    for ctx in contexts:
-        for matrix in (ctx.H_target, ctx.kick_matrix):
-            assert isinstance(matrix, scipy.sparse.csr_array) and matrix.dtype == np.float64
-    assert len(kicks) == 2 and all(K is ctx.kick_matrix for K, ctx in zip(kicks, contexts))
+    sum_x_csr = sum_x(8).sector_matrix(run.basis)
+    for matrix in (run.H_target, replay.H_target, *kicks):
+        assert isinstance(matrix, scipy.sparse.csr_array) and matrix.dtype == np.float64
+    assert len(kicks) == 2
+    for K in kicks:
+        assert_array_equal(K.indptr, sum_x_csr.indptr)
+        assert_array_equal(K.indices, sum_x_csr.indices)
+        assert_array_equal(K.data, sum_x_csr.data)
     n_run = 2 * config.n_steps + 1  # H psi and w per controller step, then the final w
     assert len(targets) == n_run + len(config.sample_steps)
     assert all(H is run.H_target for H in targets[:n_run])
@@ -243,9 +252,18 @@ def test_step_rejects_non_finite_input(bad):
     with pytest.raises(NumericalConsistencyError):
         expm_step(H, 0.1, np.eye(2))
     with pytest.raises(NumericalConsistencyError, match="non-finite"):
-        spectral_propagator(H)
+        spectral_propagator(H.real)
     with pytest.raises(NumericalConsistencyError):
         expm_step(np.eye(2, dtype=complex), bad, np.eye(2))
+
+
+def test_spectral_propagator_takes_only_a_real_row(held_rows_L8):
+    """A complex H is refused, also one whose imaginary part is exactly zero:
+    only a quench's real row is held."""
+    quench = held_rows_L8["quench"][0]
+    for H in (held_rows_L8["y"][0], quench.astype(complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            spectral_propagator(H)
 
 
 def test_spectral_propagator_checks_orthonormality(monkeypatch):
@@ -368,10 +386,11 @@ def test_evolve_mixes_held_eigenbases_and_taylor_steps(setup_L6, rng, monkeypatc
         assert_allclose(out, exact, rtol=0, atol=1e-12)
 
 
-def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
+def test_held_row_is_one_power_per_sample_interval(setup_L6, real_stack_L6, rng, monkeypatch):
     """A row held for 23 steps sampled at 0, 10, 20, 23: one eigh, and each
     sample is e^{-i n dt H} psi0 from the coefficients taken at step 0."""
-    basis, ops, stack, energies, vectors = setup_L6
+    basis, ops, _, energies, vectors = setup_L6
+    stack = real_stack_L6
     row = rng.normal(size=stack.n_ops) * 0.4
     dt, sample_steps = 0.01, [0, 10, 20, 23]
     psi0 = vectors[:, :4]
@@ -393,9 +412,10 @@ def test_held_row_is_one_power_per_sample_interval(setup_L6, rng, monkeypatch):
                         rtol=0, atol=1e-12)
 
 
-def test_held_row_runs_keep_the_norm_check(setup_L6, monkeypatch):
+def test_held_row_runs_keep_the_norm_check(setup_L6, real_stack_L6, monkeypatch):
     """A held row whose eigenvectors are slightly too long still fails the norm check."""
-    basis, ops, stack, energies, vectors = setup_L6
+    basis, ops, _, energies, vectors = setup_L6
+    stack = real_stack_L6
     psi0 = vectors[:, :2]
     monkeypatch.setattr(propagate, "spectral_propagator",
                         lambda H: (lambda E, V: (E, 1.0001 * V))(*spectral_propagator(H)))
@@ -440,47 +460,48 @@ def test_quench_calls_the_eigensolver_once(monkeypatch):
     assert_allclose(out, exact, rtol=0, atol=1e-12)
 
 
-def test_complex_and_degenerate_held_rows_match_taylor_steps(tmp_path, monkeypatch):
-    """A constant protocol of B_2's imaginary y or xy + yx, or of its real and
-    degenerate x, is one eigh and matches per-step Taylor steps at every sample;
-    a one-step optimize run, whose replay takes that path, replays within 1e-9."""
-    fields = {"L": 8, "preset": "integrable", "mode": "optimize", "k": 2}
-    config = ExperimentConfig.from_dict({**fields, "duration": 0.024, "sample_every": 5})
+def test_degenerate_held_row_matches_taylor_steps(monkeypatch):
+    """A constant protocol of the real, degenerate sum X over its one-column
+    stack is one eigh and matches per-step Taylor steps at every sample."""
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
+                                         "k": 2, "duration": 0.024, "sample_every": 5})
     ctx = runner.prepare(config)
-    labels = [op.label for op in ctx.stack.ops]
+    stack = OperatorStack([sum_x(8)], ctx.basis)
+    H = stack.assemble(np.ones(1))
+    E, V = spectral_propagator(H)
+    assert np.diff(E).min() < 1e-9  # sum X is degenerate
     calls = count_eigh(monkeypatch)
-    for word, label in B2_LABELS.items():
-        row = np.eye(ctx.stack.n_ops)[labels.index(label)]
-        H = ctx.stack.assemble(row)
-        E, V = spectral_propagator(H)
-        assert np.iscomplexobj(V) == (word != "x")
-        assert word != "x" or np.diff(E).min() < 1e-9  # x is degenerate
-        del calls[:]
-        seen = []
-        out = evolve(ctx.shell.states, ControlProtocol(
-            dt=config.dt, gamma=np.tile(row, (config.n_steps, 1)),
-            basis_checksum=ctx.stack.checksum), ctx.stack,
-            observer=lambda n, t, states: seen.append((n, states.copy())),
-            sample_steps=config.sample_steps)
-        assert calls == [ctx.basis.dim], word
-        taylor, steps = ctx.shell.states, {}
-        for n in range(config.n_steps):
-            steps[n] = taylor
-            taylor = expm_step(H, config.dt, taylor)
-        steps[config.n_steps] = taylor
-        assert_allclose(out, taylor, rtol=0, atol=1e-12)
-        assert [n for n, _ in seen] == config.sample_steps
-        for n, states in seen:
-            assert_allclose(states, steps[n], rtol=0, atol=1e-12)
+    seen = []
+    out = evolve(ctx.shell.states, ControlProtocol(
+        dt=config.dt, gamma=np.ones((config.n_steps, 1)), basis_checksum=stack.checksum),
+        stack, observer=lambda n, t, states: seen.append((n, states.copy())),
+        sample_steps=config.sample_steps)
+    assert calls == [ctx.basis.dim]
+    taylor, steps = ctx.shell.states, {}
+    for n in range(config.n_steps):
+        steps[n] = taylor
+        taylor = expm_step(H, config.dt, taylor)
+    steps[config.n_steps] = taylor
+    assert_allclose(out, taylor, rtol=0, atol=1e-12)
+    assert [n for n, _ in seen] == config.sample_steps
+    for n, states in seen:
+        assert_allclose(states, steps[n], rtol=0, atol=1e-12)
 
+
+def test_one_step_optimize_run_replays_exactly(tmp_path, monkeypatch):
+    """A one-step optimize run's protocol has one row, all its rows equal the
+    first, yet its replay is Taylor-stepped as its run was: no eigh, and the
+    replayed w equals the archived w exactly."""
     held = []
     monkeypatch.setattr(propagate, "spectral_propagator",
                         lambda H: held.append(len(H)) or spectral_propagator(H))
-    one_step = ExperimentConfig.from_dict({**fields, "duration": config.dt,
-                                           "outdir": str(tmp_path / "run")})
-    result = runner.replay(runner.run(one_step))
-    assert held == [ctx.basis.dim]  # the run's controller row is a Taylor step
-    assert result["within_tolerance"] and result["max_w_deviation"] <= 1e-9
+    config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
+                                         "k": 2, "duration": 0.002,
+                                         "outdir": str(tmp_path / "run")})
+    assert config.n_steps == 1
+    result = runner.replay(runner.run(config))
+    assert held == []
+    assert result["max_w_deviation"] == 0.0 and result["within_tolerance"]
 
 
 def test_controller_rows_are_never_cached(setup_L6, rng, monkeypatch):
@@ -552,17 +573,22 @@ def test_manifest_mismatch_rejected(setup_L6):
         evolve(psi0, wrong_width, stack)
 
 
-def test_kick_requires_generator(setup_L6):
-    basis, ops, stack, energies, vectors = setup_L6
-    psi0 = vectors[:, :1]
-    protocol = ControlProtocol(dt=0.1, gamma=np.zeros((1, stack.n_ops)),
-                               basis_checksum=stack.checksum,
-                               kick_duration=0.001)
-    with pytest.raises(ValueError):
-        evolve(psi0, protocol, stack)
-    kick = sum_x(6).sector_matrix(basis)
-    out = evolve(psi0, protocol, stack, kick_matrix=kick)
-    assert norm_drift(out) < 1e-10
+def test_kick_is_sum_x_over_the_stack_basis(setup_L6, real_stack_L6, rng):
+    """A kicked protocol needs no generator argument: evolve kicks by the CSR
+    sum X of the stack's basis, bit for bit as kick_unitary of
+    sum_x(L).sector_matrix(basis), before Taylor steps or a held row."""
+    basis, ops, b2, energies, vectors = setup_L6
+    psi0 = np.array(vectors[:, :3], dtype=complex, order="C")
+    kicked = kick_unitary(sum_x(6).sector_matrix(basis), 0.001, psi0)
+    for stack, gamma in ((b2, rng.normal(size=(3, b2.n_ops)) * 0.4),
+                         (real_stack_L6, np.tile(rng.normal(size=real_stack_L6.n_ops), (3, 1)))):
+        protocol = ControlProtocol(dt=0.01, gamma=gamma, basis_checksum=stack.checksum,
+                                   kick_duration=0.001)
+        out = evolve(psi0, protocol, stack)
+        expected = evolve(kicked, ControlProtocol(dt=0.01, gamma=gamma,
+                                                  basis_checksum=stack.checksum), stack)
+        assert_array_equal(out, expected)
+        assert norm_drift(out) < 1e-10
 
 
 @pytest.mark.parametrize("kick", [np.nan, np.inf, -0.001])
