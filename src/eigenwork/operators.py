@@ -267,6 +267,9 @@ class OperatorStack:
         self.L = basis.L
         self.manifest = operator_manifest(self.ops, basis.L)
         self.checksum = manifest_checksum(self.manifest)
+        # A string commutes with the global flip prod_l X_l when it has an even
+        # number of Z and Y factors, an even popcount of its z mask.
+        self.flip_even = all(z.bit_count() % 2 == 0 for op in self.ops for _, _, z in op.terms)
 
         shape = (self.dim * self.dim, self.n_ops)
         # int32 row indices where they fit, as scipy picks

@@ -5,12 +5,12 @@ from an OperatorStack, to the batch of states. Each row and the kick are one
 truncated Taylor series with an a priori truncation bound, applied to the
 batch columns with no unitary formed; :func:`evolve` builds the kick's sum X.
 A quench's protocol, rows all equal to the first over a real stack, is
-diagonalized once instead, H = V diag(E) V^T by one real eigh, and the state
-at step n is V exp(-i dt n E) c, with c = V^T psi taken after the kick. A
-Taylor step's H, |H| and terms are fresh numpy arrays; the held row forms
-V^T V - I in one buffer and takes V^T as a view. Norms are checked after every
-product applied. Batches are never renormalized: column-norm drift is a
-monitored health signal, not something to hide.
+diagonalized once instead, by one real eigh per spin-flip parity block of the
+row (see :func:`evolve`). A Taylor step's H, |H| and terms are fresh numpy
+arrays; each held block forms V^T V - I in one buffer and takes V^T as a
+view. Norms are checked after every product applied. Batches are never
+renormalized: column-norm drift is a monitored health signal, not something
+to hide.
 
 Every H exponentiated here must be Hermitian; the step does not re-check it.
 Every sector matrix, a stack column or the CSR kick generator, comes from
@@ -18,8 +18,9 @@ Every sector matrix, a stack column or the CSR kick generator, comes from
 The OperatorStack certifies each assembled row by the bound max |H - H^dag|
 <= sum_i |gamma_i| dev_i (up to the rounding of the assembly's sums), which
 :func:`sector.check_hermiticity` checks at H's scale (eigh reads one triangle
-of H). Each step still checks that H is finite, and
-:func:`spectral_propagator` checks the orthonormality of V.
+of H). Each step still checks that H is finite, a held row that it commutes
+with the spin flip by the same rule, and :func:`spectral_propagator` checks
+the orthonormality of each block's V.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .operators import OperatorStack, sum_x
-from .sector import NumericalConsistencyError, matmul
+from .sector import NumericalConsistencyError, check_hermiticity, matmul, spin_flip
 
 NORM_DRIFT_TOL = 1e-8
 # Taylor step: substep bound on |dt| ||H||_1, truncation tolerance (the unit
@@ -155,10 +157,10 @@ def expm_step(H, dt: float, states: np.ndarray) -> np.ndarray:
 
 
 def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (E, V) of a held row's real symmetric H: exp(-i t H) = V e^{-i t E} V^T.
+    """Eigenpairs (E, V) of a held block's real symmetric H: exp(-i t H) = V e^{-i t E} V^T.
 
-    One real eigh. H must be real, finite and V orthonormal to 1e-11; all are
-    checked, the last on V^T V - I formed in one buffer.
+    One real eigh per block. H must be real, finite and V orthonormal to
+    1e-11; all are checked, the last on V^T V - I formed in one buffer.
     """
     if np.iscomplexobj(H):
         raise ValueError("a held row must be real")
@@ -171,6 +173,35 @@ def spectral_propagator(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not dev <= 1e-11:
         raise NumericalConsistencyError(f"held eigenvectors off orthonormality by {dev:.3e}")
     return E, V
+
+
+def flip_blocks(H: np.ndarray, flip: np.ndarray) -> tuple[scipy.sparse.csr_array, list]:
+    """(Q, blocks): a real H that commutes with the involution ``flip``, split by it.
+
+    With pairs a < flip[a] = b and fixed points f, the columns of the (dim x
+    dim) orthogonal CSR Q are the even states (e_a + e_b)/sqrt2 and e_f, then
+    the odd states (e_a - e_b)/sqrt2, and Q^T H Q is block diagonal. With A =
+    H[a, a], B = H[a, b], C = H[a, f] and D = H[f, f], ``blocks`` holds the
+    even block [[A + B, sqrt2 C], [sqrt2 C^T, D]] and the odd block A - B,
+    each only when it is not empty. max |H - H[flip][:, flip]| is checked by
+    :func:`sector.check_hermiticity` at H's scale.
+    """
+    residual = H[np.ix_(flip, flip)]
+    residual -= H
+    check_hermiticity(float(np.abs(residual, out=residual).max()), lambda: np.abs(H).max(),
+                      "held row fails the spin-flip check: max |H - H[P][:, P]|")
+    del residual
+    index = np.arange(len(flip))
+    a, f = np.flatnonzero(index < flip), np.flatnonzero(index == flip)
+    b, r, p, n_even = flip[a], math.sqrt(0.5), len(a), len(a) + len(f)
+    A, B = H[np.ix_(a, a)], H[np.ix_(a, b)]
+    C = math.sqrt(2.0) * H[np.ix_(a, f)]
+    even = np.block([[A + B, C], [C.T, H[np.ix_(f, f)]]])
+    odd = np.subtract(A, B, out=A)
+    cols = np.concatenate([index[:p], index[:n_even], index[n_even:], index[n_even:]])
+    Q = scipy.sparse.csr_array((np.repeat([r, r, 1.0, r, -r], [p, p, len(f), p, p]),
+                                (np.concatenate([a, b, f, a, b]), cols)), shape=H.shape)
+    return Q, [M for M in (even, odd) if len(M)]
 
 
 def kick_unitary(kick_op_matrix, duration: float, states: np.ndarray) -> np.ndarray:
@@ -190,11 +221,13 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     sample step; step 0 follows the kick, where the protocol clock starts.
     A row is one :func:`expm_step` on the states. A protocol with no controller
     whose rows all equal the first over a stack with no imaginary column, a
-    quench's, is one :func:`spectral_propagator` instead: c = V^T psi is taken
-    once, after the kick, and each stretch up to step n, the next sample step
-    or the end, is one product V (exp(-i dt n E) c). Every other protocol, an
-    optimize replay too, steps row by row. :func:`norm_drift` is checked after
-    every product.
+    quench's, is held instead: one :func:`spectral_propagator`, H_b = V diag(E)
+    V^T, per block, the two of :func:`flip_blocks` over a ``flip_even`` stack,
+    else H itself with Q = I. c = V^T (Q^T psi)_b is taken once per block,
+    after the kick, and each stretch up to step n, the next sample step or the
+    end, is Q times the stacked V (exp(-i dt n E) c) of the blocks. Every other
+    protocol, an optimize replay too, steps row by row. :func:`norm_drift` is
+    checked after every product.
     """
     if protocol.basis_checksum != stack.checksum:
         raise ValueError("protocol was recorded against a different basis manifest")
@@ -208,10 +241,17 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
     n_steps, gamma, dt = protocol.n_steps, protocol.gamma, protocol.dt
     samples = (set() if observer is None else
                set(range(n_steps + 1) if sample_steps is None else sample_steps))
-    held = controller is None and n_steps > 0 and not stack.imag.nnz and (gamma == gamma[0]).all()
-    if held:
-        E, V = spectral_propagator(stack.assemble(gamma[0]))
-        c = matmul(V.T, out)
+    held = []  # (E, V, c) per block of a held row
+    if controller is None and n_steps > 0 and not stack.imag.nnz and (gamma == gamma[0]).all():
+        H = stack.assemble(gamma[0])
+        Q, blocks = (flip_blocks(H, spin_flip(stack.basis)) if stack.flip_even else
+                     (scipy.sparse.eye_array(stack.dim, format="csr"), [H]))
+        del H  # a block of its own, or freed before the blocks' eighs
+        u = matmul(Q.T, out)
+        for M in blocks:
+            E, V = spectral_propagator(M)
+            held.append((E, V, matmul(V.T, u[:len(V)])))
+            u = u[len(V):]
     n = 0
     while True:
         view = out.view()  # products replace out, never write it
@@ -224,7 +264,8 @@ def evolve(states: np.ndarray, protocol: ControlProtocol, stack: OperatorStack,
             return out
         if held:
             n = min([n_steps, *(s for s in samples if s > n)])
-            out = matmul(V, np.exp(-1j * dt * n * E)[:, None] * c)
+            out = matmul(Q, np.concatenate([matmul(V, np.exp(-1j * dt * n * E)[:, None] * c)
+                                            for E, V, c in held]))
         else:
             out = expm_step(stack.assemble(gamma[n]), dt, out)
             n += 1

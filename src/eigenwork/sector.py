@@ -80,6 +80,16 @@ def build_sector_basis(L: int) -> SectorBasis:
                        state_to_orbit.astype(np.int64))
 
 
+def spin_flip(basis: SectorBasis) -> np.ndarray:
+    """The permutation pi of sector indices under the global flip n -> n ^ (2^L - 1).
+
+    The flip commutes with the dihedral group, so it maps orbits onto orbits
+    of the same size, and the sector state of orbit s onto that of pi[s]. pi
+    is an involution; an orbit it fixes spans a flip-even state.
+    """
+    return basis.state_to_orbit[basis.orbit_reps ^ ((1 << basis.L) - 1)]
+
+
 def schmidt_maps(basis: SectorBasis) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """Real maps from sector coordinates to the flattened even and odd Schmidt blocks.
 

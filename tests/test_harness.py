@@ -155,17 +155,17 @@ FROZEN_ARCHIVES = {
         "basis_manifest.txt":
             "5ea44b0e6416ade37810f750a363a728b578533a8340b51f2a1a54e3918d7d72",
         "per_state.csv":
-            "33e3e86f9f4433f508f33a797ee4bbe4b0375d5181cc0f3bd43610005fb7516a",
+            "3e4af12937d2ec4c16de97eb9c284d2822c410a6e71f1f14077221e8142e5759",
         "protocol.txt":
             "19e328cbb3c4fc81ac29c813053dfa9832599db9d91dfcd76bf6b11ee00ae693",
         "run.json":
-            "1b3fa50429bff9445936366f4cd633ea6efe2a24cc194d693d621d50f5166ef8",
+            "f6e75d98cc4c181468143eb17f0bccf7bb0bd92aa8e761e2d6abb07221d5b920",
         "sector_manifest.txt":
             "03847f28023d523f4c017f44fe1305616d605ad3473679f2269d749f5c137a0d",
         "spectrum.csv":
             "33b9cb25dcdf5ec062568eb5c6d6fa2fc8c2e0b1d2084be231d69d0b0cc7660c",
         "timeseries.csv":
-            "387f4500d0ad0f7f071237f8e18960dfb3ae8371708ad79edb0c59a0961aab24",
+            "726d8ccf1ce05934f10b323fd6a54b3a33291f0f75f530be0f816a7b31b5c3fa",
     },
 }
 
@@ -178,8 +178,9 @@ def test_archive_bytes_frozen(roundtrip_run):
     alone. A deliberate change of the arithmetic (as the Schmidt-block
     entropies and the real, gauge-fixed eigensolve made, and the optimizer's
     move to the one sparse real target and kick generator made for the
-    optimize digests; ROADMAP item 6's Chebyshev step will too) updates
-    the digests, with the evidence for it in CHANGES.md.
+    optimize digests, and the held row's spin-flip parity blocks for the
+    quench digests; ROADMAP item 6's Chebyshev step will too) updates the
+    digests, with the evidence for it in CHANGES.md.
     """
     mode, run_dir = roundtrip_run
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()

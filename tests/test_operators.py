@@ -11,7 +11,7 @@ from eigenwork.operators import (OperatorStack, SymmetrizedOperator,
                                  build_basis, enumerate_window_paulis, operator_manifest,
                                  sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              manifest_checksum, sector_manifest)
+                              manifest_checksum, sector_manifest, spin_flip)
 from oracles import (frobenius_norm_sq, operator_dense_matrix, sector_triplets_oracle,
                      symbolic_gram)
 
@@ -172,6 +172,27 @@ def test_stack_assemble_matches_sector_matrices(rng, L, k):
     assert_allclose(stack.assemble(gamma), direct, atol=1e-12)
     for i, op in enumerate(ops):
         assert_array_equal(stack.assemble(np.eye(len(ops))[i]), op.sector_matrix(basis).toarray())
+
+
+def test_stack_flip_evenness_is_read_from_the_strings():
+    """sum X and the h=0 Ising chain are flip-even: each of their strings has an
+    even number of Z and Y factors. A field h and every B_k bring a lone Z.
+    Where the strings say so, the assembled row commutes with the flip bit for
+    bit; where they do not, it does not commute."""
+    L = 8
+    basis = build_sector_basis(L)
+    flip = spin_flip(basis)
+    cases = [([sum_x(L)], True), ([build_ising(*PRESETS["quench-target"], L)], True),
+             ([build_ising(*PRESETS["integrable"], L)], True), ([build_ising(0.3, 1.5, L)], False),
+             ([build_ising(*PRESETS["nonintegrable"], L)], False),
+             *(([op], op.label == "X0") for op in build_basis(L, 1)),  # Z0, X0, Y0
+             *((build_basis(L, k), False) for k in (1, 2, 3, 4))]
+    for ops, even in cases:
+        stack = OperatorStack(ops, basis)
+        assert stack.flip_even is even
+        if len(ops) == 1 and not stack.imag.nnz:
+            H = stack.assemble(np.ones(1))
+            assert np.array_equal(H[np.ix_(flip, flip)], H) is even
 
 
 @STACK_CASES

@@ -14,9 +14,9 @@ from eigenwork import observables, operators, optimizer, propagate, runner, sect
 from eigenwork.config import ExperimentConfig
 from eigenwork.model import PRESETS, build_ising, diagonalize
 from eigenwork.operators import OperatorStack, build_basis, sum_x
-from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step,
+from eigenwork.propagate import (ControlProtocol, _taylor_plan, evolve, expm_step, flip_blocks,
                                  kick_unitary, norm_drift, spectral_propagator)
-from eigenwork.sector import NumericalConsistencyError, build_sector_basis, matmul
+from eigenwork.sector import NumericalConsistencyError, build_sector_basis, matmul, spin_flip
 from oracles import embed_state, frobenius_norm_sq, operator_dense_matrix
 
 
@@ -427,10 +427,13 @@ def test_held_row_runs_keep_the_norm_check(setup_L6, real_stack_L6, monkeypatch)
 
 def test_held_evolve_allocates_three_dim_squared_arrays():
     """tracemalloc, which sees numpy's buffers, bounds a nonintegrable L=12
-    quench's held evolve by 3.5 x 8 dim^2 bytes: the real H, V and V^T V - I
-    (with a complex H and copies of V and I it took 5.2)."""
+    quench's held evolve by 2.75 x 8 dim^2 bytes, measured 2.56 plus a margin
+    of 0.19: the real H with its flipped copy, then H with the parity blocks
+    built from it (with one eigh of the whole H, and V and V^T V - I of its
+    size, it took 3.24; with a complex H and copies of V and I, 5.2)."""
     config = ExperimentConfig.from_dict({"L": 12, "preset": "nonintegrable", "mode": "quench"})
     ctx = runner.prepare(config)
+    assert ctx.stack.flip_even
     protocol = ControlProtocol(dt=config.dt, gamma=np.ones((config.n_steps, 1)),
                                kick_duration=config.kick_duration,
                                basis_checksum=ctx.stack.checksum)
@@ -442,27 +445,83 @@ def test_held_evolve_allocates_three_dim_squared_arrays():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * ctx.basis.dim ** 2
+    assert peak <= 2.75 * 8 * ctx.basis.dim ** 2
+
+
+def quench_context(L, quench_h=0.0):
+    config = ExperimentConfig.from_dict({"L": L, "preset": "nonintegrable", "mode": "quench",
+                                         "quench_h": quench_h})
+    return config, runner.prepare(config)
 
 
 def test_quench_calls_the_eigensolver_once(monkeypatch):
-    """A quench's one held row is diagonalized once, by a real eigh."""
-    config = ExperimentConfig.from_dict({"L": 8, "preset": "nonintegrable", "mode": "quench"})
-    ctx = runner.prepare(config)
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.dtype) or eigh(H))
-    protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)),
-                               basis_checksum=ctx.stack.checksum)
-    out = evolve(ctx.shell.states, protocol, ctx.stack)
-    assert calls == [np.float64]
-    U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
-    exact = np.linalg.matrix_power(U, 20) @ ctx.shell.states
-    assert_allclose(out, exact, rtol=0, atol=1e-12)
+    """A quench's one held row is diagonalized once per block, by real eighs:
+    the flip-even default target in its two parity blocks, whose sizes sum to
+    dim, and a target with a field, quench_h = 0.3, whole."""
+    for quench_h, flip_even in ((0.0, True), (0.3, False)):
+        config, ctx = quench_context(8, quench_h)
+        assert ctx.stack.flip_even is flip_even
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda H: calls.append((H.dtype, len(H))) or eigh(H))
+        protocol = ControlProtocol(dt=config.dt, gamma=np.ones((20, 1)),
+                                   basis_checksum=ctx.stack.checksum)
+        out = evolve(ctx.shell.states, protocol, ctx.stack)
+        monkeypatch.undo()
+        flip = spin_flip(ctx.basis)
+        n_odd = np.count_nonzero(np.arange(ctx.basis.dim) < flip)
+        sizes = [ctx.basis.dim - n_odd, n_odd] if flip_even else [ctx.basis.dim]
+        assert calls == [(np.float64, size) for size in sizes]
+        assert sum(sizes) == ctx.basis.dim
+        U = scipy.linalg.expm(-1j * config.dt * ctx.stack.assemble(np.ones(1)))
+        exact = np.linalg.matrix_power(U, 20) @ ctx.shell.states
+        assert_allclose(out, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("quench_h", [0.0, 0.3])
+@pytest.mark.parametrize("L", [8, 10])
+def test_held_evolve_matches_expm(L, quench_h):
+    """At every sample, a quench's held row, after a kick, is expm(-i t H) of
+    the row applied to the kicked shell: in two parity blocks for the default
+    target, and in one block for a target with a field."""
+    config, ctx = quench_context(L, quench_h)
+    assert ctx.stack.flip_even is (quench_h == 0.0)
+    kicked = evolve(ctx.shell.states, ControlProtocol(
+        dt=config.dt, gamma=np.ones((0, 1)), kick_duration=0.05,
+        basis_checksum=ctx.stack.checksum), ctx.stack)
+    seen = []
+    evolve(ctx.shell.states, ControlProtocol(
+        dt=config.dt, gamma=np.ones((60, 1)), kick_duration=0.05,
+        basis_checksum=ctx.stack.checksum), ctx.stack,
+        observer=lambda n, t, states: seen.append((t, states.copy())),
+        sample_steps=[0, 1, 17, 60])
+    H = ctx.stack.assemble(np.ones(1))
+    assert len(seen) == 4
+    for t, states in seen:
+        assert_allclose(states, scipy.linalg.expm(-1j * t * H) @ kicked, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_flip_blocks_are_the_parity_blocks(L):
+    """Q is orthogonal and Q^T H Q is the block diagonal of the even and odd
+    blocks, for a flip-even held row; a row with a field is refused."""
+    basis = build_sector_basis(L)
+    flip = spin_flip(basis)
+    H = OperatorStack([build_ising(*PRESETS["quench-target"], L)], basis).assemble(np.ones(1))
+    Q, blocks = flip_blocks(H, flip)
+    assert [len(M) for M in blocks] == [basis.dim - np.count_nonzero(np.arange(basis.dim) < flip),
+                                        np.count_nonzero(np.arange(basis.dim) < flip)]
+    assert_allclose((Q.T @ Q).toarray(), np.eye(basis.dim), rtol=0, atol=1e-15)
+    assert_allclose(Q.T @ (Q.T @ H).T, scipy.linalg.block_diag(*blocks), rtol=0, atol=1e-13)
+    field = OperatorStack([build_ising(0.3, 1.5, L)], basis).assemble(np.ones(1))
+    with pytest.raises(NumericalConsistencyError, match="spin-flip check"):
+        flip_blocks(field, flip)
 
 
 def test_degenerate_held_row_matches_taylor_steps(monkeypatch):
     """A constant protocol of the real, degenerate sum X over its one-column
-    stack is one eigh and matches per-step Taylor steps at every sample."""
+    stack is one eigh per parity block and matches per-step Taylor steps at
+    every sample."""
     config = ExperimentConfig.from_dict({"L": 8, "preset": "integrable", "mode": "optimize",
                                          "k": 2, "duration": 0.024, "sample_every": 5})
     ctx = runner.prepare(config)
@@ -476,7 +535,8 @@ def test_degenerate_held_row_matches_taylor_steps(monkeypatch):
         dt=config.dt, gamma=np.ones((config.n_steps, 1)), basis_checksum=stack.checksum),
         stack, observer=lambda n, t, states: seen.append((n, states.copy())),
         sample_steps=config.sample_steps)
-    assert calls == [ctx.basis.dim]
+    n_odd = np.count_nonzero(np.arange(ctx.basis.dim) < spin_flip(ctx.basis))
+    assert calls == [ctx.basis.dim - n_odd, n_odd]  # sum X is flip-even
     taylor, steps = ctx.shell.states, {}
     for n in range(config.n_steps):
         steps[n] = taylor

@@ -11,7 +11,7 @@ from eigenwork.model import GAUGE_WORDS, PRESETS, build_ising, diagonalize
 from eigenwork.operators import (SymmetrizedOperator, build_basis, certified_entries,
                                  sum_x, translation_sum)
 from eigenwork.sector import (NumericalConsistencyError, build_sector_basis,
-                              manifest_checksum, sector_manifest, sector_triplets)
+                              manifest_checksum, sector_manifest, sector_triplets, spin_flip)
 from oracles import embed_state, operator_dense_matrix, sector_triplets_oracle
 
 
@@ -84,6 +84,24 @@ def test_embed_examples():
     v0[int(np.searchsorted(basis.orbit_reps, 0))] = 1.0
     full0 = embed_state(v0, basis)
     assert full0[0] == 1.0 and np.count_nonzero(full0) == 1
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_spin_flip_is_the_global_flip(L):
+    """The global flip prod_l X_l sends |n> to |n ^ (2^L - 1)>, so it sends
+    embed_state(e_i) to embed_state(e_pi(i)) for every sector index i. pi is an
+    involution that keeps orbit sizes, and it pairs the all-0 orbit with the
+    all-1 one, so the odd block of a flip-even row is never empty."""
+    basis = build_sector_basis(L)
+    flip = spin_flip(basis)
+    full = embed_state(np.eye(basis.dim), basis)
+    assert_array_equal(full[np.arange(1 << L) ^ ((1 << L) - 1)],
+                       embed_state(np.eye(basis.dim)[:, flip], basis))
+    assert_array_equal(flip[flip], np.arange(basis.dim))
+    assert_array_equal(basis.orbit_sizes[flip], basis.orbit_sizes)
+    all_up = basis.state_to_orbit[(1 << L) - 1]
+    assert basis.orbit_reps[0] == 0 and flip[0] == all_up != 0
+    assert np.count_nonzero(flip != np.arange(basis.dim)) >= 2
 
 
 def test_embed_preserves_inner_products(rng):
